@@ -355,16 +355,6 @@ def reference_cell_counts(config: ScenarioConfig) -> list[ReferenceLayout]:
 # -- runner -------------------------------------------------------------------
 
 
-def _warm_kernels() -> None:
-    """Trigger kernel compilation outside the timed fusion section."""
-    from .kernels import combine_masses, traverse_rays
-
-    a = np.zeros((1, 2))
-    combine_masses(a.copy(), a.copy(), np.empty((1, 2)), np.empty(1))
-    z = np.zeros(1)
-    traverse_rays(z, z, z + 2.0, z, 4)
-
-
 @dataclass
 class RunResult:
     records: list[MetricsRecord]
@@ -391,7 +381,6 @@ def run_scenario(
     counter = ConflictCounter()
     records: list[MetricsRecord] = []
     live: GridMap | None = None
-    _warm_kernels()
 
     for i in range(script.n_cycles()):
         t = round(i * script.cycle_s, 9)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CellOutOfBoundsError
 from .evidence import ALGEBRA_TOL, ConflictCounter, combine_mass_arrays
 from .grid import (
     GridConfig,
@@ -32,8 +33,11 @@ from .grid import (
 from .kernels import ray_cell_cap, traverse_rays
 from .requirements import RequirementProfile, required_step
 
-_OFFSET = 1 << 20
-_SPAN = 1 << 21
+# Cell keys pack biased x and y into the high and low 32 bits of a uint64,
+# so key order is (x, y) lexicographic order.
+_KEY_BIAS = 1 << 31
+_LOW_BITS = np.uint64(0xFFFFFFFF)
+_SHIFT = np.uint64(32)
 
 
 @dataclass
@@ -88,12 +92,19 @@ def occupancy_evidence(k, params: SensorModelParams):
 
 
 def _encode_cells(cells: np.ndarray) -> np.ndarray:
-    return (cells[:, 0] + _OFFSET) * _SPAN + (cells[:, 1] + _OFFSET)
+    """One uint64 key per (x, y) row; raises beyond +-2^31 cells per axis."""
+    if len(cells) and (cells.min() < -_KEY_BIAS or cells.max() >= _KEY_BIAS):
+        raise CellOutOfBoundsError(
+            f"cell coordinates span [{cells.min()}, {cells.max()}], "
+            f"outside the +-2^31 key range"
+        )
+    biased = (cells + _KEY_BIAS).astype(np.uint64)
+    return (biased[:, 0] << _SHIFT) | biased[:, 1]
 
 
 def _decode_cells(keys: np.ndarray) -> np.ndarray:
-    x = keys // _SPAN - _OFFSET
-    y = keys % _SPAN - _OFFSET
+    x = (keys >> _SHIFT).astype(np.int64) - _KEY_BIAS
+    y = (keys & _LOW_BITS).astype(np.int64) - _KEY_BIAS
     return np.stack([x, y], axis=1)
 
 
@@ -180,7 +191,7 @@ def measurement_grid_occupancy(
         hit_keys, counts = np.unique(_encode_cells(hit_cells), return_counts=True)
         occ_mass = occupancy_evidence(counts, params)
     else:
-        hit_keys = np.empty(0, dtype=np.int64)
+        hit_keys = np.empty(0, dtype=np.uint64)
         occ_mass = np.empty(0)
 
     # Every ray marks the cells between its origin cell and endpoint cell.
@@ -190,7 +201,7 @@ def measurement_grid_occupancy(
     ev = (ends[:, 1] - config.datum[1]) / width
     cap = ray_cell_cap(su, sv, eu, ev)
     fx, fy = traverse_rays(su, sv, eu, ev, cap)
-    free_keys = np.empty(0, dtype=np.int64)
+    free_keys = np.empty(0, dtype=np.uint64)
     free_mass = np.empty(0)
     if len(fx):
         crossed = _encode_cells(np.stack([fx, fy], axis=1))
@@ -229,9 +240,9 @@ def measurement_grid_semantic(
     pts = obs.points[keep]
     if len(pts) == 0:
         return grid
-    label_idx = np.array(
-        [frame.index(lb) for lb, k in zip(obs.labels, keep) if k], dtype=np.int64
-    )
+    names, label_of_point = np.unique(np.asarray(obs.labels)[keep], return_inverse=True)
+    frame_idx = np.array([frame.index(str(name)) for name in names], dtype=np.int64)
+    label_idx = frame_idx[label_of_point]
     conf = np.clip(obs.confidences[keep], 0.0, 1.0)
 
     cells = global_cells_of(pts, config.datum, width)

@@ -1,19 +1,39 @@
-"""Traversal and combination kernels: jitted path vs fallback, exact oracles."""
+"""Traversal and combination kernels against exact references.
+
+The batch traversal must return exactly what the per-ray reference walk
+``_traverse_rays_impl`` returns: the same cells in the same order, also on
+the lattice-aligned geometry the scenarios produce (origins on lattice
+corners, 45 degree beams, axis-parallel beams, endpoints on boundaries).
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import apgm.sensors
+from apgm import Frame, combine_dst, make_bba, run_scenario
 from apgm.kernels import (
-    _combine_masses_loop,
-    _combine_masses_numpy,
     _traverse_rays_impl,
     combine_masses,
     ray_cell_cap,
     traverse_rays,
 )
+from apgm.scenario import default_scenario
 from conftest import random_mass_rows
+
+
+def assert_same_walk(u0, v0, u1, v1, cap=None):
+    """The batch kernel's cells equal the reference walk's, in order."""
+    u0, v0, u1, v1 = (np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1))
+    if cap is None:
+        cap = ray_cell_cap(u0, v0, u1, v1)
+    got = traverse_rays(u0, v0, u1, v1, cap)
+    want = _traverse_rays_impl(u0, v0, u1, v1, cap)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[0].dtype == got[1].dtype == np.int64
 
 
 def sweep_oracle(u0, v0, u1, v1):
@@ -76,16 +96,13 @@ def test_traversal_matches_sweep_oracle():
         assert got == want, f"ray {i}: {got} != {want}"
 
 
-def test_jitted_equals_pure_python():
+def test_batch_traversal_equals_reference_walk():
     rng = np.random.default_rng(1)
     for _ in range(40):
         n = int(rng.integers(1, 60))
         u0, v0, u1, v1 = _random_rays(rng, n, max_len=200.0)
         cap = ray_cell_cap(u0, v0, u1, v1)
-        jx, jy = traverse_rays(u0, v0, u1, v1, cap)
-        px, py = _traverse_rays_impl(u0, v0, u1, v1, cap)
-        np.testing.assert_array_equal(jx, px)
-        np.testing.assert_array_equal(jy, py)
+        assert_same_walk(u0, v0, u1, v1, cap)
 
 
 def test_capacity_bound_never_reached():
@@ -114,21 +131,16 @@ def test_exact_diagonal_steps_diagonally():
 
 def test_combine_kernels_agree():
     rng = np.random.default_rng(3)
-    for k in (2, 4):
-        a = random_mass_rows(rng, 2000, k)
-        b = random_mass_rows(rng, 2000, k)
-        out1 = np.empty_like(a)
-        c1 = np.empty(len(a))
-        _combine_masses_numpy(a, b, out1, c1)
-        out2 = np.empty_like(a)
-        c2 = np.empty(len(a))
-        combine_masses(a, b, out2, c2)
-        out3 = np.empty_like(a)
-        c3 = np.empty(len(a))
-        _combine_masses_loop(a, b, out3, c3)
-        np.testing.assert_allclose(out2, out1, atol=1e-12)
-        np.testing.assert_allclose(c2, c1, atol=1e-12)
-        np.testing.assert_allclose(out3, out1, atol=1e-12)
+    for frame in (Frame(("o", "f")), Frame(("a", "b", "c", "d"))):
+        a = random_mass_rows(rng, 300, len(frame))
+        b = random_mass_rows(rng, 300, len(frame))
+        out = np.empty_like(a)
+        conflict = np.empty(len(a))
+        combine_masses(a, b, out, conflict)
+        for i in range(len(a)):
+            fused, k = combine_dst(make_bba(frame, a[i]), make_bba(frame, b[i]))
+            np.testing.assert_allclose(out[i], fused.masses, rtol=0.0, atol=1e-12)
+            assert conflict[i] == pytest.approx(k, abs=1e-12)
 
 
 def test_combine_kernel_total_conflict_row():
@@ -140,3 +152,147 @@ def test_combine_kernel_total_conflict_row():
     assert conflict[0] == pytest.approx(1.0)
     assert np.all(out[0] == 0.0)
     assert conflict[1] < 1.0 and out[1].sum() > 0.0
+
+
+# -- batch traversal == reference walk: property tests -----------------------------
+
+# Coordinates in cell units: generic floats, lattice points, half cells.
+_coord = st.one_of(
+    st.floats(-300.0, 300.0, allow_nan=False),
+    st.integers(-300, 300).map(float),
+    st.integers(-600, 600).map(lambda i: i / 2.0),
+)
+_ray = st.tuples(_coord, _coord, _coord, _coord)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ray, min_size=1, max_size=30))
+def test_walk_property_mixed_rays(rays):
+    assert_same_walk(*np.array(rays).T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=2, max_size=40
+    ),
+)
+def test_walk_property_lattice_snapped(points):
+    # Every origin and endpoint on a lattice corner: corner ties everywhere.
+    pts = np.array(points, dtype=np.float64)
+    assert_same_walk(pts[:-1, 0], pts[:-1, 1], pts[1:, 0], pts[1:, 1])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(-2000, 2000),
+    st.integers(-2000, 2000),
+    st.sampled_from([0.0, 0.5]),
+    st.floats(5.0, 250.0),
+)
+def test_walk_property_beam_fan_from_corner(ox, oy, shift, radius):
+    # A 720-beam lidar fan from a lattice corner, as parking mode produces.
+    ang = np.arange(720) * (np.pi / 360.0)
+    u0 = np.full(720, ox + shift)
+    v0 = np.full(720, float(oy))
+    assert_same_walk(u0, v0, u0 + radius * np.cos(ang), v0 + radius * np.sin(ang))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-100, 100),
+    st.integers(-100, 100),
+    st.sampled_from([0.0, 0.25, 0.5]),
+    st.floats(1.0, 300.0),
+    st.integers(0, 3),
+)
+def test_walk_property_diagonals(ix, iy, frac, length, quadrant):
+    # Exact and 1-ulp-off 45 degree rays; cos(pi/4) != sin(pi/4) in float64.
+    a0, b0 = ix + frac, iy + frac
+    sx, sy = (1.0, -1.0)[quadrant & 1], (1.0, -1.0)[quadrant >> 1]
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    ends = [
+        (a0 + sx * length, b0 + sy * length),
+        (a0 + sx * length * c, b0 + sy * length * s),
+        (a0 + sx * length * c, b0 + sy * length * c),
+        (np.nextafter(a0 + sx * length, np.inf), b0 + sy * length),
+        (a0 + sx * length, np.nextafter(b0 + sy * length, -np.inf)),
+    ]
+    u1, v1 = np.array(ends).T
+    assert_same_walk(np.full(5, a0), np.full(5, b0), u1, v1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coord, _coord, st.floats(-300.0, 300.0, allow_nan=False), st.booleans())
+def test_walk_property_axis_parallel(a, b, delta, along_x):
+    # Lines exactly on a boundary, inside a cell, and zero-length rays.
+    rays = [(a, b, a + delta, b), (a, b, a, b + delta), (a, b, a, b),
+            (math.floor(a), b, math.floor(a), b + delta)]
+    if not along_x:
+        rays = [(v0, u0, v1, u1) for u0, v0, u1, v1 in rays]
+    assert_same_walk(*np.array(rays).T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coord, _coord, st.integers(-200, 200), st.integers(-200, 200), _coord)
+def test_walk_property_endpoint_on_boundary(a, b, ex, ey, other):
+    # Endpoints exactly on an x boundary, a y boundary, or a corner.
+    ex, ey = float(ex), float(ey)
+    rays = [(a, b, ex, other), (a, b, other, ey), (a, b, ex, ey)]
+    assert_same_walk(*np.array(rays).T)
+
+
+def test_walk_long_rays_ending_on_boundaries():
+    # Endpoints on corners and boundaries put crossings at t = 1, where the
+    # reference walk's accumulated parameters round either way.
+    rng = np.random.default_rng(6)
+    n = 1200
+    u0 = rng.uniform(-300.0, 300.0, n)
+    v0 = rng.uniform(-300.0, 300.0, n)
+    u1 = np.round(u0 + rng.uniform(-300.0, 300.0, n))
+    v1 = np.round(v0 + rng.uniform(-300.0, 300.0, n))
+    u1[1::3] += rng.random(n // 3)
+    v1[2::3] += rng.random(n // 3)
+    assert_same_walk(u0, v0, u1, v1)
+
+
+def test_walk_truncates_at_capacity_like_reference():
+    rng = np.random.default_rng(5)
+    u0, v0, u1, v1 = _random_rays(rng, 30, snap_prob=0.5, max_len=80.0)
+    full = ray_cell_cap(u0, v0, u1, v1)
+    for cap in (0, 1, 7, 100, full // 2):
+        assert_same_walk(u0, v0, u1, v1, cap)
+
+
+def test_walk_rejects_nonfinite_like_reference():
+    z = np.zeros(1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises((ValueError, OverflowError)):
+            traverse_rays(z, z, z + bad, z, 8)
+
+
+@pytest.mark.parametrize(
+    "mode, keyframes",
+    [
+        ("parking", [(0.0, 0.0, 0.0, 0.0), (15.0, 30.0, 0.0, 0.0)]),
+        ("road", [(0.0, 30.0, 0.0, 0.0), (30.0, 430.0, 0.0, 0.0)]),
+    ],
+)
+def test_walk_matches_reference_on_scenario_calls(monkeypatch, mode, keyframes):
+    # Every traversal the default scenario makes in a few cycles.
+    script, world, config = default_scenario()
+    script.keyframes = keyframes
+    script.mode_times = [(0.0, mode)]
+    script.duration_s = 0.3
+    config.measure_timing = False
+    calls = []
+
+    def spy(*args):
+        calls.append([np.copy(a) for a in args[:4]] + [args[4]])
+        return traverse_rays(*args)
+
+    monkeypatch.setattr(apgm.sensors, "traverse_rays", spy)
+    run_scenario(script, world, config)
+    assert len(calls) == 2 * 3  # two lidars, three cycles
+    for args in calls:
+        assert_same_walk(*args)

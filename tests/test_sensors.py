@@ -18,6 +18,7 @@ from apgm import (
     occupancy_evidence,
     ray_traverse,
 )
+from apgm.errors import CellOutOfBoundsError, UnknownHypothesisError
 from apgm.evidence import ConflictCounter
 from test_kernels import sweep_oracle
 
@@ -186,6 +187,59 @@ def test_ray_traverse_diagonal_across_patch_border():
 
 
 # -- semantic measurement grids ---------------------------------------------------
+
+
+def test_semantic_unknown_label_raises(config, sem_profile):
+    obs = SemanticObservation(
+        [(5.0, 0.05), (6.0, 0.05)], ["road", "water"], [0.8, 0.8]
+    )
+    with pytest.raises(UnknownHypothesisError, match="water"):
+        measurement_grid_semantic(obs, sem_profile, config)
+
+
+def test_semantic_unknown_label_outside_frustum_ignored(config, sem_profile):
+    obs = SemanticObservation(
+        [(5.0, 0.05), (-6.0, 0.05)], ["road", "water"], [0.8, 0.8]
+    )
+    g = measurement_grid_semantic(obs, sem_profile, config)
+    cell = g.layer_at((0, 0), "semantic").masses[25, 0]
+    assert cell[0] == pytest.approx(0.8, abs=1e-6)
+
+
+# -- cell keys far from the datum ------------------------------------------------
+
+NORTH = 150_000.0  # 1.5M cells of 0.1 m: more than 2^20
+
+
+def test_occupancy_far_north_lands_in_its_patch(config, occ_profile):
+    profile = occ_profile.with_pose((0.0, NORTH, 0.0))
+    cloud = PointCloud((0.0, NORTH), [(5.0, NORTH + 0.05)])
+    g = measurement_grid_occupancy(cloud, PARAMS, profile, config)
+    # 150000 / 12.8 = 11718.75: patch row 11718, local row 0.75 * 128 = 96.
+    assert {index for index, _ in g.iter_layers()} == {(0, 11718)}
+    masses = g.layer_at((0, 11718), "occupancy").masses
+    assert masses[50, 96, 0] > 0.0
+    assert np.all(masses[1:50, 96, 1] > 0.0)
+
+
+def test_semantic_far_north_lands_in_its_patch(config):
+    profile = RequirementProfile(
+        {"semantic": TypeRequirement(True, 40.0, 0.1, math.radians(30.0))},
+        vehicle_pose=(0.0, NORTH, 0.0),
+    )
+    obs = SemanticObservation([(5.0, NORTH + 0.05)], ["road"], [0.8])
+    g = measurement_grid_semantic(obs, profile, config)
+    assert {index for index, _ in g.iter_layers()} == {(0, 11718)}
+    cell = g.layer_at((0, 11718), "semantic").masses[50, 96]
+    assert cell[0] == pytest.approx(0.8, abs=1e-6)
+
+
+def test_cells_beyond_key_range_raise(config, occ_profile):
+    far = 0.1 * 2.0**31 + 50.0
+    profile = occ_profile.with_pose((0.0, far, 0.0))
+    cloud = PointCloud((0.0, far), [(5.0, far)])
+    with pytest.raises(CellOutOfBoundsError):
+        measurement_grid_occupancy(cloud, PARAMS, profile, config)
 
 
 def test_semantic_empty(config, sem_profile):
