@@ -16,8 +16,10 @@ from .errors import (
     GridMapError,
     MassOverflowError,
     NegativeMassError,
+    NonFiniteInputError,
     PointOutsidePatchError,
     ResolutionConflictError,
+    SnapshotError,
     StepDeltaTooLargeError,
     TotalConflictError,
     UnknownHypothesisError,

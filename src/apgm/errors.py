@@ -60,5 +60,13 @@ class EdgeMismatchError(GridMapError):
     """Grid maps with different patch edge lengths cannot be fused."""
 
 
+class NonFiniteInputError(GridMapError, ValueError):
+    """A sensor input holds a NaN or an infinite coordinate or value."""
+
+
+class SnapshotError(GridMapError, ValueError):
+    """A grid snapshot is truncated, has trailing bytes or is malformed."""
+
+
 class ConfigError(GridMapError):
     """Scenario configuration is invalid; the message carries diagnostics."""

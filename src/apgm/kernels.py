@@ -5,9 +5,13 @@ of cells, plus Dempster folds over whole layers. Both are plain numpy.
 ``traverse_rays`` walks the whole ray batch at once and returns exactly
 what the per-ray reference walk ``_traverse_rays_impl`` returns, which it
 keeps as the fallback for the few rays whose crossings are too close to
-order safely. ``python3 perfbench/run.py --workload parking --seed 1
---seconds 36 --trace 1`` times both kernels per emitted cell
-(``kernels.*.ns_per_cell``) on inputs captured from a real cycle.
+order safely. ``combine_masses`` works on one column view per hypothesis:
+numpy reduces a short last axis far slower than it adds columns, and a
+left-to-right chain of column adds is the order ``sum(axis=-1)`` uses, so
+the results are the same bit for bit. ``python3 perfbench/run.py
+--workload parking --seed 1 --seconds 36 --trace 1`` times both kernels
+per emitted cell (``kernels.*.ns_per_cell``) on inputs captured from a
+real cycle.
 
 Traversal coordinates are pre-scaled so cells are unit squares:
 u = (x - datum) / w. Cell binning is floor(u), matching the half-open
@@ -161,6 +165,8 @@ def traverse_rays(u0, v0, u1, v1, cap):
         bad = (c > 0) & ((below > t) | ((t - below <= tolr) & ~(first & (c == 1))))
         bad |= (c < nyr) & ((above <= t) | ((above - t <= tolr) & ~(first & (c == 0))))
     flag[np.repeat(np.arange(len(nx)), nx)[bad]] = True
+    # Free the ordering checks' arrays before the event arrays are built.
+    del t, qyr, adyr, nyr, tolr, first, below, above, bad
 
     # Merged events per ray (a corner tie is one diagonal step); the last
     # one enters the end cell, which is not emitted.
@@ -204,30 +210,52 @@ def traverse_rays(u0, v0, u1, v1, cap):
     return xs[:cap], ys[:cap]
 
 
+def _row_sums(cols):
+    """Per-row sum of columns, added left to right into a fresh array.
+
+    numpy's ``sum(axis=-1)`` over a short last axis adds in this same
+    order, so the result is bit-identical to it.
+    """
+    total = cols[0] + cols[1]
+    for col in cols[2:]:
+        total += col
+    return total
+
+
 def combine_masses(a, b, out, conflict):
     """Dempster combination per row; singleton masses, frame mass implicit.
 
     Total-conflict rows (K >= 1 - 1e-12) come back vacuous; the caller
-    reads the conflict array. Inputs are float64 rows of shape (n, k).
+    reads the conflict array. Inputs are float64 rows of shape (n, k),
+    k >= 2, handled as one column view per hypothesis.
     """
-    sa = a.sum(axis=-1)
-    sb = b.sum(axis=-1)
-    wa = 1.0 - sa
-    wb = 1.0 - sb
-    agree = a * b
-    np.copyto(conflict, sa * sb - agree.sum(axis=-1))
-    norm = 1.0 - conflict
-    dead = norm <= 1e-12
-    safe = np.where(dead, 1.0, norm)
-    fused = (agree + a * wb[:, None] + b * wa[:, None]) / safe[:, None]
-    omega = wa * wb / safe
-    scale = fused.sum(axis=-1) + omega
-    scale = np.where(scale <= 0.0, 1.0, scale)
-    fused /= scale[:, None]
-    fused[dead] = 0.0
-    np.copyto(out, fused)
+    k = a.shape[1]
+    ac = [a[:, j] for j in range(k)]
+    bc = [b[:, j] for j in range(k)]
+    sa = _row_sums(ac)
+    sb = _row_sums(bc)
+    agree = [x * y for x, y in zip(ac, bc)]
+    np.multiply(sa, sb, out=conflict)
+    conflict -= _row_sums(agree)
+    wa = np.subtract(1.0, sa, out=sa)
+    wb = np.subtract(1.0, sb, out=sb)
+    safe = 1.0 - conflict
+    dead = safe <= 1e-12
+    safe[dead] = 1.0
+    fused = agree
+    for f, x, y in zip(fused, ac, bc):
+        f += x * wb
+        f += y * wa
+        f /= safe
+    omega = np.multiply(wa, wb, out=wa)
+    omega /= safe
+    scale = _row_sums(fused)
+    scale += omega
+    scale[scale <= 0.0] = 1.0
+    for j, f in enumerate(fused):
+        np.divide(f, scale, out=out[:, j])
+    out[dead] = 0.0
     return out, conflict
-
 
 
 def ray_cell_cap(u0, v0, u1, v1) -> int:

@@ -11,6 +11,11 @@ frustum; each point is a simple support assignment (its confidence on the
 label, the rest on the frame) and points in one cell are folded with
 Dempster's rule.
 
+Both builders number cells on one patch-aligned window bounding the scan
+(occupancy counts hits and ray crossings with ``np.bincount``, semantics
+groups points with ``np.unique``), compute masses where a count is
+nonzero, and cut the window into one layer per touched patch.
+
 Builders are pure producers: every call returns a private grid map, so
 multiple sensor grids can be built concurrently.
 """
@@ -22,23 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellOutOfBoundsError
+from .errors import CellOutOfBoundsError, NonFiniteInputError
 from .evidence import ALGEBRA_TOL, ConflictCounter, combine_mass_arrays
 from .grid import (
     GridConfig,
     GridMap,
+    Layer,
     global_cells_of,
     split_global_cells,
 )
 from .kernels import ray_cell_cap, traverse_rays
 from .requirements import RequirementProfile, required_step
-
-# Cell keys pack biased x and y into the high and low 32 bits of a uint64,
-# so key order is (x, y) lexicographic order.
-_KEY_BIAS = 1 << 31
-_LOW_BITS = np.uint64(0xFFFFFFFF)
-_SHIFT = np.uint64(32)
-
 
 @dataclass
 class SensorModelParams:
@@ -68,6 +67,8 @@ class PointCloud:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(2)
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
+        if not (np.isfinite(self.origin).all() and np.isfinite(self.points).all()):
+            raise NonFiniteInputError("cloud origin or points hold a NaN or inf")
 
 
 @dataclass
@@ -84,6 +85,8 @@ class SemanticObservation:
         self.labels = list(self.labels)
         if not (len(self.points) == len(self.labels) == len(self.confidences)):
             raise ValueError("points, labels and confidences must align")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.confidences).all()):
+            raise NonFiniteInputError("points or confidences hold a NaN or inf")
 
 
 def occupancy_evidence(k, params: SensorModelParams):
@@ -91,43 +94,39 @@ def occupancy_evidence(k, params: SensorModelParams):
     return 1.0 - (1.0 - params.mu_hit) ** np.asarray(k, dtype=np.float64)
 
 
-def _encode_cells(cells: np.ndarray) -> np.ndarray:
-    """One uint64 key per (x, y) row; raises beyond +-2^31 cells per axis."""
-    if len(cells) and (cells.min() < -_KEY_BIAS or cells.max() >= _KEY_BIAS):
-        raise CellOutOfBoundsError(
-            f"cell coordinates span [{cells.min()}, {cells.max()}], "
-            f"outside the +-2^31 key range"
-        )
-    biased = (cells + _KEY_BIAS).astype(np.uint64)
-    return (biased[:, 0] << _SHIFT) | biased[:, 1]
+class _Window:
+    """Patch-aligned block bounding a scan's cells, numbered x-major. It
+    spans the horizon disc, or the sensor origin and its rays into the disc."""
 
+    def __init__(self, xs, ys, step: int):
+        """``xs`` and ``ys``: lists of cell-coordinate arrays, not all empty."""
+        lo, hi = [], []
+        for parts in (xs, ys):
+            parts = [v for v in parts if len(v)]
+            lo.append(min(int(v.min()) for v in parts))
+            hi.append(max(int(v.max()) for v in parts))
+        if min(lo) < -(2**31) or max(hi) >= 2**31:
+            raise CellOutOfBoundsError(
+                f"cells span {lo} to {hi}, outside the +-2^31 cell range"
+            )
+        self.step = step
+        self.m = 1 << step
+        self.px, self.py = (v >> step for v in lo)
+        self.nx, self.ny = ((h >> step) - (v >> step) + 1 for v, h in zip(lo, hi))
+        self.size = self.nx * self.ny * self.m * self.m
 
-def _decode_cells(keys: np.ndarray) -> np.ndarray:
-    x = (keys >> _SHIFT).astype(np.int64) - _KEY_BIAS
-    y = (keys & _LOW_BITS).astype(np.int64) - _KEY_BIAS
-    return np.stack([x, y], axis=1)
+    def flat(self, xs, ys):
+        return (xs - self.px * self.m) * (self.ny * self.m) + (ys - self.py * self.m)
 
-
-def _scatter_channel(grid, step, type_name, cells, values, channel) -> None:
-    """Write per-cell masses into lazily allocated layers, grouped by patch."""
-    if len(cells) == 0:
-        return
-    patch_idx, local = split_global_cells(cells, step)
-    keys = _encode_cells(patch_idx)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    patch_idx = patch_idx[order]
-    local = local[order]
-    values = np.asarray(values)[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    bounds = np.append(starts, len(keys))
-    for i in range(len(starts)):
-        s, e = bounds[i], bounds[i + 1]
-        index = (int(patch_idx[s, 0]), int(patch_idx[s, 1]))
-        layer = grid.get_or_create_layer(index, type_name, step)
-        layer.masses[local[s:e, 0], local[s:e, 1], channel] = values[s:e].astype(
-            np.float32
-        )
+    def to_layers(self, grid, type_name, touched, masses) -> None:
+        """One layer per patch holding a touched cell; masses per flat cell."""
+        m = self.m
+        blocks = masses.reshape(self.nx, m, self.ny, m, -1)
+        frame = grid.config.frame_of(type_name)
+        hit = touched.reshape(self.nx, m, self.ny, m).any(axis=(1, 3))
+        for i, j in zip(*np.nonzero(hit)):
+            layer = Layer(type_name, frame, self.step, blocks[i, :, j].copy())
+            grid.set_layer((self.px + int(i), self.py + int(j)), layer)
 
 
 def _clip_to_horizon(origin, points, vehicle, horizon):
@@ -185,33 +184,29 @@ def measurement_grid_occupancy(
     if len(ends) == 0:
         return grid
 
-    # Returns inside the horizon carry occupancy evidence.
+    # Returns inside the horizon carry occupancy evidence; every ray marks
+    # the cells between its origin cell and endpoint cell.
     hit_cells = global_cells_of(ends[hit_mask], config.datum, width)
-    if len(hit_cells):
-        hit_keys, counts = np.unique(_encode_cells(hit_cells), return_counts=True)
-        occ_mass = occupancy_evidence(counts, params)
-    else:
-        hit_keys = np.empty(0, dtype=np.uint64)
-        occ_mass = np.empty(0)
-
-    # Every ray marks the cells between its origin cell and endpoint cell.
     su = np.full(len(ends), (origin[0] - config.datum[0]) / width)
     sv = np.full(len(ends), (origin[1] - config.datum[1]) / width)
     eu = (ends[:, 0] - config.datum[0]) / width
     ev = (ends[:, 1] - config.datum[1]) / width
-    cap = ray_cell_cap(su, sv, eu, ev)
-    fx, fy = traverse_rays(su, sv, eu, ev, cap)
-    free_keys = np.empty(0, dtype=np.uint64)
-    free_mass = np.empty(0)
-    if len(fx):
-        crossed = _encode_cells(np.stack([fx, fy], axis=1))
-        free_keys, crossings = np.unique(crossed, return_counts=True)
-        clear = ~np.isin(free_keys, hit_keys)
-        free_keys = free_keys[clear]
-        free_mass = 1.0 - (1.0 - params.mu_free) ** crossings[clear]
+    fx, fy = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
+    if len(hit_cells) + len(fx) == 0:
+        return grid
 
-    _scatter_channel(grid, step, "occupancy", _decode_cells(hit_keys), occ_mass, 0)
-    _scatter_channel(grid, step, "occupancy", _decode_cells(free_keys), free_mass, 1)
+    # Spent arrays are freed early: this builder's peak sets the process peak.
+    window = _Window([hit_cells[:, 0], fx], [hit_cells[:, 1], fy], step)
+    hits = np.bincount(window.flat(*hit_cells.T), minlength=window.size)
+    crossings = np.bincount(window.flat(fx, fy), minlength=window.size)
+    del fx, fy
+    occupied = hits > 0
+    free = (crossings > 0) & ~occupied
+    masses = np.zeros((window.size, 2), dtype=np.float32)
+    masses[occupied, 0] = occupancy_evidence(hits[occupied], params)
+    masses[free, 1] = 1.0 - (1.0 - params.mu_free) ** crossings[free]
+    del hits, crossings
+    window.to_layers(grid, "occupancy", occupied | free, masses)
     return grid
 
 
@@ -246,8 +241,8 @@ def measurement_grid_semantic(
     conf = np.clip(obs.confidences[keep], 0.0, 1.0)
 
     cells = global_cells_of(pts, config.datum, width)
-    keys = _encode_cells(cells)
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    window = _Window([cells[:, 0]], [cells[:, 1]], step)
+    uniq, inverse = np.unique(window.flat(*cells.T), return_inverse=True)
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in
     # log space, then combine the per-label aggregates with Dempster's rule.
@@ -266,9 +261,11 @@ def measurement_grid_semantic(
         if counter is not None and np.any(dead):
             counter.add(int(dead.sum()))
 
-    decoded = _decode_cells(uniq)
-    for j in range(len(frame)):
-        _scatter_channel(grid, step, "semantic", decoded, acc[:, j], j)
+    masses = np.zeros((window.size, len(frame)), dtype=np.float32)
+    masses[uniq] = acc
+    touched = np.zeros(window.size, dtype=bool)
+    touched[uniq] = True
+    window.to_layers(grid, "semantic", touched, masses)
     return grid
 
 

@@ -16,11 +16,13 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .errors import SnapshotError
 from .evidence import Frame
 from .grid import GridConfig, GridMap, Layer
 
@@ -32,20 +34,32 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _read(fh, fmt: str):
-    size = struct.calcsize(fmt)
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError("truncated snapshot")
-    return struct.unpack(fmt, data)
+class _Reader:
+    """Bounds-checked cursor over a snapshot's bytes."""
 
+    def __init__(self, data: bytes):
+        self.data = memoryview(data)
+        self.pos = 0
 
-def _read_str(fh) -> str:
-    (n,) = _read(fh, "<I")
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("truncated snapshot")
-    return data.decode("utf-8")
+    def remaining(self) -> int:
+        return len(self.data) - self.pos
+
+    def take(self, n: int) -> memoryview:
+        if n > self.remaining():
+            raise SnapshotError("truncated snapshot")
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        (n,) = self.unpack("<I")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"name is not utf-8: {exc}") from None
 
 
 def save_grid(grid: GridMap, path) -> Path:
@@ -86,37 +100,63 @@ def save_grid(grid: GridMap, path) -> Path:
 
 
 def load_grid(path) -> GridMap:
+    """Read a snapshot written by :func:`save_grid`.
+
+    Raises :class:`SnapshotError` (a ``ValueError``) for a file that is
+    not a snapshot, is truncated, has bytes after the last patch, or holds
+    non-finite geometry, an invalid type table, an unknown type id, a
+    layer step above the header's max step, or a repeated patch or layer.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path} is not a grid snapshot")
-        dx, dy, edge, max_step = _read(fh, "<dddI")
-        (n_types,) = _read(fh, "<I")
-        types: dict[str, Frame] = {}
-        type_names = []
-        for _ in range(n_types):
-            name = _read_str(fh)
-            (n_labels,) = _read(fh, "<I")
-            labels = tuple(_read_str(fh) for _ in range(n_labels))
-            types[name] = Frame(labels)
-            type_names.append(name)
+    data = path.read_bytes()
+    if data[: len(MAGIC)] != MAGIC:
+        raise SnapshotError(f"{path} is not a grid snapshot")
+    rd = _Reader(data)
+    rd.take(len(MAGIC))
+    dx, dy, edge, max_step = rd.unpack("<dddI")
+    if not all(math.isfinite(v) for v in (dx, dy, edge)):
+        raise SnapshotError(f"non-finite geometry: datum {(dx, dy)}, edge {edge}")
+    (n_types,) = rd.unpack("<I")
+    table = []
+    for _ in range(n_types):
+        name = rd.string()
+        (n_labels,) = rd.unpack("<I")
+        table.append((name, tuple(rd.string() for _ in range(n_labels))))
+    try:
+        types = {name: Frame(labels) for name, labels in table}
+        if len(types) != len(table):
+            raise ValueError("a type is listed twice")
         grid = GridMap(GridConfig((dx, dy), edge, types, max_step))
-        (n_patches,) = _read(fh, "<I")
-        for _ in range(n_patches):
-            ix, iy, n_layers = _read(fh, "<qqI")
-            for _ in range(n_layers):
-                type_id, step = _read(fh, "<II")
-                name = type_names[type_id]
-                frame = types[name]
-                m = 1 << step
-                count = m * m * len(frame)
-                raw = fh.read(count * 4)
-                if len(raw) != count * 4:
-                    raise ValueError("truncated snapshot")
-                masses = np.frombuffer(raw, dtype="<f4").reshape(
-                    m, m, len(frame)
+    except ValueError as exc:
+        raise SnapshotError(f"invalid snapshot header: {exc}") from None
+    type_names = list(types)
+    (n_patches,) = rd.unpack("<I")
+    for _ in range(n_patches):
+        ix, iy, n_layers = rd.unpack("<qqI")
+        if (ix, iy) in grid.patches:
+            raise SnapshotError(f"patch {(ix, iy)} stored twice")
+        for _ in range(n_layers):
+            type_id, step = rd.unpack("<II")
+            if type_id >= len(type_names):
+                raise SnapshotError(
+                    f"type id {type_id} at patch {(ix, iy)}; "
+                    f"the snapshot lists {len(type_names)} types"
                 )
-                grid.set_layer(
-                    (ix, iy), Layer(name, frame, step, masses.copy())
+            name = type_names[type_id]
+            if step > max_step:
+                raise SnapshotError(
+                    f"{name} layer at {(ix, iy)} has step {step} > max step {max_step}"
                 )
+            if grid.layer_at((ix, iy), name) is not None:
+                raise SnapshotError(f"{name} layer at {(ix, iy)} stored twice")
+            frame = types[name]
+            # A layer of step 32 or more would hold over 2^64 cells.
+            if step >= 32:
+                raise SnapshotError("truncated snapshot")
+            m = 1 << step
+            raw = rd.take(4 * len(frame) * m * m)
+            masses = np.frombuffer(raw, dtype="<f4").reshape(m, m, len(frame))
+            grid.set_layer((ix, iy), Layer(name, frame, step, masses.copy()))
+    if rd.remaining():
+        raise SnapshotError(f"{rd.remaining()} bytes after the last patch")
     return grid

@@ -1,0 +1,170 @@
+"""Reference implementations the rewritten hot layers must equal bit for bit.
+
+These are the earlier bodies of ``kernels.combine_masses`` (row
+reductions) and of the sort-based measurement-grid builders (uint64 cell
+keys, ``np.unique`` and a per-patch scatter). ``test_equivalence.py``
+compares the library against them with ``np.array_equal``.
+"""
+
+import numpy as np
+
+from apgm.errors import CellOutOfBoundsError
+from apgm.evidence import ALGEBRA_TOL, combine_mass_arrays
+from apgm.grid import GridMap, global_cells_of, split_global_cells
+from apgm.kernels import ray_cell_cap, traverse_rays
+from apgm.requirements import required_step
+from apgm.sensors import _clip_to_horizon, occupancy_evidence
+
+_KEY_BIAS = 1 << 31
+_LOW_BITS = np.uint64(0xFFFFFFFF)
+_SHIFT = np.uint64(32)
+
+
+def combine_masses_rows(a, b, out, conflict):
+    sa = a.sum(axis=-1)
+    sb = b.sum(axis=-1)
+    wa = 1.0 - sa
+    wb = 1.0 - sb
+    agree = a * b
+    np.copyto(conflict, sa * sb - agree.sum(axis=-1))
+    norm = 1.0 - conflict
+    dead = norm <= 1e-12
+    safe = np.where(dead, 1.0, norm)
+    fused = (agree + a * wb[:, None] + b * wa[:, None]) / safe[:, None]
+    omega = wa * wb / safe
+    scale = fused.sum(axis=-1) + omega
+    scale = np.where(scale <= 0.0, 1.0, scale)
+    fused /= scale[:, None]
+    fused[dead] = 0.0
+    np.copyto(out, fused)
+    return out, conflict
+
+
+def _encode_cells(cells):
+    if len(cells) and (cells.min() < -_KEY_BIAS or cells.max() >= _KEY_BIAS):
+        raise CellOutOfBoundsError("outside the +-2^31 key range")
+    biased = (cells + _KEY_BIAS).astype(np.uint64)
+    return (biased[:, 0] << _SHIFT) | biased[:, 1]
+
+
+def _decode_cells(keys):
+    x = (keys >> _SHIFT).astype(np.int64) - _KEY_BIAS
+    y = (keys & _LOW_BITS).astype(np.int64) - _KEY_BIAS
+    return np.stack([x, y], axis=1)
+
+
+def _scatter_channel(grid, step, type_name, cells, values, channel):
+    if len(cells) == 0:
+        return
+    patch_idx, local = split_global_cells(cells, step)
+    keys = _encode_cells(patch_idx)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    patch_idx = patch_idx[order]
+    local = local[order]
+    values = np.asarray(values)[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    bounds = np.append(starts, len(keys))
+    for i in range(len(starts)):
+        s, e = bounds[i], bounds[i + 1]
+        index = (int(patch_idx[s, 0]), int(patch_idx[s, 1]))
+        layer = grid.get_or_create_layer(index, type_name, step)
+        layer.masses[local[s:e, 0], local[s:e, 1], channel] = values[s:e].astype(
+            np.float32
+        )
+
+
+def occupancy_sorted(cloud, params, profile, config):
+    grid = GridMap(config)
+    demand = profile.demands.get("occupancy")
+    if demand is None or not demand.active or len(cloud.points) == 0:
+        return grid
+    step = required_step(profile, "occupancy", config.edge_length)
+    width = config.cell_width(step)
+    origin = cloud.origin
+    vehicle = np.asarray(profile.vehicle_pose[:2], dtype=np.float64)
+
+    pts = cloud.points
+    rng = np.hypot(pts[:, 0] - origin[0], pts[:, 1] - origin[1])
+    pts = pts[rng <= params.max_range + 1e-9]
+    if len(pts) == 0:
+        return grid
+    hit_mask, ends = _clip_to_horizon(origin, pts, vehicle, demand.horizon_m)
+    if len(ends) == 0:
+        return grid
+
+    hit_cells = global_cells_of(ends[hit_mask], config.datum, width)
+    if len(hit_cells):
+        hit_keys, counts = np.unique(_encode_cells(hit_cells), return_counts=True)
+        occ_mass = occupancy_evidence(counts, params)
+    else:
+        hit_keys = np.empty(0, dtype=np.uint64)
+        occ_mass = np.empty(0)
+
+    su = np.full(len(ends), (origin[0] - config.datum[0]) / width)
+    sv = np.full(len(ends), (origin[1] - config.datum[1]) / width)
+    eu = (ends[:, 0] - config.datum[0]) / width
+    ev = (ends[:, 1] - config.datum[1]) / width
+    cap = ray_cell_cap(su, sv, eu, ev)
+    fx, fy = traverse_rays(su, sv, eu, ev, cap)
+    free_keys = np.empty(0, dtype=np.uint64)
+    free_mass = np.empty(0)
+    if len(fx):
+        crossed = _encode_cells(np.stack([fx, fy], axis=1))
+        free_keys, crossings = np.unique(crossed, return_counts=True)
+        clear = ~np.isin(free_keys, hit_keys)
+        free_keys = free_keys[clear]
+        free_mass = 1.0 - (1.0 - params.mu_free) ** crossings[clear]
+
+    _scatter_channel(grid, step, "occupancy", _decode_cells(hit_keys), occ_mass, 0)
+    _scatter_channel(grid, step, "occupancy", _decode_cells(free_keys), free_mass, 1)
+    return grid
+
+
+def semantic_sorted(obs, profile, config, counter=None):
+    grid = GridMap(config)
+    demand = profile.demands.get("semantic")
+    if demand is None or not demand.active or len(obs.points) == 0:
+        return grid
+    frame = config.frame_of("semantic")
+    step = required_step(profile, "semantic", config.edge_length)
+    width = config.cell_width(step)
+
+    px, py, heading = profile.vehicle_pose
+    rel = obs.points - np.array([px, py])
+    keep = np.hypot(rel[:, 0], rel[:, 1]) <= demand.horizon_m
+    if demand.fov_half_angle_rad is not None:
+        ang = np.arctan2(rel[:, 1], rel[:, 0]) - heading
+        ang = (ang + np.pi) % (2.0 * np.pi) - np.pi
+        keep &= np.abs(ang) <= demand.fov_half_angle_rad
+    pts = obs.points[keep]
+    if len(pts) == 0:
+        return grid
+    names, label_of_point = np.unique(np.asarray(obs.labels)[keep], return_inverse=True)
+    frame_idx = np.array([frame.index(str(name)) for name in names], dtype=np.int64)
+    label_idx = frame_idx[label_of_point]
+    conf = np.clip(obs.confidences[keep], 0.0, 1.0)
+
+    cells = global_cells_of(pts, config.datum, width)
+    keys = _encode_cells(cells)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-conf)
+    agg = np.zeros((len(uniq), len(frame)))
+    np.add.at(agg, (inverse, label_idx), log_miss)
+    label_mass = 1.0 - np.exp(agg)
+
+    acc = np.zeros_like(label_mass)
+    for j in range(len(frame)):
+        single = np.zeros_like(label_mass)
+        single[:, j] = label_mass[:, j]
+        acc, conflict = combine_mass_arrays(acc, single)
+        dead = conflict >= 1.0 - ALGEBRA_TOL
+        if counter is not None and np.any(dead):
+            counter.add(int(dead.sum()))
+
+    decoded = _decode_cells(uniq)
+    for j in range(len(frame)):
+        _scatter_channel(grid, step, "semantic", decoded, acc[:, j], j)
+    return grid

@@ -1,0 +1,187 @@
+"""The column combine kernel and the window-count builders equal their
+row-reducing and sort-based predecessors (``sort_oracles.py``) bit for bit.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apgm import (
+    GridConfig,
+    PointCloud,
+    RequirementProfile,
+    SemanticObservation,
+    SensorModelParams,
+    TypeRequirement,
+    measurement_grid_occupancy,
+    measurement_grid_semantic,
+)
+from apgm.evidence import ConflictCounter
+from apgm.grid import SEMANTIC_FRAME
+from apgm.kernels import combine_masses
+from sort_oracles import combine_masses_rows, occupancy_sorted, semantic_sorted
+
+
+def assert_same_grid(got, want):
+    assert sorted(got.patches) == sorted(want.patches)
+    for index, patch in want.patches.items():
+        other = got.patches[index].layers
+        assert sorted(other) == sorted(patch.layers)
+        for name, layer in patch.layers.items():
+            assert other[name].step == layer.step
+            assert other[name].masses.dtype == np.float32
+            assert np.array_equal(other[name].masses, layer.masses), (index, name)
+
+
+# -- combine kernel -------------------------------------------------------------
+
+_ROW_KINDS = ("random", "vacuous", "certain", "float32", "no_omega", "tiny")
+
+
+def _mass_rows(rng, kinds, k):
+    rows = rng.dirichlet(np.ones(k + 1), size=len(kinds))[:, :k]
+    for i, kind in enumerate(kinds):
+        if kind == "vacuous":
+            rows[i] = 0.0
+        elif kind == "certain":
+            rows[i] = 0.0
+            rows[i, rng.integers(k)] = 1.0
+        elif kind == "float32":
+            rows[i] = rows[i].astype(np.float32)
+        elif kind == "no_omega":
+            rows[i] = rng.dirichlet(np.ones(k))
+        elif kind == "tiny":
+            rows[i] *= 1e-300
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 4]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from(_ROW_KINDS), st.sampled_from(_ROW_KINDS)),
+             min_size=1, max_size=80),
+)
+def test_combine_masses_equals_row_reductions(k, seed, kinds):
+    rng = np.random.default_rng(seed)
+    a = _mass_rows(rng, [p for p, _ in kinds], k)
+    b = _mass_rows(rng, [q for _, q in kinds], k)
+    got = combine_masses(a, b, np.empty_like(a), np.empty(len(a)))
+    want = combine_masses_rows(a, b, np.empty_like(a), np.empty(len(a)))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# -- occupancy builder ------------------------------------------------------------
+
+
+@st.composite
+def scans(draw):
+    """(cloud, params, profile, config) with the geometry the window must cut."""
+    edge = draw(st.sampled_from([12.8, 16.0]))
+    cell = draw(st.sampled_from([0.1, 0.2, 0.5]))
+    horizon = draw(st.sampled_from([3.0, 8.0, 20.0]))
+    profile = RequirementProfile({"occupancy": TypeRequirement(True, horizon, cell)})
+    config = GridConfig(edge_length=edge)
+    step = max(0, math.ceil(math.log2(edge / cell)))
+    width = edge / (1 << step)
+    # Far from the datum: 150 km north-east, 120 km south.
+    far = draw(st.sampled_from([(0.0, 0.0), (150_000.0, -120_000.0)]))
+
+    def lattice(v, unit):
+        return math.floor(v / unit) * unit
+
+    ox = far[0] + draw(st.floats(-20.0, 20.0))
+    oy = far[1] + draw(st.floats(-20.0, 20.0))
+    origin_kind = draw(
+        st.sampled_from(["generic", "cell_corner", "patch_corner", "border"])
+    )
+    if origin_kind == "cell_corner":
+        ox, oy = lattice(ox, width), lattice(oy, width)
+    elif origin_kind == "patch_corner":
+        ox, oy = lattice(ox, edge), lattice(oy, edge)
+    elif origin_kind == "border":
+        oy = lattice(oy, edge)
+
+    pts = []
+    reach = 1.3 * horizon
+    # Some clouds hold only returns beyond the sensor's range.
+    kinds = draw(st.sampled_from([
+        ("free", "dup", "lattice", "on_ray", "border", "beyond"), ("beyond",)
+    ]))
+    for kind, a, b in draw(st.lists(
+        st.tuples(
+            st.sampled_from(kinds),
+            st.floats(-1.0, 1.0),
+            st.floats(0.0, 1.0),
+        ),
+        max_size=60,
+    )):
+        if kind in ("dup", "on_ray") and pts:
+            px, py = pts[int(b * (len(pts) - 1))]
+            if kind == "on_ray":  # lands on a cell the earlier ray crosses
+                px, py = ox + b * (px - ox), oy + b * (py - oy)
+        elif kind == "lattice":
+            px = lattice(ox + a * reach, width)
+            py = lattice(oy + (2 * b - 1) * reach, width)
+        elif kind == "border":  # along the origin's patch border, or across one
+            px = ox + a * reach
+            py = lattice(oy, edge) if b < 0.5 else lattice(oy + reach, edge)
+        elif kind == "beyond":
+            px, py = ox + 120.0 * (1 if a >= 0 else -1), oy + b
+        else:
+            px, py = ox + a * reach, oy + (2 * b - 1) * reach
+        pts.append((px, py))
+    profile = profile.with_pose((ox + draw(st.sampled_from([0.0, 1.0])), oy, 0.0))
+    params = SensorModelParams(draw(st.sampled_from([0.6, 1.0])), 0.3, 100.0)
+    cloud = PointCloud((ox, oy), np.array(pts).reshape(-1, 2))
+    return cloud, params, profile, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(scans())
+def test_occupancy_equals_sort_based_builder(scan):
+    assert_same_grid(measurement_grid_occupancy(*scan), occupancy_sorted(*scan))
+
+
+# -- semantic builder -------------------------------------------------------------
+
+
+@st.composite
+def observations(draw):
+    cell = draw(st.sampled_from([0.1, 0.2, 0.4]))
+    fov = draw(st.sampled_from([None, math.radians(30.0)]))
+    profile = RequirementProfile({"semantic": TypeRequirement(True, 40.0, cell, fov)})
+    vx, vy = draw(st.sampled_from([(0.0, 0.0), (30.0, 6.4), (150_000.0, -120_000.0)]))
+    labels = list(SEMANTIC_FRAME.hypotheses)
+    pts, labs, confs = [], [], []
+    for a, b, label, conf, dup in draw(st.lists(
+        st.tuples(
+            st.floats(-45.0, 45.0),
+            st.floats(-45.0, 45.0),
+            st.sampled_from(labels),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            st.booleans(),
+        ),
+        max_size=80,
+    )):
+        if dup and pts:  # same cell, possibly another label: conflict
+            pts.append(pts[-1])
+        else:
+            pts.append((vx + a, vy + b))
+        labs.append(label)
+        confs.append(conf)
+    obs = SemanticObservation(np.array(pts).reshape(-1, 2), labs, np.array(confs))
+    return obs, profile.with_pose((vx, vy, 0.0)), GridConfig()
+
+
+@settings(max_examples=200, deadline=None)
+@given(observations())
+def test_semantic_equals_sort_based_builder(observation):
+    obs, profile, config = observation
+    got_counter, want_counter = ConflictCounter(), ConflictCounter()
+    got = measurement_grid_semantic(obs, profile, config, got_counter)
+    want = semantic_sorted(obs, profile, config, want_counter)
+    assert_same_grid(got, want)
+    assert got_counter.cells == want_counter.cells

@@ -1,14 +1,22 @@
 """Container arithmetic, lazy allocation, accounting, snapshots."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgm import (
     CellOutOfBoundsError,
     GridConfig,
     GridMap,
+    GridMapError,
     PointOutsidePatchError,
     ResolutionConflictError,
+    SnapshotError,
     cell_index_of,
     load_grid,
     save_grid,
@@ -246,3 +254,126 @@ def test_snapshot_is_deterministic(tmp_path, grid):
     other.get_or_create_layer((3, -1), "occupancy", 3)
     b = save_grid(other, tmp_path / "b.apgm").read_bytes()
     assert a == b
+
+
+# -- snapshot hardening ---------------------------------------------------------
+
+
+def _small_grid(layers) -> GridMap:
+    """A map from (patch x, patch y, type, step, seed) tuples."""
+    grid = GridMap(GridConfig(datum=(3.5, -1.25), edge_length=6.4, max_step=3))
+    for ix, iy, tname, step, seed in layers:
+        layer = grid.get_or_create_layer((ix, iy), tname, step)
+        k = layer.masses.shape[-1]
+        rows = np.random.default_rng(seed).dirichlet(np.ones(k + 1), size=layer.cells)
+        layer.masses[:] = rows[:, :k].reshape(layer.masses.shape)
+    return grid
+
+
+def _snapshot_bytes(grid) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        return save_grid(grid, Path(tmp) / "map.apgm").read_bytes()
+
+
+def _load_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.apgm"
+        path.write_bytes(data)
+        return load_grid(path)
+
+
+def _header_spans(grid):
+    """Byte ranges of the file header and of every patch and layer header."""
+    header = len(_snapshot_bytes(GridMap(grid.config)))
+    spans, pos = [(0, header)], header
+    for index in sorted(grid.patches):
+        spans.append((pos, pos + 20))
+        pos += 20
+        for name in sorted(grid.patches[index].layers):
+            spans.append((pos, pos + 8))
+            pos += 8 + grid.patches[index].layers[name].payload_bytes
+    return spans
+
+
+_layers = st.lists(
+    st.tuples(
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.sampled_from(["occupancy", "semantic"]),
+        st.integers(0, 2),
+        st.integers(0, 1000),
+    ),
+    max_size=3,
+    unique_by=lambda t: t[:3],
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_layers)
+def test_snapshot_truncated_at_every_offset_raises(layers):
+    data = _snapshot_bytes(_small_grid(layers))
+    for cut in range(len(data)):
+        with pytest.raises(SnapshotError):
+            _load_bytes(data[:cut])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layers, st.data())
+def test_snapshot_header_bit_flip_raises_typed_or_loads(layers, data):
+    grid = _small_grid(layers)
+    raw = bytearray(_snapshot_bytes(grid))
+    start, end = data.draw(st.sampled_from(_header_spans(grid)))
+    bit = data.draw(st.integers(0, 8 * (end - start) - 1))
+    raw[start + bit // 8] ^= 1 << (bit % 8)
+    try:
+        loaded = _load_bytes(bytes(raw))
+    except SnapshotError:
+        return
+    assert isinstance(loaded, GridMap)
+
+
+def _one_layer_snapshot():
+    grid = _small_grid([(0, 0, "occupancy", 1, 0)])
+    data = bytearray(_snapshot_bytes(grid))
+    layer_header = _header_spans(grid)[2][0]
+    return data, layer_header
+
+
+def test_snapshot_error_is_a_value_error():
+    assert issubclass(SnapshotError, ValueError)
+    assert issubclass(SnapshotError, GridMapError)
+
+
+def test_snapshot_unknown_type_id_raises():
+    data, at = _one_layer_snapshot()
+    data[at : at + 4] = struct.pack("<I", 2)
+    with pytest.raises(SnapshotError, match="type id 2"):
+        _load_bytes(bytes(data))
+
+
+def test_snapshot_step_above_max_step_raises():
+    data, at = _one_layer_snapshot()
+    data[at + 4 : at + 8] = struct.pack("<I", 40)
+    with pytest.raises(SnapshotError, match="max step"):
+        _load_bytes(bytes(data))
+
+
+def test_snapshot_huge_step_under_huge_max_step_raises_before_allocating():
+    data, at = _one_layer_snapshot()
+    data[at + 4 : at + 8] = struct.pack("<I", 2**31)
+    data[5 + 24 : 5 + 28] = struct.pack("<I", 2**32 - 1)  # header max step
+    with pytest.raises(SnapshotError, match="truncated"):
+        _load_bytes(bytes(data))
+
+
+def test_snapshot_non_finite_geometry_raises():
+    data, _ = _one_layer_snapshot()
+    data[5 + 16 : 5 + 24] = struct.pack("<d", float("nan"))  # edge length
+    with pytest.raises(SnapshotError, match="geometry"):
+        _load_bytes(bytes(data))
+
+
+def test_snapshot_trailing_bytes_raise():
+    data, _ = _one_layer_snapshot()
+    with pytest.raises(SnapshotError, match="after the last patch"):
+        _load_bytes(bytes(data) + b"\x00")

@@ -18,7 +18,12 @@ from apgm import (
     occupancy_evidence,
     ray_traverse,
 )
-from apgm.errors import CellOutOfBoundsError, UnknownHypothesisError
+from apgm.errors import (
+    CellOutOfBoundsError,
+    GridMapError,
+    NonFiniteInputError,
+    UnknownHypothesisError,
+)
 from apgm.evidence import ConflictCounter
 from test_kernels import sweep_oracle
 
@@ -317,6 +322,26 @@ def test_semantic_total_conflict_resets_cell(config, sem_profile):
     cell = g.layer_at((0, 0), "semantic").masses[25, 0]
     assert np.all(cell == 0.0)
     assert counter.cells == 1
+
+
+# -- non-finite inputs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite(bad):
+    assert issubclass(NonFiniteInputError, GridMapError)
+    with pytest.raises(NonFiniteInputError, match="origin or points"):
+        PointCloud((0.0, bad), [(1.0, 2.0)])
+    with pytest.raises(NonFiniteInputError, match="origin or points"):
+        PointCloud((0.0, 0.0), [(1.0, 2.0), (bad, 3.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_semantic_observation_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteInputError, match="points or confidences"):
+        SemanticObservation([(5.0, bad)], ["road"], [0.8])
+    with pytest.raises(NonFiniteInputError, match="points or confidences"):
+        SemanticObservation([(5.0, 0.0)], ["road"], [bad])
 
 
 # -- fixture loader ---------------------------------------------------------------
