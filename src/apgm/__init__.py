@@ -14,6 +14,7 @@ from .errors import (
     EdgeMismatchError,
     FrameMismatchError,
     GridMapError,
+    InvariantError,
     MassOverflowError,
     NegativeMassError,
     NonFiniteInputError,

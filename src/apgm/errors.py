@@ -64,6 +64,10 @@ class NonFiniteInputError(GridMapError, ValueError):
     """A sensor input holds a NaN or an infinite coordinate or value."""
 
 
+class InvariantError(GridMapError):
+    """A grid map breaks a mass or structure invariant (``GridMap.check``)."""
+
+
 class SnapshotError(GridMapError, ValueError):
     """A grid snapshot is truncated, has trailing bytes or is malformed."""
 

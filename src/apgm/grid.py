@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CellOutOfBoundsError,
+    InvariantError,
     PointOutsidePatchError,
     ResolutionConflictError,
 )
@@ -36,6 +37,8 @@ UNKNOWN = "unknown"
 SEMANTIC_FRAME = Frame((ROAD, MARKING, BLOCKED, UNKNOWN))
 
 BYTES_PER_MASS = 4  # cells store one float32 per hypothesis
+# Stored singleton sums may exceed 1 by float32 rounding, never by more.
+MASS_SUM_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,41 @@ class GridMap:
         for index, patch in self.patches.items():
             for layer in patch.layers.values():
                 yield index, layer
+
+    # -- invariants -------------------------------------------------------
+
+    def check(self) -> None:
+        """Raise :class:`InvariantError` unless every layer is well formed.
+
+        Each layer's step lies in [0, max_step], its masses have shape
+        (2^step, 2^step, len(frame)), are finite and in [0, 1], and each
+        cell's singleton masses sum to at most 1 + 1e-5.
+        """
+        for index, layer in self.iter_layers():
+            where = f"{layer.type_name} layer at {index}"
+            if not 0 <= layer.step <= self.config.max_step:
+                raise InvariantError(
+                    f"{where} has step {layer.step} outside [0, {self.config.max_step}]"
+                )
+            m = 1 << layer.step
+            masses = layer.masses
+            if masses.shape != (m, m, len(layer.frame)):
+                raise InvariantError(
+                    f"{where} holds masses of shape {masses.shape}, "
+                    f"not {(m, m, len(layer.frame))}"
+                )
+            # NaN fails both comparisons.
+            if not (masses.min() >= 0.0 and masses.max() <= 1.0):
+                raise InvariantError(
+                    f"{where} holds a mass that is NaN, inf or outside [0, 1]"
+                )
+            total = masses[..., 0].astype(np.float64)
+            for j in range(1, masses.shape[-1]):
+                total += masses[..., j]
+            if total.max() > 1.0 + MASS_SUM_TOL:
+                raise InvariantError(
+                    f"{where} has singleton masses summing to {total.max()!r} > 1"
+                )
 
     # -- accounting -------------------------------------------------------
 

@@ -2,16 +2,18 @@
 
 These two kernels dominate a mapping cycle: hundreds of rays times hundreds
 of cells, plus Dempster folds over whole layers. Both are plain numpy.
-``traverse_rays`` walks the whole ray batch at once and returns exactly
-what the per-ray reference walk ``_traverse_rays_impl`` returns, which it
-keeps as the fallback for the few rays whose crossings are too close to
-order safely. ``combine_masses`` works on one column view per hypothesis:
-numpy reduces a short last axis far slower than it adds columns, and a
-left-to-right chain of column adds is the order ``sum(axis=-1)`` uses, so
-the results are the same bit for bit. ``python3 perfbench/run.py
---workload parking --seed 1 --seconds 36 --trace 1`` times both kernels
-per emitted cell (``kernels.*.ns_per_cell``) on inputs captured from a
-real cycle.
+``traverse_rays`` walks the whole ray batch at once and emits exactly the
+cells, in order, of the per-ray reference walk ``_traverse_rays_impl``,
+which it keeps as the fallback for the few rays whose crossings are too
+close to order safely. It numbers each cell x-major in one box holding
+every ray's origin and end cell, so a single running sum yields the
+numbers the occupancy builder counts. ``combine_masses`` works on one
+column view per hypothesis: numpy reduces a short last axis far slower
+than it adds columns, and a left-to-right chain of column adds is the
+order ``sum(axis=-1)`` uses, so the results are the same bit for bit.
+``python3 perfbench/run.py --workload parking --seed 1 --seconds 36
+--trace 1`` times both kernels per emitted cell
+(``kernels.*.ns_per_cell``) on inputs captured from a real cycle.
 
 Traversal coordinates are pre-scaled so cells are unit squares:
 u = (x - datum) / w. Cell binning is floor(u), matching the half-open
@@ -24,6 +26,8 @@ import math
 
 import numpy as np
 
+from .errors import CellOutOfBoundsError
+
 # No kernel is compiled; kept so run records can state the kernel path.
 USING_NUMBA = False
 
@@ -32,6 +36,8 @@ USING_NUMBA = False
 # cell indices plus crossing counts exactly.
 _LATTICE_LIMIT = 2.0**50
 _ULP = 2.0**-52
+# Box numbers and corners are int64; larger boxes are refused, not wrapped.
+_BOX_LIMIT = 2**62
 
 
 def _traverse_rays_impl(u0, v0, u1, v1, cap):
@@ -41,15 +47,14 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
     the endpoint cell, in traversal order. Exact corner crossings step
     diagonally, so only cells whose interior the segment passes through
     are emitted. Returns flat (x, y) cell-coordinate arrays of length n.
+    The walk runs on Python floats, so a subnormal direction gives an
+    infinite step parameter silently, as IEEE division does.
     """
     out_x = np.empty(cap, dtype=np.int64)
     out_y = np.empty(cap, dtype=np.int64)
     n = 0
-    for i in range(u0.shape[0]):
-        ax = u0[i]
-        ay = v0[i]
-        bx = u1[i]
-        by = v1[i]
+    rays = (np.asarray(w, dtype=np.float64).tolist() for w in (u0, v0, u1, v1))
+    for ax, ay, bx, by in zip(*rays):
         cx = int(math.floor(ax))
         cy = int(math.floor(ay))
         ex = int(math.floor(bx))
@@ -99,8 +104,52 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
     return out_x[:n], out_y[:n]
 
 
+def _end_cell_bounds(u0, v0, u1, v1):
+    """Lowest and highest (x, y) over every ray's origin and end cell."""
+    if len(u0) == 0:
+        return [0, 0], [-1, -1]
+    lo = [np.minimum(a.min(), b.min()) for a, b in ((u0, u1), (v0, v1))]
+    hi = [np.maximum(a.max(), b.max()) for a, b in ((u0, u1), (v0, v1))]
+    if not np.isfinite(lo + hi).all():
+        # The reference walk raises on its first non-finite ray.
+        bad = ~(np.isfinite(u0) & np.isfinite(v0) & np.isfinite(u1) & np.isfinite(v1))
+        i = int(np.flatnonzero(bad)[0])
+        one = slice(i, i + 1)
+        _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], 1)
+    return [math.floor(v) for v in lo], [math.floor(v) for v in hi]
+
+
+def _cell_box(lo, hi):
+    """``[x0, y0, nx, ny]`` (int64) from inclusive cell bounds, refused where
+    int64 box numbers or corners could wrap."""
+    (x0, y0), (x1, y1) = lo, hi
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    if nx * ny > _BOX_LIMIT or min(x0, y0) < -_BOX_LIMIT or max(x1, y1) >= _BOX_LIMIT:
+        raise CellOutOfBoundsError(
+            f"rays span cells ({x0}, {y0}) to ({x1}, {y1}); a box of over "
+            f"2^62 cells or beyond +-2^62 cannot be numbered in int64"
+        )
+    return np.array([x0, y0, nx, ny], dtype=np.int64)
+
+
+def box_cells(cells, box):
+    """Decode box numbers from :func:`traverse_rays` into (x, y) arrays."""
+    x0, y0, _, ny = (int(v) for v in box)
+    xs, ys = np.divmod(cells, max(ny, 1))
+    return xs + x0, ys + y0
+
+
 def traverse_rays(u0, v0, u1, v1, cap):
-    """Batch form of :func:`_traverse_rays_impl`, with identical output.
+    """Batch form of :func:`_traverse_rays_impl`, numbering cells in a box.
+
+    Returns ``(cells, box)``. ``box = [x0, y0, nx, ny]`` (int64) is the
+    cell rectangle holding every ray's origin and end cell (and the few
+    cells the reference walk's rounding emits past an end cell); ``cells``
+    holds ``(x - x0) * ny + (y - y0)`` for exactly the cells, in the
+    order, that the reference walk emits, cut at ``cap``
+    (:func:`box_cells` decodes them). A box of more than 2**62 cells
+    raises :class:`CellOutOfBoundsError`; a non-finite ray raises as the
+    reference walk does.
 
     A ray's k-th crossing of an x boundary lies at t = (qx + k) / |dx|,
     where qx is the distance from u0 to the first boundary ahead; the
@@ -108,8 +157,9 @@ def traverse_rays(u0, v0, u1, v1, cap):
     walk's own expression, so an exact corner tie there (an origin on a
     lattice corner) resolves bit for bit into one diagonal step. Each x
     crossing is placed in the ray's merged event order by counting the y
-    crossings before it; y crossings fill the remaining slots, and a
-    running sum of the steps gives the cells.
+    crossings before it; y crossings fill the remaining slots. A box
+    number is linear in (x, y), so each event adds ``step_x * ny +
+    step_y`` and one running sum over the batch gives every cell.
 
     The reference walk accumulates ``tmax += tdelta``, so for t <= 1 its
     k-th crossing parameter deviates from the direct one by at most
@@ -125,8 +175,10 @@ def traverse_rays(u0, v0, u1, v1, cap):
     v0 = np.asarray(v0, dtype=np.float64)
     u1 = np.asarray(u1, dtype=np.float64)
     v1 = np.asarray(v1, dtype=np.float64)
+    lo, hi = _end_cell_bounds(u0, v0, u1, v1)
+    _cell_box(lo, hi)  # refuse an oversized box before walking anything
     span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
-    flag = ~(span < _LATTICE_LIMIT)  # also catches NaN
+    flag = ~(span < _LATTICE_LIMIT)
     a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
     cx, cy, ex, ey = np.floor(a0), np.floor(b0), np.floor(a1), np.floor(b1)
     dx = a1 - a0
@@ -168,46 +220,57 @@ def traverse_rays(u0, v0, u1, v1, cap):
     # Free the ordering checks' arrays before the event arrays are built.
     del t, qyr, adyr, nyr, tolr, first, below, above, bad
 
+    # Flagged rays take the reference walk. Its rounding can carry a ray
+    # ending on a cell boundary one cell past its end cell, so the box
+    # also holds every cell these walks emit.
+    fallback = np.flatnonzero(flag)
+    walks = []
+    for r in fallback:
+        one = slice(r, r + 1)
+        fx, fy = _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap)
+        walks.append((fx, fy))
+        if len(fx):
+            lo = [min(lo[0], int(fx.min())), min(lo[1], int(fy.min()))]
+            hi = [max(hi[0], int(fx.max())), max(hi[1], int(fy.max()))]
+    box = _cell_box(lo, hi)
+    x0, y0, _, stride = (int(v) for v in box)
+
     # Merged events per ray (a corner tie is one diagonal step); the last
-    # one enters the end cell, which is not emitted.
+    # one enters the end cell, which is not emitted. A y step adds 1 to
+    # the box number, an x step adds the stride, a diagonal step both. A
+    # fallback ray's events step through its walk's cells to its end cell.
     n_events = np.where(flag, 0, nx + ny - tie)
+    n_events[fallback] = [len(fx) + 1 for fx, _ in walks]
     start = np.cumsum(n_events) - n_events
     ok = ~np.repeat(flag, nx)
     at_x = (np.repeat(start, nx) + k + c - tier)[ok]
-    step_x = np.zeros(int(n_events.sum()), dtype=np.int64)
-    step_x[at_x] = np.repeat(sx, nx)[ok]
-    step_y = np.repeat(sy, n_events)
-    step_y[at_x] = 0
+    step = np.repeat(sy, n_events)
+    step[at_x] = np.repeat(sx * stride, nx)[ok]
+    diag = np.flatnonzero(tie & ~flag)
+    step[start[diag]] += sy[diag]
     live = np.flatnonzero(n_events)
-    diag = live[tie[live]]
-    step_y[start[diag]] = sy[diag]
+    origin = _box_numbers(u0[live], v0[live], x0, y0, stride)
+    end = _box_numbers(u1[live], v1[live], x0, y0, stride)
+    at = np.searchsorted(live, fallback)
+    for r, i, (fx, fy) in zip(fallback, at, walks):
+        path = (fx - x0) * stride + (fy - y0)
+        step[start[r] : start[r] + len(path) + 1] = np.diff(
+            path, prepend=origin[i], append=end[i]
+        )
     # Chain the rays into one running sum: each starts from its origin
     # cell, and the one before it ended in its end cell.
     first_at = start[live]
-    step_x[first_at] += cx[live].astype(np.int64)
-    step_x[first_at[1:]] -= ex[live[:-1]].astype(np.int64)
-    step_y[first_at] += cy[live].astype(np.int64)
-    step_y[first_at[1:]] -= ey[live[:-1]].astype(np.int64)
-    emit = np.ones(len(step_x), dtype=bool)
+    step[first_at] += origin
+    step[first_at[1:]] -= end[:-1]
+    emit = np.ones(len(step), dtype=bool)
     emit[first_at + n_events[live] - 1] = False
-    xs = np.cumsum(step_x)[emit]
-    ys = np.cumsum(step_y)[emit]
+    return np.cumsum(step, out=step)[emit][:cap], box
 
-    fallback = np.flatnonzero(flag)
-    if len(fallback):
-        emitted = np.maximum(n_events - 1, 0)
-        cuts = (np.cumsum(emitted) - emitted)[fallback]
-        parts_x, parts_y = [], []
-        prev = 0
-        for r, cut in zip(fallback, cuts):
-            one = slice(r, r + 1)
-            fx, fy = _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap)
-            parts_x += [xs[prev:cut], fx]
-            parts_y += [ys[prev:cut], fy]
-            prev = cut
-        xs = np.concatenate(parts_x + [xs[prev:]])
-        ys = np.concatenate(parts_y + [ys[prev:]])
-    return xs[:cap], ys[:cap]
+
+def _box_numbers(u, v, x0, y0, stride):
+    """Box numbers of the cells holding the points (u, v)."""
+    x = np.floor(u).astype(np.int64) - x0
+    return x * stride + (np.floor(v).astype(np.int64) - y0)
 
 
 def _row_sums(cols):

@@ -11,10 +11,14 @@ frustum; each point is a simple support assignment (its confidence on the
 label, the rest on the frame) and points in one cell are folded with
 Dempster's rule.
 
-Both builders number cells on one patch-aligned window bounding the scan
-(occupancy counts hits and ray crossings with ``np.bincount``, semantics
-groups points with ``np.unique``), compute masses where a count is
-nonzero, and cut the window into one layer per touched patch.
+Both builders write masses into one patch-aligned window bounding the scan
+and cut it into one layer per touched patch. Occupancy counts ray
+crossings with ``np.bincount`` over the cell box in which
+``kernels.traverse_rays`` numbers them, reads each cell's free mass from a
+table indexed by crossing count and writes the box into the window with
+one slice; the few cells holding returns take their occupied mass from a
+table indexed by hit count. Semantics groups points with ``np.unique``
+over window numbers.
 
 Builders are pure producers: every call returns a private grid map, so
 multiple sensor grids can be built concurrently.
@@ -36,7 +40,7 @@ from .grid import (
     global_cells_of,
     split_global_cells,
 )
-from .kernels import ray_cell_cap, traverse_rays
+from .kernels import box_cells, ray_cell_cap, traverse_rays
 from .requirements import RequirementProfile, required_step
 
 @dataclass
@@ -95,16 +99,11 @@ def occupancy_evidence(k, params: SensorModelParams):
 
 
 class _Window:
-    """Patch-aligned block bounding a scan's cells, numbered x-major. It
-    spans the horizon disc, or the sensor origin and its rays into the disc."""
+    """Patch-aligned block of cells, numbered x-major, covering the
+    inclusive cell bounds ``lo`` to ``hi``."""
 
-    def __init__(self, xs, ys, step: int):
-        """``xs`` and ``ys``: lists of cell-coordinate arrays, not all empty."""
-        lo, hi = [], []
-        for parts in (xs, ys):
-            parts = [v for v in parts if len(v)]
-            lo.append(min(int(v.min()) for v in parts))
-            hi.append(max(int(v.max()) for v in parts))
+    def __init__(self, lo, hi, step: int):
+        lo, hi = [int(v) for v in lo], [int(v) for v in hi]
         if min(lo) < -(2**31) or max(hi) >= 2**31:
             raise CellOutOfBoundsError(
                 f"cells span {lo} to {hi}, outside the +-2^31 cell range"
@@ -117,6 +116,14 @@ class _Window:
 
     def flat(self, xs, ys):
         return (xs - self.px * self.m) * (self.ny * self.m) + (ys - self.py * self.m)
+
+    def over_box(self, values, box):
+        """The (nx, ny, ...) view of window-flat ``values`` over a
+        traversal box (see :func:`~apgm.kernels.traverse_rays`)."""
+        x0, y0, nx, ny = (int(v) for v in box)
+        i, j = x0 - self.px * self.m, y0 - self.py * self.m
+        grid = values.reshape(self.nx * self.m, self.ny * self.m, *values.shape[1:])
+        return grid[i : i + nx, j : j + ny]
 
     def to_layers(self, grid, type_name, touched, masses) -> None:
         """One layer per patch holding a touched cell; masses per flat cell."""
@@ -191,22 +198,34 @@ def measurement_grid_occupancy(
     sv = np.full(len(ends), (origin[1] - config.datum[1]) / width)
     eu = (ends[:, 0] - config.datum[0]) / width
     ev = (ends[:, 1] - config.datum[1]) / width
-    fx, fy = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
-    if len(hit_cells) + len(fx) == 0:
+    crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
+    if len(hit_cells) + len(crossed) == 0:
         return grid
 
+    # A cell's mass depends only on its counts, so it is read from tables
+    # indexed by count. Crossings are counted over the traversal box and
+    # their free masses written into the window with one slice; the few
+    # cells holding returns then get their occupied mass and no free mass.
     # Spent arrays are freed early: this builder's peak sets the process peak.
-    window = _Window([hit_cells[:, 0], fx], [hit_cells[:, 1], fy], step)
-    hits = np.bincount(window.flat(*hit_cells.T), minlength=window.size)
-    crossings = np.bincount(window.flat(fx, fy), minlength=window.size)
-    del fx, fy
-    occupied = hits > 0
-    free = (crossings > 0) & ~occupied
+    lo, hi = box[:2], box[:2] + box[2:] - 1
+    if len(hit_cells):
+        lo = np.minimum(lo, hit_cells.min(axis=0))
+        hi = np.maximum(hi, hit_cells.max(axis=0))
+    window = _Window(lo, hi, step)
+    crossings = np.bincount(crossed, minlength=box[2] * box[3]).reshape(box[2:])
+    del crossed
+    free_mass = 1.0 - (1.0 - params.mu_free) ** np.arange(len(ends) + 1)
     masses = np.zeros((window.size, 2), dtype=np.float32)
-    masses[occupied, 0] = occupancy_evidence(hits[occupied], params)
-    masses[free, 1] = 1.0 - (1.0 - params.mu_free) ** crossings[free]
-    del hits, crossings
-    window.to_layers(grid, "occupancy", occupied | free, masses)
+    window.over_box(masses, box)[..., 1] = free_mass.astype(np.float32)[crossings]
+    touched = np.zeros(window.size, dtype=bool)
+    window.over_box(touched, box)[...] = crossings > 0
+    del crossings
+    occupied, hits = np.unique(window.flat(*hit_cells.T), return_counts=True)
+    occ_mass = occupancy_evidence(np.arange(len(hit_cells) + 1), params)
+    masses[occupied, 0] = occ_mass.astype(np.float32)[hits]
+    masses[occupied, 1] = 0.0
+    touched[occupied] = True
+    window.to_layers(grid, "occupancy", touched, masses)
     return grid
 
 
@@ -241,7 +260,7 @@ def measurement_grid_semantic(
     conf = np.clip(obs.confidences[keep], 0.0, 1.0)
 
     cells = global_cells_of(pts, config.datum, width)
-    window = _Window([cells[:, 0]], [cells[:, 1]], step)
+    window = _Window(cells.min(axis=0), cells.max(axis=0), step)
     uniq, inverse = np.unique(window.flat(*cells.T), return_inverse=True)
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in
@@ -280,8 +299,8 @@ def ray_traverse(origin, endpoint, config: GridConfig, step: int):
     sv = np.array([(origin[1] - config.datum[1]) / width])
     eu = np.array([(endpoint[0] - config.datum[0]) / width])
     ev = np.array([(endpoint[1] - config.datum[1]) / width])
-    xs, ys = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
-    cells = np.stack([xs, ys], axis=1)
+    crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
+    cells = np.stack(box_cells(crossed, box), axis=1)
     patch_idx, local = split_global_cells(cells, step)
     return [
         ((int(patch_idx[i, 0]), int(patch_idx[i, 1])), (int(local[i, 0]), int(local[i, 1])))

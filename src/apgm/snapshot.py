@@ -104,8 +104,9 @@ def load_grid(path) -> GridMap:
 
     Raises :class:`SnapshotError` (a ``ValueError``) for a file that is
     not a snapshot, is truncated, has bytes after the last patch, or holds
-    non-finite geometry, an invalid type table, an unknown type id, a
-    layer step above the header's max step, or a repeated patch or layer.
+    non-finite geometry or masses, an invalid type table, an unknown type
+    id, a layer step above the header's max step, or a repeated patch or
+    layer.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -156,6 +157,8 @@ def load_grid(path) -> GridMap:
             m = 1 << step
             raw = rd.take(4 * len(frame) * m * m)
             masses = np.frombuffer(raw, dtype="<f4").reshape(m, m, len(frame))
+            if not np.isfinite(masses).all():
+                raise SnapshotError(f"{name} layer at {(ix, iy)} holds a NaN or inf mass")
             grid.set_layer((ix, iy), Layer(name, frame, step, masses.copy()))
     if rd.remaining():
         raise SnapshotError(f"{rd.remaining()} bytes after the last patch")

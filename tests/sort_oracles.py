@@ -11,7 +11,7 @@ import numpy as np
 from apgm.errors import CellOutOfBoundsError
 from apgm.evidence import ALGEBRA_TOL, combine_mass_arrays
 from apgm.grid import GridMap, global_cells_of, split_global_cells
-from apgm.kernels import ray_cell_cap, traverse_rays
+from apgm.kernels import _traverse_rays_impl, ray_cell_cap
 from apgm.requirements import required_step
 from apgm.sensors import _clip_to_horizon, occupancy_evidence
 
@@ -106,7 +106,7 @@ def occupancy_sorted(cloud, params, profile, config):
     eu = (ends[:, 0] - config.datum[0]) / width
     ev = (ends[:, 1] - config.datum[1]) / width
     cap = ray_cell_cap(su, sv, eu, ev)
-    fx, fy = traverse_rays(su, sv, eu, ev, cap)
+    fx, fy = _traverse_rays_impl(su, sv, eu, ev, cap)
     free_keys = np.empty(0, dtype=np.uint64)
     free_mass = np.empty(0)
     if len(fx):

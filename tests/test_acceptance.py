@@ -73,6 +73,7 @@ def full_run():
     digest = RunDigest()
 
     def on_cycle(record, grid, profile):
+        grid.check()
         digest.modes.append(record.mode)
         digest.fused_occ.append(record.fused_cells("occupancy"))
         digest.uniform_ref.append(

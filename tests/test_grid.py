@@ -14,6 +14,8 @@ from apgm import (
     GridConfig,
     GridMap,
     GridMapError,
+    InvariantError,
+    Layer,
     PointOutsidePatchError,
     ResolutionConflictError,
     SnapshotError,
@@ -377,3 +379,58 @@ def test_snapshot_trailing_bytes_raise():
     data, _ = _one_layer_snapshot()
     with pytest.raises(SnapshotError, match="after the last patch"):
         _load_bytes(bytes(data) + b"\x00")
+
+
+def test_snapshot_non_finite_mass_raises(tmp_path):
+    for bad in (np.nan, np.inf):
+        grid = _small_grid([(0, 0, "occupancy", 1, 0), (1, 0, "semantic", 2, 1)])
+        grid.layer_at((1, 0), "semantic").masses[3, 2, 1] = bad
+        path = save_grid(grid, tmp_path / "bad.apgm")
+        with pytest.raises(SnapshotError, match="NaN or inf mass"):
+            load_grid(path)
+
+
+# -- invariant pass -------------------------------------------------------------
+
+
+def test_check_accepts_well_formed_maps():
+    _small_grid([(0, 0, "occupancy", 1, 0), (1, -1, "semantic", 3, 1)]).check()
+    GridMap(GridConfig()).check()
+    assert issubclass(InvariantError, GridMapError)
+
+
+@pytest.mark.parametrize(
+    "value, match",
+    [
+        (np.nan, "NaN, inf or outside"),
+        (np.inf, "NaN, inf or outside"),
+        (-1e-3, "NaN, inf or outside"),
+        (1.5, "NaN, inf or outside"),
+    ],
+)
+def test_check_rejects_bad_masses(value, match):
+    grid = _small_grid([(0, 0, "occupancy", 1, 0)])
+    grid.layer_at((0, 0), "occupancy").masses[1, 0, 1] = value
+    with pytest.raises(InvariantError, match=match):
+        grid.check()
+
+
+def test_check_rejects_singleton_sum_above_one():
+    grid = _small_grid([(0, 0, "semantic", 1, 0)])
+    grid.layer_at((0, 0), "semantic").masses[0, 1] = [0.5, 0.3, 0.2, 1e-4]
+    with pytest.raises(InvariantError, match="summing to"):
+        grid.check()
+    grid.layer_at((0, 0), "semantic").masses[0, 1] = [0.5, 0.3, 0.2, 1e-6]
+    grid.check()
+
+
+def test_check_rejects_wrong_shape_and_step():
+    grid = _small_grid([(0, 0, "occupancy", 1, 0)])
+    layer = grid.layer_at((0, 0), "occupancy")
+    layer.masses = np.zeros((2, 4, 2), dtype=np.float32)
+    with pytest.raises(InvariantError, match="shape"):
+        grid.check()
+    big = Layer("occupancy", layer.frame, 4)  # max_step is 3
+    grid.set_layer((0, 0), big)
+    with pytest.raises(InvariantError, match="step 4"):
+        grid.check()

@@ -4,9 +4,12 @@ The batch traversal must return exactly what the per-ray reference walk
 ``_traverse_rays_impl`` returns: the same cells in the same order, also on
 the lattice-aligned geometry the scenarios produce (origins on lattice
 corners, 45 degree beams, axis-parallel beams, endpoints on boundaries).
+It numbers them in a cell box holding every ray's origin and end cell;
+``box_cells`` decodes them.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 
 import apgm.sensors
 from apgm import Frame, combine_dst, make_bba, run_scenario
+from apgm.errors import CellOutOfBoundsError
 from apgm.kernels import (
     _traverse_rays_impl,
+    box_cells,
     combine_masses,
     ray_cell_cap,
     traverse_rays,
@@ -26,14 +31,21 @@ from conftest import random_mass_rows
 
 
 def assert_same_walk(u0, v0, u1, v1, cap=None):
-    """The batch kernel's cells equal the reference walk's, in order."""
+    """The batch kernel's cells equal the reference walk's, in order, and
+    its box holds every origin, end and emitted cell."""
     u0, v0, u1, v1 = (np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1))
     if cap is None:
         cap = ray_cell_cap(u0, v0, u1, v1)
-    got = traverse_rays(u0, v0, u1, v1, cap)
+    cells, box = traverse_rays(u0, v0, u1, v1, cap)
+    assert cells.dtype == box.dtype == np.int64 and box.shape == (4,)
+    x0, y0, nx, ny = box.tolist()
+    assert np.all((cells >= 0) & (cells < nx * ny))
+    for u, v in ((u0, v0), (u1, v1)):
+        assert np.all((np.floor(u) >= x0) & (np.floor(u) < x0 + nx))
+        assert np.all((np.floor(v) >= y0) & (np.floor(v) < y0 + ny))
+    xs, ys = box_cells(cells, box)
     want = _traverse_rays_impl(u0, v0, u1, v1, cap)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert got[0].dtype == got[1].dtype == np.int64
+    assert np.array_equal(xs, want[0]) and np.array_equal(ys, want[1])
 
 
 def sweep_oracle(u0, v0, u1, v1):
@@ -90,7 +102,8 @@ def test_traversal_matches_sweep_oracle():
     u0, v0, u1, v1 = _random_rays(rng, 300, snap_prob=0.0)
     cap = ray_cell_cap(u0, v0, u1, v1)
     for i in range(300):
-        xs, ys = traverse_rays(u0[i : i + 1], v0[i : i + 1], u1[i : i + 1], v1[i : i + 1], cap)
+        one = slice(i, i + 1)
+        xs, ys = box_cells(*traverse_rays(u0[one], v0[one], u1[one], v1[one], cap))
         got = list(zip(xs.tolist(), ys.tolist()))
         want = sweep_oracle(u0[i], v0[i], u1[i], v1[i])
         assert got == want, f"ray {i}: {got} != {want}"
@@ -111,22 +124,73 @@ def test_capacity_bound_never_reached():
         n = int(rng.integers(1, 80))
         u0, v0, u1, v1 = _random_rays(rng, n, snap_prob=0.5, max_len=400.0)
         cap = ray_cell_cap(u0, v0, u1, v1)
-        xs, _ = traverse_rays(u0, v0, u1, v1, cap)
-        assert len(xs) < cap
+        cells, _ = traverse_rays(u0, v0, u1, v1, cap)
+        assert len(cells) < cap
 
 
 def test_zero_length_ray():
     z = np.array([3.7])
-    xs, ys = traverse_rays(z, z, z, z, 8)
-    assert len(xs) == 0
+    cells, box = traverse_rays(z, z, z, z, 8)
+    assert len(cells) == 0
+    assert box.tolist() == [3, 3, 1, 1]
+
+
+def test_empty_batch():
+    z = np.empty(0)
+    cells, box = traverse_rays(z, z, z, z, 8)
+    assert len(cells) == 0 and cells.dtype == np.int64
+    assert box.tolist() == [0, 0, 0, 0] and box.dtype == np.int64
 
 
 def test_exact_diagonal_steps_diagonally():
     # Through lattice corners: off-diagonal cells are never entered.
     u0 = np.array([0.5])
-    xs, ys = traverse_rays(u0, u0, u0 + 5.0, u0 + 5.0, 32)
-    assert xs.tolist() == [1, 2, 3, 4]
-    assert ys.tolist() == [1, 2, 3, 4]
+    cells, box = traverse_rays(u0, u0, u0 + 5.0, u0 + 5.0, 32)
+    assert box.tolist() == [0, 0, 6, 6]
+    assert cells.tolist() == [1 * 6 + 1, 2 * 6 + 2, 3 * 6 + 3, 4 * 6 + 4]
+
+
+def test_box_numbers_cells_x_major():
+    # Two rays: the box spans both, and numbers (x - x0) * ny + (y - y0).
+    u0, v0 = np.array([2.5, -1.5]), np.array([0.5, 0.5])
+    u1, v1 = np.array([2.5, -1.5]), np.array([3.5, -2.5])
+    cells, box = traverse_rays(u0, v0, u1, v1, 16)
+    assert box.tolist() == [-2, -3, 5, 7]
+    assert cells.tolist() == [4 * 7 + 4, 4 * 7 + 5, 0 * 7 + 2, 0 * 7 + 1]
+
+
+def test_box_holds_cells_the_walk_emits_past_its_end_cell():
+    # Ending on the lattice corner (0, -12), the reference walk's summed
+    # parameters put the crossing of y = -12 below t = 1, so it emits
+    # (-1, -13), outside the origin/end rectangle; the box widens to hold it.
+    ray = ([-15.554], [-3.219], [0.0], [-12.0])
+    xs, ys = _traverse_rays_impl(*ray, 64)
+    assert (xs[-1], ys[-1]) == (-1, -13)
+    _, box = traverse_rays(*(np.array(w) for w in ray), 64)
+    assert box.tolist() == [-16, -13, 17, 10]
+    assert_same_walk(*ray)
+
+
+def test_box_area_guard():
+    # Boxes of 2^32 x 2^31 cells, or with a corner beyond 2^62, would wrap
+    # int64 box numbers: refused before any walking.
+    half = np.array([0.5, 0.5])
+    batches = [
+        (half, half, np.array([2.0**32 - 0.5, 0.5]), np.array([0.5, 2.0**31 - 0.5])),
+        (half + 2.0**62, half, half + 2.0**62, half),
+    ]
+    for u0, v0, u1, v1 in batches:
+        with pytest.raises(CellOutOfBoundsError):
+            traverse_rays(u0, v0, u1, v1, 8)
+
+
+def test_reference_walk_subnormal_direction_is_warning_clean():
+    # dx = 1e-310 is subnormal: 1 / dx overflows to inf, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys = _traverse_rays_impl([1e-310], [0.5], [2e-310], [3.5], 16)
+        assert xs.tolist() == [0, 0] and ys.tolist() == [1, 2]
+        assert_same_walk([1e-310], [0.5], [2e-310], [3.5], 16)
 
 
 def test_combine_kernels_agree():
