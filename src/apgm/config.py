@@ -2,23 +2,25 @@
 
 ``load_scenario`` turns a file into the (script, world, config) triple the
 runner consumes; every problem found is collected and raised as one
-:class:`ConfigError` so the CLI can print complete diagnostics.
+:class:`ConfigError` so the CLI can print complete diagnostics. A missing
+key takes its value from ``ScenarioConfig()`` and ``default_script()``;
+every ``[mode.*]`` section starts from ``parking_profile()``.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from pathlib import Path
 
 from .errors import ConfigError
-from .grid import GridConfig
 from .requirements import RequirementProfile, TypeRequirement
 from .scenario import (
-    CameraConfig,
-    LidarConfig,
     ScenarioConfig,
     ScenarioScript,
+    default_script,
+    parking_profile,
     validate_scenario,
 )
 from .world import WorldModel, default_world
@@ -46,6 +48,26 @@ class _Reader:
             self.problems.append(f"[{section}] {key}: cannot parse {raw!r}")
             return default
 
+    def angle(self, section, key, default_rad):
+        """An angle given in degrees, returned in radians."""
+        deg = self.get(section, key, float, None)
+        return default_rad if deg is None else math.radians(deg)
+
+    def pair(self, section, prefix, default):
+        """The float pair ``(<prefix>_x, <prefix>_y)``."""
+        return tuple(
+            self.get(section, f"{prefix}_{axis}", float, v)
+            for axis, v in zip("xy", default)
+        )
+
+    def fields(self, section, d, keys, **values):
+        """Dataclass ``d`` with each field in ``keys`` read from the key of
+        the same name, cast like its default, and with ``values`` set."""
+        for key in keys:
+            default = getattr(d, key)
+            values[key] = self.get(section, key, type(default), default)
+        return dataclasses.replace(d, **values)
+
 
 def _as_bool(raw: str) -> bool:
     value = raw.strip().lower()
@@ -56,72 +78,37 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _parse_keyframes(raw: str, problems: list[str]):
-    frames = []
+def _parse_items(raw: str, casts, form: str, problems: list[str]) -> list[tuple]:
+    """``a:b:...`` items separated by spaces or commas, one cast per field."""
+    items = []
     for chunk in raw.replace(",", " ").split():
         parts = chunk.split(":")
-        if len(parts) != 4:
-            problems.append(f"keyframe {chunk!r} is not t:x:y:heading")
-            continue
-        frames.append(tuple(float(p) for p in parts))
-    return frames
-
-
-def _parse_modes(raw: str, problems: list[str]):
-    modes = []
-    for chunk in raw.replace(",", " ").split():
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            problems.append(f"mode switch {chunk!r} is not time:label")
-            continue
         try:
-            modes.append((float(parts[0]), parts[1]))
+            if len(parts) != len(casts):
+                raise ValueError(chunk)
+            items.append(tuple(cast(p) for cast, p in zip(casts, parts)))
         except ValueError:
-            problems.append(f"mode switch {chunk!r} has a bad time")
-    return modes
-
-
-def _lidar_from(reader: _Reader, section: str, name: str, mount) -> LidarConfig:
-    return LidarConfig(
-        name=name,
-        beams=reader.get(section, "beams", int, 720),
-        max_range=reader.get(section, "max_range", float, 100.0),
-        noise_sigma=reader.get(section, "noise_sigma", float, 0.02),
-        mount=(
-            reader.get(section, "mount_x", float, mount[0]),
-            reader.get(section, "mount_y", float, mount[1]),
-        ),
-        mu_hit=reader.get(section, "mu_hit", float, 0.6),
-        mu_free=reader.get(section, "mu_free", float, 0.3),
-    )
+            problems.append(f"[timeline] {chunk!r} is not {form}")
+    return items
 
 
 def _profile_from(reader: _Reader, section: str) -> RequirementProfile:
-    def type_req(prefix: str, defaults: TypeRequirement) -> TypeRequirement:
-        fov_deg = reader.get(section, f"{prefix}_fov_half_angle_deg", float, None)
-        if fov_deg is None:
-            fov = defaults.fov_half_angle_rad
-        else:
-            fov = math.radians(fov_deg)
+    """A mode's demands, each key defaulting to the parking profile's."""
+
+    def type_req(prefix: str, d: TypeRequirement) -> TypeRequirement:
         return TypeRequirement(
-            active=reader.get(section, f"{prefix}_active", _as_bool, defaults.active),
-            horizon_m=reader.get(
-                section, f"{prefix}_horizon_m", float, defaults.horizon_m
-            ),
+            active=reader.get(section, f"{prefix}_active", _as_bool, d.active),
+            horizon_m=reader.get(section, f"{prefix}_horizon_m", float, d.horizon_m),
             max_cell_size_m=reader.get(
-                section, f"{prefix}_cell_size_m", float, defaults.max_cell_size_m
+                section, f"{prefix}_cell_size_m", float, d.max_cell_size_m
             ),
-            fov_half_angle_rad=fov,
+            fov_half_angle_rad=reader.angle(
+                section, f"{prefix}_fov_half_angle_deg", d.fov_half_angle_rad
+            ),
         )
 
     return RequirementProfile(
-        {
-            "occupancy": type_req("occupancy", TypeRequirement(True, 20.0, 0.1)),
-            "semantic": type_req(
-                "semantic",
-                TypeRequirement(False, 40.0, 0.2, math.radians(30.0)),
-            ),
-        }
+        {t: type_req(t, d) for t, d in parking_profile().demands.items()}
     )
 
 
@@ -137,14 +124,9 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     reader = _Reader(parser)
 
-    grid = GridConfig(
-        datum=(
-            reader.get("grid", "datum_x", float, 0.0),
-            reader.get("grid", "datum_y", float, 0.0),
-        ),
-        edge_length=reader.get("grid", "edge_length", float, 12.8),
-        max_step=reader.get("grid", "max_step", int, 10),
-    )
+    defaults = ScenarioConfig()
+    datum = reader.pair("grid", "datum", defaults.grid.datum)
+    grid = reader.fields("grid", defaults.grid, ("edge_length", "max_step"), datum=datum)
 
     preset = reader.get("world", "preset", str, "default")
     if preset not in WORLD_PRESETS:
@@ -155,20 +137,23 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
     world = WORLD_PRESETS[preset]()
 
     lidars = [
-        _lidar_from(reader, "lidar.front", "lidar_front", (1.0, 0.0)),
-        _lidar_from(reader, "lidar.rear", "lidar_rear", (-1.0, 0.0)),
+        reader.fields(
+            section,
+            d,
+            ("beams", "max_range", "noise_sigma", "mu_hit", "mu_free"),
+            mount=reader.pair(section, "mount", d.mount),
+        )
+        for section, d in zip(("lidar.front", "lidar.rear"), defaults.lidars)
     ]
-    camera = CameraConfig(
-        fov_half_angle_rad=math.radians(
-            reader.get("camera", "fov_half_angle_deg", float, 30.0)
+    cam = defaults.camera
+    camera = reader.fields(
+        "camera",
+        cam,
+        ("max_range", "range_step", "confidence_near", "confidence_far"),
+        fov_half_angle_rad=reader.angle(
+            "camera", "fov_half_angle_deg", cam.fov_half_angle_rad
         ),
-        max_range=reader.get("camera", "max_range", float, 40.0),
-        range_step=reader.get("camera", "range_step", float, 0.4),
-        angle_step_rad=math.radians(
-            reader.get("camera", "angle_step_deg", float, 1.0)
-        ),
-        confidence_near=reader.get("camera", "confidence_near", float, 0.9),
-        confidence_far=reader.get("camera", "confidence_far", float, 0.4),
+        angle_step_rad=reader.angle("camera", "angle_step_deg", cam.angle_step_rad),
     )
 
     modes = {}
@@ -178,26 +163,34 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
     if not modes:
         reader.problems.append("no [mode.*] sections defined")
 
-    keyframes = _parse_keyframes(
-        reader.get("timeline", "keyframes", str, ""), reader.problems
+    keyframes = _parse_items(
+        reader.get("timeline", "keyframes", str, ""),
+        (float,) * 4,
+        "t:x:y:heading",
+        reader.problems,
     )
-    mode_times = _parse_modes(
-        reader.get("timeline", "modes", str, ""), reader.problems
+    mode_times = _parse_items(
+        reader.get("timeline", "modes", str, ""),
+        (float, str),
+        "time:label",
+        reader.problems,
     )
-    script = ScenarioScript(
+    script = reader.fields(
+        "run",
+        default_script(),
+        ("duration_s", "cycle_s"),
         keyframes=keyframes,
         mode_times=mode_times,
-        duration_s=reader.get("run", "duration_s", float, 60.0),
-        cycle_s=reader.get("run", "cycle_s", float, 0.1),
     )
-    config = ScenarioConfig(
+    config = reader.fields(
+        "run",
+        defaults,
+        ("seed", "temporal_alpha"),
         grid=grid,
         lidars=lidars,
         camera=camera,
         modes=modes,
-        seed=reader.get("run", "seed", int, 7),
-        temporal_alpha=reader.get("run", "temporal_alpha", float, 0.95),
-        measure_timing=reader.get("run", "timing", _as_bool, True),
+        measure_timing=reader.get("run", "timing", _as_bool, defaults.measure_timing),
     )
 
     problems = reader.problems + validate_scenario(script, config)

@@ -6,6 +6,9 @@ mapping stack has that shape, the restriction is closed under Dempster's
 rule of combination, and it keeps per-cell storage at one float per
 hypothesis (the frame mass is the normalization remainder).
 
+Dempster's rule has one implementation, ``kernels.combine_masses``;
+:func:`combine_mass_arrays` and :func:`combine_dst` both call it.
+
 All values are immutable after construction; every operation is a pure
 function, so concurrent use needs no locking.
 """
@@ -134,22 +137,20 @@ def plausibility(bba: BBA, subset: Iterable[str]) -> float:
 def combine_dst(a: BBA, b: BBA) -> tuple[BBA, float]:
     """Dempster's rule of combination; returns the fused BBA and conflict K.
 
-    Raises :class:`TotalConflictError` when the conflict leaves no mass to
-    renormalize (K >= 1 - 1e-12); callers decide the fallback.
+    A one-row call of :func:`combine_mass_arrays`, so the scalar and the
+    array paths share the kernel's arithmetic. Raises
+    :class:`TotalConflictError` when the conflict leaves no mass to
+    renormalize (the kernel's dead-row test, 1 - K <= 1e-12); callers
+    decide the fallback.
     """
     if a.frame != b.frame:
         raise FrameMismatchError(f"{a.frame} vs {b.frame}")
-    ma, mb = a.masses, b.masses
-    agree = ma * mb
-    conflict = float(ma.sum() * mb.sum() - agree.sum())
-    norm = 1.0 - conflict
-    if norm <= ALGEBRA_TOL:
+    fused, conflict = combine_mass_arrays(a.masses, b.masses)
+    conflict = float(conflict)
+    if 1.0 - conflict <= ALGEBRA_TOL:
         raise TotalConflictError(conflict)
-    fused = (agree + ma * b.omega + a.omega * mb) / norm
-    omega = a.omega * b.omega / norm
-    # Renormalize to suppress float drift across long combination chains.
-    scale = fused.sum() + omega
-    return BBA(a.frame, _freeze(fused / scale), float(omega / scale)), conflict
+    omega = max(1.0 - float(fused.sum()), 0.0)
+    return BBA(a.frame, _freeze(fused), omega), conflict
 
 
 def pignistic(bba: BBA) -> np.ndarray:

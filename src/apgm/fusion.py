@@ -9,7 +9,10 @@ module owns that case.
 
 Layer fusion first brings all inputs to a common step r_fused, the demanded
 step capped by the best available one, then combines cell-wise. Patch and
-grid fusion take unions over types and patch indices.
+grid fusion take unions over types and patch indices. A cell in total
+conflict is reset to vacuous and counted; there is no other policy.
+:func:`temporal_update` folds the aged previous map and the cycle's grids
+in one grid fusion; the scenario runner fuses through it.
 
 Concurrency contract: all inputs are read-only; the fused grid is a fresh
 value. Each output patch index is produced by exactly one fold, so a driver
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatumMismatchError, EdgeMismatchError
+from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
 from .evidence import (
     ALGEBRA_TOL,
     BBA,
@@ -31,7 +34,6 @@ from .evidence import (
     combine_mass_arrays,
     vacuous,
 )
-from .errors import TotalConflictError
 from .grid import GridMap, Layer, Patch
 from .requirements import RequirementProfile, cull_outside_horizon, required_step
 from .resample import resample_layer
@@ -44,13 +46,10 @@ class FusionPolicy:
     ``r_req`` caps the fused resolution step per type; types missing from
     it keep their best available resolution. ``alpha_age`` discounts the
     previous map per temporal update (1 = no aging, 0 = per-cycle mode).
-    ``on_conflict`` selects the total-conflict fallback: "vacuous" resets
-    the cell and counts it, "error" re-raises.
     """
 
     r_req: dict[str, int] = field(default_factory=dict)
     alpha_age: float = 0.95
-    on_conflict: str = "vacuous"
 
     @classmethod
     def from_profile(
@@ -66,11 +65,7 @@ class FusionPolicy:
         return cls(r_req=steps, alpha_age=alpha_age)
 
 
-def fuse_cells(
-    cells,
-    on_conflict: str = "vacuous",
-    counter: ConflictCounter | None = None,
-) -> BBA:
+def fuse_cells(cells, counter: ConflictCounter | None = None) -> BBA:
     """Left fold of Dempster combination over co-located cells."""
     cells = list(cells)
     if not cells:
@@ -80,8 +75,6 @@ def fuse_cells(
         try:
             acc, _ = combine_dst(acc, nxt)
         except TotalConflictError:
-            if on_conflict != "vacuous":
-                raise
             if counter is not None:
                 counter.add(1)
             acc = vacuous(acc.frame)
@@ -89,10 +82,7 @@ def fuse_cells(
 
 
 def fuse_layers(
-    layers,
-    r_req: int,
-    on_conflict: str = "vacuous",
-    counter: ConflictCounter | None = None,
+    layers, r_req: int, counter: ConflictCounter | None = None
 ) -> Layer:
     """Fuse same-type layers of one patch footprint at step min(r_req, max r)."""
     layers = list(layers)
@@ -108,12 +98,8 @@ def fuse_layers(
     acc = resampled[0].masses.astype(np.float64)
     for nxt in resampled[1:]:
         acc, conflict = combine_mass_arrays(acc, nxt.masses.astype(np.float64))
-        dead = conflict >= 1.0 - ALGEBRA_TOL
-        if np.any(dead):
-            if on_conflict != "vacuous":
-                raise TotalConflictError(float(conflict[dead].max()))
-            if counter is not None:
-                counter.add(int(dead.sum()))
+        if counter is not None:
+            counter.add(np.count_nonzero(conflict >= 1.0 - ALGEBRA_TOL))
     return Layer(first.type_name, first.frame, r_fused, acc.astype(np.float32))
 
 
@@ -134,9 +120,7 @@ def fuse_patches(
     for type_name in type_names:
         stack = [p.layers[type_name] for p in patches if type_name in p.layers]
         r_req = policy.r_req.get(type_name, max(l.step for l in stack))
-        out.layers[type_name] = fuse_layers(
-            stack, r_req, policy.on_conflict, counter
-        )
+        out.layers[type_name] = fuse_layers(stack, r_req, counter)
     return out
 
 
@@ -186,21 +170,23 @@ def discount_grid(grid: GridMap, alpha: float) -> GridMap:
 
 def temporal_update(
     previous: GridMap | None,
-    current: GridMap,
+    current,
     policy: FusionPolicy,
     profile: RequirementProfile | None = None,
     counter: ConflictCounter | None = None,
 ) -> GridMap:
-    """Age the previous map, fuse in the current cycle, cull to the horizon.
+    """Age the previous map, fuse in the cycle's grids, cull to the horizon.
 
-    With ``alpha_age`` 0 the history is fully vacuous and is dropped
-    entirely, so the result equals the current measurement fusion.
+    ``current`` lists the cycle's measurement grids. The previous map,
+    discounted by ``policy.alpha_age``, is folded first, then the grids in
+    their order. With ``alpha_age`` 0 the history is fully vacuous and is
+    dropped entirely, so the result equals the current measurement fusion.
+    At least one grid must remain to fold.
     """
-    if previous is None or policy.alpha_age <= 0.0:
-        fused = fuse_grids([current], policy, counter)
-    else:
-        aged = discount_grid(previous, policy.alpha_age)
-        fused = fuse_grids([aged, current], policy, counter)
+    grids = list(current)
+    if previous is not None and policy.alpha_age > 0.0:
+        grids.insert(0, discount_grid(previous, policy.alpha_age))
+    fused = fuse_grids(grids, policy, counter)  # perfbench reads arg 3
     if profile is not None:
         cull_outside_horizon(fused, profile)
     return fused

@@ -266,9 +266,14 @@ class GridMap:
             if type_name is None or layer.type_name == type_name
         )
 
-    def memory_bytes(self) -> int:
-        """Cell payload bytes only; container bookkeeping is not included."""
-        return sum(layer.payload_bytes for _, layer in self.iter_layers())
+    def memory_bytes(self, type_name: str | None = None) -> int:
+        """Cell payload bytes, optionally of one type; container bookkeeping
+        is not included."""
+        return sum(
+            layer.payload_bytes
+            for _, layer in self.iter_layers()
+            if type_name is None or layer.type_name == type_name
+        )
 
     def layer_count(self) -> int:
         return sum(len(p.layers) for p in self.patches.values())

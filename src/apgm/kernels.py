@@ -119,6 +119,14 @@ def _end_cell_bounds(u0, v0, u1, v1):
     return [math.floor(v) for v in lo], [math.floor(v) for v in hi]
 
 
+def _grow_bounds(lo, hi, xs, ys):
+    """Inclusive cell bounds widened to hold the cells (xs, ys)."""
+    if not len(xs):
+        return lo, hi
+    lo = [min(lo[0], int(xs.min())), min(lo[1], int(ys.min()))]
+    return lo, [max(hi[0], int(xs.max())), max(hi[1], int(ys.max()))]
+
+
 def _cell_box(lo, hi):
     """``[x0, y0, nx, ny]`` (int64) from inclusive cell bounds, refused where
     int64 box numbers or corners could wrap."""
@@ -151,6 +159,10 @@ def traverse_rays(u0, v0, u1, v1, cap):
     raises :class:`CellOutOfBoundsError`; a non-finite ray raises as the
     reference walk does.
 
+    Memory stays O(cap + rays): a batch that could emit more than ``cap``
+    cells (:func:`ray_cell_cap`) takes the reference walk, which stops at
+    ``cap``. Library calls pass ``ray_cell_cap``, so they never do.
+
     A ray's k-th crossing of an x boundary lies at t = (qx + k) / |dx|,
     where qx is the distance from u0 to the first boundary ahead; the
     same holds for y. The first crossing per axis uses the reference
@@ -177,6 +189,10 @@ def traverse_rays(u0, v0, u1, v1, cap):
     v1 = np.asarray(v1, dtype=np.float64)
     lo, hi = _end_cell_bounds(u0, v0, u1, v1)
     _cell_box(lo, hi)  # refuse an oversized box before walking anything
+    if ray_cell_cap(u0, v0, u1, v1) > cap:
+        xs, ys = _traverse_rays_impl(u0, v0, u1, v1, cap)
+        box = _cell_box(*_grow_bounds(lo, hi, xs, ys))
+        return (xs - box[0]) * box[3] + (ys - box[1]), box
     span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
     flag = ~(span < _LATTICE_LIMIT)
     a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
@@ -229,9 +245,7 @@ def traverse_rays(u0, v0, u1, v1, cap):
         one = slice(r, r + 1)
         fx, fy = _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap)
         walks.append((fx, fy))
-        if len(fx):
-            lo = [min(lo[0], int(fx.min())), min(lo[1], int(fy.min()))]
-            hi = [max(hi[0], int(fx.max())), max(hi[1], int(fy.max()))]
+        lo, hi = _grow_bounds(lo, hi, fx, fy)
     box = _cell_box(lo, hi)
     x0, y0, _, stride = (int(v) for v in box)
 

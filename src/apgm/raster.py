@@ -15,7 +15,7 @@ import numpy as np
 
 from .evidence import combine_mass_arrays
 from .grid import GridMap, Layer
-from .resample import resample_layer
+from .resample import block_view, resample_layer
 
 UNKNOWN_GREY = 127
 
@@ -130,14 +130,7 @@ def dstrc_merge_layer(layer: Layer, factor: int) -> Layer:
     m = layer.masses.shape[0]
     if m % factor:
         raise ValueError(f"block factor {factor} does not divide lattice {m}")
-    k = layer.masses.shape[-1]
-    m_out = m // factor
-    blocks = (
-        layer.masses.astype(np.float64)
-        .reshape(m_out, factor, m_out, factor, k)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(m_out, m_out, factor * factor, k)
-    )
+    blocks = block_view(layer.masses.astype(np.float64), factor)
     acc = blocks[:, :, 0, :]
     for j in range(1, factor * factor):
         acc, conflict = combine_mass_arrays(acc, blocks[:, :, j, :])

@@ -18,7 +18,7 @@ arbitrary hypothesis counts is an open problem.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,17 +65,22 @@ def sem_cell_split(parent: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(parent, dtype=np.float64).copy()
 
 
-BlockMerge = Callable[[np.ndarray], np.ndarray]
-CellSplit = Callable[[np.ndarray, int], np.ndarray]
-
-_OPERATORS: dict[str, tuple[BlockMerge, CellSplit]] = {
+_OPERATORS = {
     "occupancy": (occ_block_merge, occ_cell_split),
     "semantic": (sem_block_merge, sem_cell_split),
 }
 
 
-def register_operators(type_name: str, merge: BlockMerge, split: CellSplit) -> None:
-    _OPERATORS[type_name] = (merge, split)
+def block_view(masses: np.ndarray, factor: int) -> np.ndarray:
+    """Aligned ``factor x factor`` blocks of an (m, m, k) lattice as
+    (m / factor, m / factor, factor**2, k), children in row-major order."""
+    m_out = masses.shape[0] // factor
+    k = masses.shape[-1]
+    return (
+        masses.reshape(m_out, factor, m_out, factor, k)
+        .transpose(0, 2, 1, 3, 4)
+        .reshape(m_out, m_out, factor * factor, k)
+    )
 
 
 # -- cell-level interface ----------------------------------------------------
@@ -107,7 +112,8 @@ def merge_sem(cells: Sequence[BBA]) -> BBA:
 
 
 def split_sem(cell: BBA, n: int) -> list[BBA]:
-    return [make_bba(cell.frame, cell.masses.copy()) for _ in range(n)]
+    child = sem_cell_split(cell.masses, n)
+    return [make_bba(cell.frame, child) for _ in range(n)]
 
 
 # -- layer-level resampling ---------------------------------------------------
@@ -127,7 +133,7 @@ def resample_layer(
         return layer
     if layer.type_name not in _OPERATORS:
         raise UnsupportedTypeError(
-            f"no merge/split operators registered for {layer.type_name!r}"
+            f"no merge/split operators for {layer.type_name!r}"
         )
     if abs(delta) > max_delta:
         raise StepDeltaTooLargeError(
@@ -137,18 +143,10 @@ def resample_layer(
         raise ValueError("resolution step must be nonnegative")
     merge, split = _OPERATORS[layer.type_name]
     src = layer.masses.astype(np.float64)
-    k = src.shape[-1]
     if delta > 0:
         factor = 1 << delta
         child = split(src, factor * factor)
         out = np.repeat(np.repeat(child, factor, axis=0), factor, axis=1)
     else:
-        factor = 1 << (-delta)
-        m_out = src.shape[0] // factor
-        blocks = (
-            src.reshape(m_out, factor, m_out, factor, k)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(m_out, m_out, factor * factor, k)
-        )
-        out = merge(blocks)
+        out = merge(block_view(src, 1 << (-delta)))
     return Layer(layer.type_name, layer.frame, r_target, out.astype(np.float32))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evidence import ConflictCounter
-from .fusion import FusionPolicy, discount_grid, fuse_grids
+from .fusion import FusionPolicy, temporal_update
 from .grid import GridConfig, GridMap
 from .requirements import (
     RequirementProfile,
@@ -327,28 +327,41 @@ def uniform_patched_cell_count(
     return patches * (1 << (2 * step))
 
 
+def occupancy_horizon(profile: RequirementProfile) -> float:
+    """Occupancy horizon of a profile; 0 when occupancy is not demanded."""
+    occ = profile.demands.get("occupancy")
+    return occ.horizon_m if occ is not None and occ.active else 0.0
+
+
+def uniform_reference_cells(
+    profile: RequirementProfile, center, edge_length: float
+) -> int:
+    """Cells of the uniform-patched layout a profile is compared against.
+
+    The layout covers the occupancy horizon disc around ``center`` at the
+    profile's finest active resolution step.
+    """
+    finest = max(
+        (required_step(profile, t, edge_length) for t in profile.active_types()),
+        default=0,
+    )
+    return uniform_patched_cell_count(
+        center, occupancy_horizon(profile), edge_length, finest
+    )
+
+
 def reference_cell_counts(config: ScenarioConfig) -> list[ReferenceLayout]:
     """Reference layouts the scenario is compared against.
 
     The uniform-patched layouts are evaluated with the vehicle at a patch
-    center, one per mode at that mode's finest active resolution step.
+    center, one per mode with an active type.
     """
     out = [ReferenceLayout("static_nonuniform", REFERENCE_STATIC_CELLS)]
     e = config.grid.edge_length
-    center = (e / 2.0, e / 2.0)
     for label, profile in sorted(config.modes.items()):
-        active = profile.active_types()
-        if not active:
-            continue
-        step = max(required_step(profile, t, e) for t in active)
-        occ = profile.demands.get("occupancy")
-        horizon = occ.horizon_m if occ is not None else 0.0
-        out.append(
-            ReferenceLayout(
-                f"uniform_{label}",
-                uniform_patched_cell_count(center, horizon, e, step),
-            )
-        )
+        if profile.active_types():
+            cells = uniform_reference_cells(profile, (e / 2.0, e / 2.0), e)
+            out.append(ReferenceLayout(f"uniform_{label}", cells))
     return out
 
 
@@ -414,56 +427,30 @@ def run_scenario(
                 )
             )
 
-        # Temporal accumulation folds the aged map into the same grid-level
-        # fusion pass as the sensor grids (the combination is associative).
+        # The aged map joins the sensor grids in one grid-level fold; an
+        # empty map stands in when no sensor delivered a grid.
         t0 = time.perf_counter()
-        if live is not None and config.temporal_alpha > 0.0:
-            grids.insert(0, discount_grid(live, config.temporal_alpha))
-        live = fuse_grids(grids, policy, counter) if grids else GridMap(gc)
+        live = temporal_update(
+            live, grids or [GridMap(gc)], policy, counter=counter
+        )
         fuse_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
         apply_requirements(live, profile)
 
-        for type_name in profile.active_types():
+        for name in profile.active_types():
+            cells, nbytes = live.cell_count(name), live.memory_bytes(name)
+            stats.append(SourceStat(FUSED_SRC, name, cells, nbytes))
+        uniform = uniform_reference_cells(profile, pose[:2], gc.edge_length)
+        for src, cells in (
+            (REF_STATIC_SRC, REFERENCE_STATIC_CELLS),
+            (REF_UNIFORM_SRC, uniform),
+        ):
             stats.append(
-                SourceStat(
-                    FUSED_SRC,
-                    type_name,
-                    live.cell_count(type_name),
-                    sum(
-                        l.payload_bytes
-                        for _, l in live.iter_layers()
-                        if l.type_name == type_name
-                    ),
-                )
+                SourceStat(src, "occupancy", cells, cells * REFERENCE_BYTES_PER_CELL)
             )
-        occ = profile.demands.get("occupancy")
-        horizon = occ.horizon_m if occ is not None and occ.active else 0.0
-        stats.append(
-            SourceStat(
-                REF_STATIC_SRC,
-                "occupancy",
-                REFERENCE_STATIC_CELLS,
-                REFERENCE_STATIC_CELLS * REFERENCE_BYTES_PER_CELL,
-            )
-        )
-        finest = max(
-            (
-                required_step(profile, tname, gc.edge_length)
-                for tname in profile.active_types()
-            ),
-            default=0,
-        )
-        uni = uniform_patched_cell_count(pose[:2], horizon, gc.edge_length, finest)
-        stats.append(
-            SourceStat(
-                REF_UNIFORM_SRC,
-                "occupancy",
-                uni,
-                uni * REFERENCE_BYTES_PER_CELL,
-            )
-        )
 
-        record = MetricsRecord(t, mode, horizon, stats, fuse_ms)
+        record = MetricsRecord(
+            t, mode, occupancy_horizon(profile), stats, fuse_ms
+        )
         records.append(record)
         if on_cycle is not None:
             on_cycle(record, live, profile)

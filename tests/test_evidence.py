@@ -24,18 +24,10 @@ from apgm import (
     plausibility,
     vacuous,
 )
-from conftest import random_bba, random_mass_rows
+from conftest import bf_combine, focal_sets, random_bba, random_mass_rows
 
 
 # -- independent oracles ------------------------------------------------------
-
-
-def focal_sets(bba: BBA):
-    """Explicit (set, mass) pairs: singletons plus the whole frame."""
-    labels = bba.frame.hypotheses
-    out = [({h}, float(m)) for h, m in zip(labels, bba.masses)]
-    out.append((set(labels), bba.omega))
-    return out
 
 
 def bf_belief(bba: BBA, subset) -> float:
@@ -46,24 +38,6 @@ def bf_belief(bba: BBA, subset) -> float:
 def bf_plausibility(bba: BBA, subset) -> float:
     subset = set(subset)
     return sum(m for s, m in focal_sets(bba) if s & subset)
-
-
-def bf_combine(a: BBA, b: BBA):
-    """Set-intersection table combination, independent of the closed form."""
-    table = {}
-    conflict = 0.0
-    for sa, ma in focal_sets(a):
-        for sb, mb in focal_sets(b):
-            inter = frozenset(sa & sb)
-            if not inter:
-                conflict += ma * mb
-            else:
-                table[inter] = table.get(inter, 0.0) + ma * mb
-    norm = 1.0 - conflict
-    labels = a.frame.hypotheses
-    masses = [table.get(frozenset({h}), 0.0) / norm for h in labels]
-    omega = table.get(frozenset(labels), 0.0) / norm
-    return masses, omega, conflict
 
 
 # -- construction -------------------------------------------------------------
@@ -313,11 +287,11 @@ def test_vector_combine_matches_scalar(sem_frame):
     b_rows = random_mass_rows(rng, 500, len(sem_frame))
     fused, conflict = combine_mass_arrays(a_rows, b_rows)
     for i in range(0, 500, 17):
-        sb, kb = combine_dst(
+        masses, _, k = bf_combine(
             make_bba(sem_frame, a_rows[i]), make_bba(sem_frame, b_rows[i])
         )
-        np.testing.assert_allclose(fused[i], sb.masses, atol=1e-12)
-        assert conflict[i] == pytest.approx(kb, abs=1e-12)
+        np.testing.assert_allclose(fused[i], masses, atol=1e-12)
+        assert conflict[i] == pytest.approx(k, abs=1e-12)
 
 
 def test_vector_combine_total_conflict_goes_vacuous():

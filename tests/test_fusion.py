@@ -10,7 +10,6 @@ from apgm import (
     FusionPolicy,
     GridConfig,
     GridMap,
-    combine_dst,
     discount_grid,
     fuse_cells,
     fuse_grids,
@@ -23,6 +22,7 @@ from apgm import (
 from apgm.evidence import ConflictCounter
 from apgm.grid import OCCUPANCY_FRAME, Layer, Patch
 from apgm.requirements import RequirementProfile, TypeRequirement
+from conftest import bf_combine
 
 
 def occ(o, f=0.0):
@@ -99,8 +99,8 @@ def test_fuse_layers_matches_scalar_combines():
     for idx in ((0, 0), (3, 5), (7, 7)):
         sa = make_bba(OCCUPANCY_FRAME, a.masses[idx].astype(np.float64))
         sb = make_bba(OCCUPANCY_FRAME, b.masses[idx].astype(np.float64))
-        want, _ = combine_dst(sa, sb)
-        np.testing.assert_allclose(fused.masses[idx], want.masses, atol=1e-6)
+        want, _, _ = bf_combine(sa, sb)
+        np.testing.assert_allclose(fused.masses[idx], want, atol=1e-6)
 
 
 # -- patches -------------------------------------------------------------------
@@ -209,11 +209,11 @@ def test_grid_overlap_is_cellwise_combination():
     lb = b.patches[(1, 0)].layers["occupancy"]
     lf = fused.patches[(1, 0)].layers["occupancy"]
     for idx in ((0, 0), (2, 7), (7, 1)):
-        want, _ = combine_dst(
+        want, _, _ = bf_combine(
             make_bba(OCCUPANCY_FRAME, la.masses[idx].astype(np.float64)),
             make_bba(OCCUPANCY_FRAME, lb.masses[idx].astype(np.float64)),
         )
-        np.testing.assert_allclose(lf.masses[idx], want.masses, atol=1e-6)
+        np.testing.assert_allclose(lf.masses[idx], want, atol=1e-6)
 
 
 def test_grid_order_invariance():
@@ -269,7 +269,7 @@ def test_temporal_alpha_zero_equals_current():
     previous = small_grid(rng, config, [((4, 4), "occupancy", 3)])
     current = small_grid(rng, config, [((0, 0), "occupancy", 3)])
     policy = FusionPolicy({"occupancy": 3}, alpha_age=0.0)
-    out = temporal_update(previous, current, policy)
+    out = temporal_update(previous, [current], policy)
     assert set(out.patches) == {(0, 0)}
     np.testing.assert_allclose(
         out.patches[(0, 0)].layers["occupancy"].masses,
@@ -284,7 +284,7 @@ def test_temporal_alpha_one_keeps_previous():
     previous = small_grid(rng, config, [((0, 0), "occupancy", 3)])
     current = GridMap(config)
     policy = FusionPolicy({"occupancy": 3}, alpha_age=1.0)
-    out = temporal_update(previous, current, policy)
+    out = temporal_update(previous, [current], policy)
     np.testing.assert_allclose(
         out.patches[(0, 0)].layers["occupancy"].masses,
         previous.patches[(0, 0)].layers["occupancy"].masses,
@@ -299,7 +299,7 @@ def test_temporal_decay_over_empty_cycles():
     layer.masses[2, 2, 0] = 0.9
     policy = FusionPolicy({"occupancy": 3}, alpha_age=0.95)
     for _ in range(10):
-        grid = temporal_update(grid, GridMap(config), policy)
+        grid = temporal_update(grid, [GridMap(config)], policy)
     got = grid.patches[(0, 0)].layers["occupancy"].masses[2, 2, 0]
     assert got == pytest.approx(0.9 * 0.95**10, abs=1e-5)
 
@@ -314,7 +314,7 @@ def test_temporal_horizon_culling():
         {"occupancy": TypeRequirement(True, 20.0, 1.6)}, vehicle_pose=(0.0, 0.0, 0.0)
     )
     policy = FusionPolicy({"occupancy": 3}, alpha_age=1.0)
-    out = temporal_update(previous, GridMap(config), policy, profile)
+    out = temporal_update(previous, [GridMap(config)], policy, profile)
     assert set(out.patches) == {(0, 0)}
 
 

@@ -9,6 +9,7 @@ It numbers them in a cell box holding every ray's origin and end cell;
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apgm.sensors
-from apgm import Frame, combine_dst, make_bba, run_scenario
+from apgm import Frame, make_bba, run_scenario
 from apgm.errors import CellOutOfBoundsError
 from apgm.kernels import (
     _traverse_rays_impl,
@@ -27,7 +28,7 @@ from apgm.kernels import (
     traverse_rays,
 )
 from apgm.scenario import default_scenario
-from conftest import random_mass_rows
+from conftest import bf_combine, random_mass_rows
 
 
 def assert_same_walk(u0, v0, u1, v1, cap=None):
@@ -202,8 +203,8 @@ def test_combine_kernels_agree():
         conflict = np.empty(len(a))
         combine_masses(a, b, out, conflict)
         for i in range(len(a)):
-            fused, k = combine_dst(make_bba(frame, a[i]), make_bba(frame, b[i]))
-            np.testing.assert_allclose(out[i], fused.masses, rtol=0.0, atol=1e-12)
+            masses, _, k = bf_combine(make_bba(frame, a[i]), make_bba(frame, b[i]))
+            np.testing.assert_allclose(out[i], masses, rtol=0.0, atol=1e-12)
             assert conflict[i] == pytest.approx(k, abs=1e-12)
 
 
@@ -326,6 +327,33 @@ def test_walk_truncates_at_capacity_like_reference():
     full = ray_cell_cap(u0, v0, u1, v1)
     for cap in (0, 1, 7, 100, full // 2):
         assert_same_walk(u0, v0, u1, v1, cap)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_memory_is_bounded_by_capacity():
+    # Arrays are sized by the capacity, not by the rays' full crossing
+    # counts: one 2^20-cell ray cut at 8 cells, and 1000 rays of 2^12
+    # cells each cut at 64, must each stay far below 1 MB.
+    rng = np.random.default_rng(9)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    u0 = rng.uniform(-8.0, 8.0, 1000)
+    v0 = rng.uniform(-8.0, 8.0, 1000)
+    batches = [
+        ([0.5], [0.25], [0.5 + 2.0**20], [0.25 + 2.0**19], 8),
+        (u0, v0, u0 + 2.0**12 * np.cos(angle), v0 + 2.0**12 * np.sin(angle), 64),
+    ]
+    for u0, v0, u1, v1, cap in batches:
+        rays = [np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1)]
+        assert _peak_bytes(traverse_rays, *rays, cap) < 2**20
+        assert_same_walk(*rays, cap)
 
 
 def test_walk_rejects_nonfinite_like_reference():

@@ -272,7 +272,8 @@ def test_semantic_two_agreeing_points(config, sem_profile):
 
 def test_semantic_matches_pairwise_fold(config, sem_profile):
     # Per-cell log-space accumulation must equal an iterated scalar fold.
-    from apgm import combine_dst, make_bba
+    from apgm import make_bba
+    from conftest import bf_combine
     from apgm.grid import SEMANTIC_FRAME
 
     rng = np.random.default_rng(3)
@@ -294,7 +295,8 @@ def test_semantic_matches_pairwise_fold(config, sem_profile):
         acc = make_bba(SEMANTIC_FRAME, [0.0, 0.0, 0.0, 0.0])
         for lb, cf in evidence:
             masses = [cf if h == lb else 0.0 for h in labels]
-            acc, _ = combine_dst(acc, make_bba(SEMANTIC_FRAME, masses))
+            fused, _, _ = bf_combine(acc, make_bba(SEMANTIC_FRAME, masses))
+            acc = make_bba(SEMANTIC_FRAME, fused)
         got = g.layer_at((0, 0), "semantic").masses[ca, cb]
         np.testing.assert_allclose(got, acc.masses, atol=1e-6)
 
