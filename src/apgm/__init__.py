@@ -62,7 +62,6 @@ from .grid import (
 from .requirements import (
     MutationReport,
     RequirementProfile,
-    ScenarioMode,
     TypeRequirement,
     apply_requirements,
     patch_in_horizon,

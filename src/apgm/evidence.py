@@ -27,12 +27,10 @@ from .errors import (
     TotalConflictError,
     UnknownHypothesisError,
 )
-from .kernels import combine_masses
+from .kernels import combine_masses, total_conflict
 
 # Tolerance for normalization checks (mass sums).
 MASS_TOL = 1e-9
-# Tolerance for algebraic identities and the total-conflict threshold.
-ALGEBRA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,14 @@ def combine_dst(a: BBA, b: BBA) -> tuple[BBA, float]:
     A one-row call of :func:`combine_mass_arrays`, so the scalar and the
     array paths share the kernel's arithmetic. Raises
     :class:`TotalConflictError` when the conflict leaves no mass to
-    renormalize (the kernel's dead-row test, 1 - K <= 1e-12); callers
+    renormalize (:func:`~apgm.kernels.total_conflict`); callers
     decide the fallback.
     """
     if a.frame != b.frame:
         raise FrameMismatchError(f"{a.frame} vs {b.frame}")
     fused, conflict = combine_mass_arrays(a.masses, b.masses)
     conflict = float(conflict)
-    if 1.0 - conflict <= ALGEBRA_TOL:
+    if total_conflict(conflict):
         raise TotalConflictError(conflict)
     omega = max(1.0 - float(fused.sum()), 0.0)
     return BBA(a.frame, _freeze(fused), omega), conflict
@@ -175,7 +173,8 @@ def combine_mass_arrays(
     ``a`` and ``b`` have shape (..., k); the frame mass is implicit as
     1 - sum over the last axis. Returns the fused singleton masses and the
     per-element conflict K. Elements in total conflict come back vacuous
-    (all zeros); callers count them via ``conflict >= 1 - 1e-12``.
+    (all zeros); callers count them with
+    :func:`~apgm.kernels.total_conflict`.
     """
     a, b = np.broadcast_arrays(
         np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
 from .evidence import (
-    ALGEBRA_TOL,
     BBA,
     ConflictCounter,
     combine_dst,
@@ -35,6 +34,7 @@ from .evidence import (
     vacuous,
 )
 from .grid import GridMap, Layer, Patch
+from .kernels import total_conflict
 from .requirements import RequirementProfile, cull_outside_horizon, required_step
 from .resample import resample_layer
 
@@ -45,7 +45,8 @@ class FusionPolicy:
 
     ``r_req`` caps the fused resolution step per type; types missing from
     it keep their best available resolution. ``alpha_age`` discounts the
-    previous map per temporal update (1 = no aging, 0 = per-cycle mode).
+    previous map per temporal update (1 = no aging, 0 = per-cycle mode);
+    its default here is the one the scenario runner also uses.
     """
 
     r_req: dict[str, int] = field(default_factory=dict)
@@ -56,12 +57,14 @@ class FusionPolicy:
         cls,
         profile: RequirementProfile,
         edge_length: float,
-        alpha_age: float = 0.95,
+        alpha_age: float | None = None,
     ) -> "FusionPolicy":
         steps = {
             t: required_step(profile, t, edge_length)
             for t in profile.active_types()
         }
+        if alpha_age is None:
+            return cls(r_req=steps)
         return cls(r_req=steps, alpha_age=alpha_age)
 
 
@@ -99,7 +102,7 @@ def fuse_layers(
     for nxt in resampled[1:]:
         acc, conflict = combine_mass_arrays(acc, nxt.masses.astype(np.float64))
         if counter is not None:
-            counter.add(np.count_nonzero(conflict >= 1.0 - ALGEBRA_TOL))
+            counter.add(np.count_nonzero(total_conflict(conflict)))
     return Layer(first.type_name, first.frame, r_fused, acc.astype(np.float32))
 
 

@@ -7,7 +7,9 @@ cells, in order, of the per-ray reference walk ``_traverse_rays_impl``,
 which it keeps as the fallback for the few rays whose crossings are too
 close to order safely. It numbers each cell x-major in one box holding
 every ray's origin and end cell, so a single running sum yields the
-numbers the occupancy builder counts. ``combine_masses`` works on one
+numbers the occupancy builder counts. Walk memory is O(emitted cells):
+``cap`` bounds the output but reserves nothing, so each fallback ray costs
+only the cells it emits. ``combine_masses`` works on one
 column view per hypothesis: numpy reduces a short last axis far slower
 than it adds columns, and a left-to-right chain of column adds is the
 order ``sum(axis=-1)`` uses, so the results are the same bit for bit.
@@ -38,6 +40,8 @@ _LATTICE_LIMIT = 2.0**50
 _ULP = 2.0**-52
 # Box numbers and corners are int64; larger boxes are refused, not wrapped.
 _BOX_LIMIT = 2**62
+# Conflict at or above this leaves at most 1e-12 mass to renormalize.
+_TOTAL_CONFLICT = 1.0 - 1e-12
 
 
 def _traverse_rays_impl(u0, v0, u1, v1, cap):
@@ -47,12 +51,12 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
     the endpoint cell, in traversal order. Exact corner crossings step
     diagonally, so only cells whose interior the segment passes through
     are emitted. Returns flat (x, y) cell-coordinate arrays of length n.
+    Cells are collected in lists, so memory is O(n); ``cap`` only bounds n.
     The walk runs on Python floats, so a subnormal direction gives an
     infinite step parameter silently, as IEEE division does.
     """
-    out_x = np.empty(cap, dtype=np.int64)
-    out_y = np.empty(cap, dtype=np.int64)
-    n = 0
+    out_x = []
+    out_y = []
     rays = (np.asarray(w, dtype=np.float64).tolist() for w in (u0, v0, u1, v1))
     for ax, ay, bx, by in zip(*rays):
         cx = int(math.floor(ax))
@@ -96,12 +100,11 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
                 break
             if cx == ex and cy == ey:
                 break
-            if n >= cap:  # capacity guard; ray_cell_cap makes this unreachable
+            if len(out_x) >= cap:  # unreachable when cap >= ray_cell_cap
                 break
-            out_x[n] = cx
-            out_y[n] = cy
-            n += 1
-    return out_x[:n], out_y[:n]
+            out_x.append(cx)
+            out_y.append(cy)
+    return np.array(out_x, dtype=np.int64), np.array(out_y, dtype=np.int64)
 
 
 def _end_cell_bounds(u0, v0, u1, v1):
@@ -159,9 +162,10 @@ def traverse_rays(u0, v0, u1, v1, cap):
     raises :class:`CellOutOfBoundsError`; a non-finite ray raises as the
     reference walk does.
 
-    Memory stays O(cap + rays): a batch that could emit more than ``cap``
-    cells (:func:`ray_cell_cap`) takes the reference walk, which stops at
-    ``cap``. Library calls pass ``ray_cell_cap``, so they never do.
+    Memory stays O(emitted cells + rays): a batch that could emit more
+    than ``cap`` cells (:func:`ray_cell_cap`) takes the reference walk,
+    which stops at ``cap``. Library calls pass ``ray_cell_cap``, so they
+    never do.
 
     A ray's k-th crossing of an x boundary lies at t = (qx + k) / |dx|,
     where qx is the distance from u0 to the first boundary ahead; the
@@ -299,12 +303,23 @@ def _row_sums(cols):
     return total
 
 
+def total_conflict(conflict):
+    """Whether a conflict K leaves no mass to renormalize: 1 - K <= 1e-12.
+
+    :func:`combine_masses` returns these rows vacuous; every caller that
+    counts or raises on total conflict uses this same test. It compares K
+    itself, which needs no temporary: 1 - K is exact for K >= 1/2, so
+    K >= fl(1 - 1e-12) holds for exactly the same float64 values.
+    """
+    return np.greater_equal(conflict, _TOTAL_CONFLICT)
+
+
 def combine_masses(a, b, out, conflict):
     """Dempster combination per row; singleton masses, frame mass implicit.
 
-    Total-conflict rows (K >= 1 - 1e-12) come back vacuous; the caller
-    reads the conflict array. Inputs are float64 rows of shape (n, k),
-    k >= 2, handled as one column view per hypothesis.
+    Total-conflict rows (:func:`total_conflict`) come back vacuous; the
+    caller reads the conflict array. Inputs are float64 rows of shape
+    (n, k), k >= 2, handled as one column view per hypothesis.
     """
     k = a.shape[1]
     ac = [a[:, j] for j in range(k)]
@@ -316,8 +331,8 @@ def combine_masses(a, b, out, conflict):
     conflict -= _row_sums(agree)
     wa = np.subtract(1.0, sa, out=sa)
     wb = np.subtract(1.0, sb, out=sb)
+    dead = total_conflict(conflict)
     safe = 1.0 - conflict
-    dead = safe <= 1e-12
     safe[dead] = 1.0
     fused = agree
     for f, x, y in zip(fused, ac, bc):

@@ -56,14 +56,6 @@ class RequirementProfile:
         return [t for t, d in self.demands.items() if d.active]
 
 
-@dataclass(frozen=True)
-class ScenarioMode:
-    """A named requirement profile, e.g. Parking or Road."""
-
-    label: str
-    profile: RequirementProfile
-
-
 def required_step(
     profile: RequirementProfile, type_name: str, edge_length: float
 ) -> int:

@@ -24,6 +24,7 @@ from .grid import GridConfig, GridMap
 from .requirements import (
     RequirementProfile,
     TypeRequirement,
+    _rect_min_distance,
     apply_requirements,
     required_step,
     validate_profile,
@@ -244,7 +245,7 @@ class ScenarioConfig:
         default_factory=lambda: {"parking": parking_profile(), "road": road_profile()}
     )
     seed: int = 7
-    temporal_alpha: float = 0.95
+    temporal_alpha: float = FusionPolicy.alpha_age
     measure_timing: bool = True
 
 
@@ -320,9 +321,8 @@ def uniform_patched_cell_count(
         for iy in range(base_y - reach, base_y + reach + 1):
             x0 = ix * edge_length
             y0 = iy * edge_length
-            dx = max(x0 - cx, 0.0, cx - (x0 + edge_length))
-            dy = max(y0 - cy, 0.0, cy - (y0 + edge_length))
-            if math.hypot(dx, dy) <= horizon_m:
+            d = _rect_min_distance(cx, cy, x0, y0, x0 + edge_length, y0 + edge_length)
+            if d <= horizon_m:
                 patches += 1
     return patches * (1 << (2 * step))
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CellOutOfBoundsError, NonFiniteInputError
-from .evidence import ALGEBRA_TOL, ConflictCounter, combine_mass_arrays
+from .evidence import ConflictCounter, combine_mass_arrays
 from .grid import (
     GridConfig,
     GridMap,
@@ -40,7 +40,7 @@ from .grid import (
     global_cells_of,
     split_global_cells,
 )
-from .kernels import box_cells, ray_cell_cap, traverse_rays
+from .kernels import box_cells, ray_cell_cap, total_conflict, traverse_rays
 from .requirements import RequirementProfile, required_step
 
 @dataclass
@@ -276,7 +276,7 @@ def measurement_grid_semantic(
         single = np.zeros_like(label_mass)
         single[:, j] = label_mass[:, j]
         acc, conflict = combine_mass_arrays(acc, single)
-        dead = conflict >= 1.0 - ALGEBRA_TOL
+        dead = total_conflict(conflict)
         if counter is not None and np.any(dead):
             counter.add(int(dead.sum()))
 

@@ -9,7 +9,7 @@ compares the library against them with ``np.array_equal``.
 import numpy as np
 
 from apgm.errors import CellOutOfBoundsError
-from apgm.evidence import ALGEBRA_TOL, combine_mass_arrays
+from apgm.evidence import combine_mass_arrays
 from apgm.grid import GridMap, global_cells_of, split_global_cells
 from apgm.kernels import _traverse_rays_impl, ray_cell_cap
 from apgm.requirements import required_step
@@ -160,7 +160,7 @@ def semantic_sorted(obs, profile, config, counter=None):
         single = np.zeros_like(label_mass)
         single[:, j] = label_mass[:, j]
         acc, conflict = combine_mass_arrays(acc, single)
-        dead = conflict >= 1.0 - ALGEBRA_TOL
+        dead = conflict >= 1.0 - 1e-12
         if counter is not None and np.any(dead):
             counter.add(int(dead.sum()))
 

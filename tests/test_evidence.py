@@ -24,6 +24,7 @@ from apgm import (
     plausibility,
     vacuous,
 )
+from apgm.kernels import total_conflict
 from conftest import bf_combine, focal_sets, random_bba, random_mass_rows
 
 
@@ -300,6 +301,33 @@ def test_vector_combine_total_conflict_goes_vacuous():
     fused, conflict = combine_mass_arrays(a, b)
     assert conflict[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(fused[0] == 0.0)
+
+
+def test_total_conflict_threshold_is_one_test():
+    # [K, 0] against [0, 1] has conflict exactly K. On the floats around
+    # 1 - 1e-12 the kernel zeroes a row, combine_dst raises and
+    # total_conflict holds for the same K, which are the K with
+    # 1 - K <= 1e-12 (1 - K is exact there).
+    ks = [(1.0 - 1e-12) + i * 2.0**-53 for i in range(-4, 5)]
+    a = np.array([[k, 0.0] for k in ks])
+    b = np.tile([0.0, 1.0], (len(ks), 1))
+    fused, conflict = combine_mass_arrays(a, b)
+    assert conflict.tolist() == ks
+    dead = total_conflict(conflict)
+    assert dead.any() and not dead.all()
+    assert np.array_equal(np.all(fused == 0.0, axis=1), dead)
+    near = (1.0 - 1e-12) + np.arange(-3000, 3000) * 2.0**-53
+    wide = np.random.default_rng(0).uniform(0.0, 2.0, 10000)
+    for k in (near, wide, np.array([0.5, 1.0, 2.0, np.inf, np.nan])):
+        assert np.array_equal(total_conflict(k), 1.0 - k <= 1e-12)
+    frame = Frame(("A", "B"))
+    for k, is_dead in zip(ks, dead):
+        x, y = make_bba(frame, [k, 0.0]), make_bba(frame, [0.0, 1.0])
+        if is_dead:
+            with pytest.raises(TotalConflictError):
+                combine_dst(x, y)
+        else:
+            assert combine_dst(x, y)[1] == k
 
 
 def test_vector_combine_broadcasts():

@@ -22,6 +22,7 @@ from apgm import (
 from apgm.evidence import ConflictCounter
 from apgm.grid import OCCUPANCY_FRAME, Layer, Patch
 from apgm.requirements import RequirementProfile, TypeRequirement
+from apgm.scenario import ScenarioConfig
 from conftest import bf_combine
 
 
@@ -64,7 +65,29 @@ def test_fuse_cells_total_conflict_fallback():
     assert counter.cells == 1
 
 
+def test_temporal_discount_default_has_one_source():
+    profile = RequirementProfile({"occupancy": TypeRequirement(True, 20.0, 0.1)})
+    policy = FusionPolicy.from_profile(profile, 12.8)
+    assert policy.alpha_age == FusionPolicy().alpha_age == 0.95
+    assert ScenarioConfig().temporal_alpha == FusionPolicy().alpha_age
+    assert FusionPolicy.from_profile(profile, 12.8, 0.5).alpha_age == 0.5
+
+
 # -- layers --------------------------------------------------------------------
+
+
+def test_fuse_layers_counts_the_cells_the_kernel_zeroes():
+    # K = 1 is total conflict; K = 1 - 2^-24, the largest float32 mass
+    # below 1, is not, and keeps its free mass.
+    a = Layer("occupancy", OCCUPANCY_FRAME, 1)
+    a.masses[:, :, 0] = [[1.0, 1.0 - 2.0**-24], [0.0, 0.5]]
+    b = Layer("occupancy", OCCUPANCY_FRAME, 1)
+    b.masses[:, :, 1] = 1.0
+    counter = ConflictCounter()
+    fused = fuse_layers([a, b], r_req=1, counter=counter)
+    assert counter.cells == 1
+    assert np.all(fused.masses[0, 0] == 0.0)
+    assert fused.masses[0, 1].tolist() == [0.0, 1.0]
 
 
 def test_fused_step_capped_by_available():

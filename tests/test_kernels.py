@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apgm.kernels
 import apgm.sensors
 from apgm import Frame, make_bba, run_scenario
 from apgm.errors import CellOutOfBoundsError
@@ -354,6 +355,35 @@ def test_walk_memory_is_bounded_by_capacity():
         rays = [np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1)]
         assert _peak_bytes(traverse_rays, *rays, cap) < 2**20
         assert_same_walk(*rays, cap)
+
+
+def test_reference_walk_memory_is_sized_by_emitted_cells():
+    # cap only bounds the output: a 3-cell walk under a 2^22 cap must not
+    # reserve cap-sized buffers (two of them would take 64 MB).
+    peak = _peak_bytes(_traverse_rays_impl, [0.5], [0.5], [3.5], [2.5], 2**22)
+    assert peak < 2**20
+    assert_same_walk([0.5], [0.5], [3.5], [2.5], 2**22)
+
+
+def test_fallback_rays_memory_is_sized_by_emitted_cells(monkeypatch):
+    # Near-45 degree rays from lattice corners miss every corner by an ulp,
+    # so each one takes the reference walk under the batch's whole cap.
+    u0 = 3.0 * np.arange(32.0)
+    v0 = np.zeros(32)
+    u1 = u0 + 200.0
+    v1 = v0 + np.nextafter(200.0, 0.0)
+    cap = ray_cell_cap(u0, v0, u1, v1)
+    walks = []
+    monkeypatch.setattr(
+        apgm.kernels,
+        "_traverse_rays_impl",
+        lambda *a: walks.append(a) or _traverse_rays_impl(*a),
+    )
+    cells, _ = traverse_rays(u0, v0, u1, v1, cap)
+    assert len(walks) == 32
+    assert _peak_bytes(traverse_rays, u0, v0, u1, v1, cap) < 16 * cells.nbytes
+    monkeypatch.undo()
+    assert_same_walk(u0, v0, u1, v1, cap)
 
 
 def test_walk_rejects_nonfinite_like_reference():

@@ -326,6 +326,22 @@ def test_semantic_total_conflict_resets_cell(config, sem_profile):
     assert counter.cells == 1
 
 
+def test_semantic_conflict_count_at_threshold(config, sem_profile):
+    # "road" at 1 - eps against certain "blocked" in one cell: K is about
+    # 1 - eps, so the cell is reset exactly where it is counted.
+    outcomes = set()
+    for eps in np.linspace(0.5e-12, 1.5e-12, 11):
+        counter = ConflictCounter()
+        obs = SemanticObservation(
+            [(5.0, 0.05), (5.0, 0.06)], ["road", "blocked"], [1.0 - eps, 1.0]
+        )
+        g = measurement_grid_semantic(obs, sem_profile, config, counter)
+        reset = bool(np.all(g.layer_at((0, 0), "semantic").masses[25, 0] == 0.0))
+        assert counter.cells == int(reset)
+        outcomes.add(reset)
+    assert outcomes == {True, False}
+
+
 # -- non-finite inputs ------------------------------------------------------------
 
 
