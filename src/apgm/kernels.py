@@ -5,11 +5,15 @@ of cells, plus Dempster folds over whole layers. Both are plain numpy.
 ``traverse_rays`` walks the whole ray batch at once and emits exactly the
 cells, in order, of the per-ray reference walk ``_traverse_rays_impl``,
 which it keeps as the fallback for the few rays whose crossings are too
-close to order safely. It numbers each cell x-major in one box holding
-every ray's origin and end cell, so a single running sum yields the
-numbers the occupancy builder counts. Walk memory is O(emitted cells):
-``cap`` bounds the output but reserves nothing, so each fallback ray costs
-only the cells it emits. ``combine_masses`` works on one
+close to order safely (0.2-0.6 % of the rays of a scenario scan). The
+walk is symmetric in x and y, so each ray places the crossings of its
+minor axis among those of its major axis, and the ordering check costs
+one pass over min(nx, ny) crossings per ray. Cells are numbered x-major
+in the rectangle of every ray's origin and end cell (the reference walk
+stops at its end cell), so a single running sum yields the numbers the
+occupancy builder counts. Walk memory is O(emitted cells): ``cap``
+bounds the output but reserves nothing, so each fallback ray costs only
+the cells it emits. ``combine_masses`` works on one
 column view per hypothesis: numpy reduces a short last axis far slower
 than it adds columns, and a left-to-right chain of column adds is the
 order ``sum(axis=-1)`` uses, so the results are the same bit for bit.
@@ -50,7 +54,10 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
     Emits, for every ray, the cells strictly between the origin cell and
     the endpoint cell, in traversal order. Exact corner crossings step
     diagonally, so only cells whose interior the segment passes through
-    are emitted. Returns flat (x, y) cell-coordinate arrays of length n.
+    are emitted. A ray whose summed parameters carry it past its end cell
+    on either axis (it ends on a cell boundary) stops there, so every cell
+    lies in its origin/end rectangle. Returns flat (x, y) cell-coordinate
+    arrays of length n.
     Cells are collected in lists, so memory is O(n); ``cap`` only bounds n.
     The walk runs on Python floats, so a subnormal direction gives an
     infinite step parameter silently, as IEEE division does.
@@ -100,6 +107,8 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
                 break
             if cx == ex and cy == ey:
                 break
+            if (cx - ex) * sx > 0 or (cy - ey) * sy > 0:
+                break  # rounding carried the walk past its end cell
             if len(out_x) >= cap:  # unreachable when cap >= ray_cell_cap
                 break
             out_x.append(cx)
@@ -120,14 +129,6 @@ def _end_cell_bounds(u0, v0, u1, v1):
         one = slice(i, i + 1)
         _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], 1)
     return [math.floor(v) for v in lo], [math.floor(v) for v in hi]
-
-
-def _grow_bounds(lo, hi, xs, ys):
-    """Inclusive cell bounds widened to hold the cells (xs, ys)."""
-    if not len(xs):
-        return lo, hi
-    lo = [min(lo[0], int(xs.min())), min(lo[1], int(ys.min()))]
-    return lo, [max(hi[0], int(xs.max())), max(hi[1], int(ys.max()))]
 
 
 def _cell_box(lo, hi):
@@ -154,8 +155,7 @@ def traverse_rays(u0, v0, u1, v1, cap):
     """Batch form of :func:`_traverse_rays_impl`, numbering cells in a box.
 
     Returns ``(cells, box)``. ``box = [x0, y0, nx, ny]`` (int64) is the
-    cell rectangle holding every ray's origin and end cell (and the few
-    cells the reference walk's rounding emits past an end cell); ``cells``
+    cell rectangle holding every ray's origin and end cell; ``cells``
     holds ``(x - x0) * ny + (y - y0)`` for exactly the cells, in the
     order, that the reference walk emits, cut at ``cap``
     (:func:`box_cells` decodes them). A box of more than 2**62 cells
@@ -171,10 +171,13 @@ def traverse_rays(u0, v0, u1, v1, cap):
     where qx is the distance from u0 to the first boundary ahead; the
     same holds for y. The first crossing per axis uses the reference
     walk's own expression, so an exact corner tie there (an origin on a
-    lattice corner) resolves bit for bit into one diagonal step. Each x
-    crossing is placed in the ray's merged event order by counting the y
-    crossings before it; y crossings fill the remaining slots. A box
-    number is linear in (x, y), so each event adds ``step_x * ny +
+    lattice corner) resolves bit for bit into one diagonal step. Each ray
+    places the crossings of its minor axis m, the one with fewer crossings
+    (y where ny < nx, else x), in its merged event order by counting the
+    major-axis crossings before each; major crossings fill the remaining
+    slots. The walk treats x and y alike, so this orders the events as it
+    does, and the check costs sum(min(nx, ny)) crossings, not sum(nx). A
+    box number is linear in (x, y), so each event adds ``step_x * ny +
     step_y`` and one running sum over the batch gives every cell.
 
     The reference walk accumulates ``tmax += tdelta``, so for t <= 1 its
@@ -191,20 +194,20 @@ def traverse_rays(u0, v0, u1, v1, cap):
     v0 = np.asarray(v0, dtype=np.float64)
     u1 = np.asarray(u1, dtype=np.float64)
     v1 = np.asarray(v1, dtype=np.float64)
-    lo, hi = _end_cell_bounds(u0, v0, u1, v1)
-    _cell_box(lo, hi)  # refuse an oversized box before walking anything
+    # Refuse an oversized box before walking anything.
+    box = _cell_box(*_end_cell_bounds(u0, v0, u1, v1))
+    x0, y0, _, stride = (int(v) for v in box)
     if ray_cell_cap(u0, v0, u1, v1) > cap:
         xs, ys = _traverse_rays_impl(u0, v0, u1, v1, cap)
-        box = _cell_box(*_grow_bounds(lo, hi, xs, ys))
-        return (xs - box[0]) * box[3] + (ys - box[1]), box
+        return (xs - x0) * stride + (ys - y0), box
     span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
     flag = ~(span < _LATTICE_LIMIT)
     a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
     cx, cy, ex, ey = np.floor(a0), np.floor(b0), np.floor(a1), np.floor(b1)
     dx = a1 - a0
     dy = b1 - b0
-    sx = np.where(dx > 0.0, 1, -1)
-    sy = np.where(dy > 0.0, 1, -1)
+    step_x = np.where(dx > 0.0, stride, -stride)
+    step_y = np.where(dy > 0.0, 1, -1)
     qx = np.where(dx > 0.0, (cx + 1.0) - a0, a0 - cx)
     qy = np.where(dy > 0.0, (cy + 1.0) - b0, b0 - cy)
     adx = np.abs(dx)
@@ -212,46 +215,48 @@ def traverse_rays(u0, v0, u1, v1, cap):
     nx = np.abs(ex - cx).astype(np.int64)
     ny = np.abs(ey - cy).astype(np.int64)
     tol = (nx + ny + 16) * _ULP  # >= 2 * (i + 6 + j + 6) * 2**-53 per pair
+    # Each ray places the crossings of its minor axis m (fewer crossings)
+    # among those of its major axis M; the walk is symmetric in x and y.
+    minor_y = ny < nx
+    q_m, q_M = np.where(minor_y, qy, qx), np.where(minor_y, qx, qy)
+    ad_m, ad_M = np.where(minor_y, ady, adx), np.where(minor_y, adx, ady)
+    n_m, n_M = np.minimum(nx, ny), np.maximum(nx, ny)
+    step_m = np.where(minor_y, step_y, step_x)
+    step_M = np.where(minor_y, step_x, step_y)
 
     with np.errstate(all="ignore"):
-        tie = (nx > 0) & (ny > 0) & (qx / adx == qy / ady)
+        tie = (n_m > 0) & (q_m / ad_m == q_M / ad_M)
         # Every crossing up to the end cell must lie safely below t = 1.
         # The next one lies at t >= 1 - ulp, so it then stays last too.
         for q, ad, n in ((qx, adx, nx), (qy, ady, ny)):
             flag |= (n > 0) & ((q + (n - 1)) / ad >= 1.0 - tol)
 
-        # x crossings, flat over the batch: index k within its ray.
-        k = np.arange(nx.sum()) - np.repeat(np.cumsum(nx) - nx, nx)
-        t = (np.repeat(qx, nx) + k) / np.repeat(adx, nx)
-        qyr, adyr, nyr, tolr = (np.repeat(w, nx) for w in (qy, ady, ny, tol))
-        tier = np.repeat(tie, nx)
-        # c = number of y crossings at or before t: a guess from the y
-        # position, then checked against its two neighbouring crossings.
-        c = np.floor(t * adyr - qyr).astype(np.int64) + 1
-        np.clip(c, 0, nyr, out=c)
+        # Minor-axis crossings, flat over the batch: index k within its ray.
+        k = np.arange(n_m.sum()) - np.repeat(np.cumsum(n_m) - n_m, n_m)
+        t = (np.repeat(q_m, n_m) + k) / np.repeat(ad_m, n_m)
+        qr, adr, nr, tolr = (np.repeat(w, n_m) for w in (q_M, ad_M, n_M, tol))
+        tier = np.repeat(tie, n_m)
+        # c = number of major crossings at or before t: a guess from the
+        # major position, then checked against its two neighbouring crossings.
+        c = np.floor(t * adr - qr).astype(np.int64) + 1
+        np.clip(c, 0, nr, out=c)
         first = k == 0
         c[first & tier] = 1
-        below = (qyr + (c - 1)) / adyr
-        above = (qyr + c) / adyr
+        below = (qr + (c - 1)) / adr
+        above = (qr + c) / adr
         # Pairs of first crossings compare exactly as in the walk.
         bad = (c > 0) & ((below > t) | ((t - below <= tolr) & ~(first & (c == 1))))
-        bad |= (c < nyr) & ((above <= t) | ((above - t <= tolr) & ~(first & (c == 0))))
-    flag[np.repeat(np.arange(len(nx)), nx)[bad]] = True
+        bad |= (c < nr) & ((above <= t) | ((above - t <= tolr) & ~(first & (c == 0))))
+    flag[np.repeat(np.arange(len(n_m)), n_m)[bad]] = True
     # Free the ordering checks' arrays before the event arrays are built.
-    del t, qyr, adyr, nyr, tolr, first, below, above, bad
+    del t, qr, adr, nr, tolr, first, below, above, bad
 
-    # Flagged rays take the reference walk. Its rounding can carry a ray
-    # ending on a cell boundary one cell past its end cell, so the box
-    # also holds every cell these walks emit.
+    # Flagged rays take the reference walk, which stops at its end cell.
     fallback = np.flatnonzero(flag)
     walks = []
     for r in fallback:
         one = slice(r, r + 1)
-        fx, fy = _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap)
-        walks.append((fx, fy))
-        lo, hi = _grow_bounds(lo, hi, fx, fy)
-    box = _cell_box(lo, hi)
-    x0, y0, _, stride = (int(v) for v in box)
+        walks.append(_traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap))
 
     # Merged events per ray (a corner tie is one diagonal step); the last
     # one enters the end cell, which is not emitted. A y step adds 1 to
@@ -260,12 +265,12 @@ def traverse_rays(u0, v0, u1, v1, cap):
     n_events = np.where(flag, 0, nx + ny - tie)
     n_events[fallback] = [len(fx) + 1 for fx, _ in walks]
     start = np.cumsum(n_events) - n_events
-    ok = ~np.repeat(flag, nx)
-    at_x = (np.repeat(start, nx) + k + c - tier)[ok]
-    step = np.repeat(sy, n_events)
-    step[at_x] = np.repeat(sx * stride, nx)[ok]
+    ok = ~np.repeat(flag, n_m)
+    at_m = (np.repeat(start, n_m) + k + c - tier)[ok]
+    step = np.repeat(step_M, n_events)
+    step[at_m] = np.repeat(step_m, n_m)[ok]
     diag = np.flatnonzero(tie & ~flag)
-    step[start[diag]] += sy[diag]
+    step[start[diag]] += step_M[diag]
     live = np.flatnonzero(n_events)
     origin = _box_numbers(u0[live], v0[live], x0, y0, stride)
     end = _box_numbers(u1[live], v1[live], x0, y0, stride)

@@ -70,16 +70,27 @@ def required_step(
     )
 
 
-def validate_profile(profile: RequirementProfile, edge_length: float) -> list[str]:
-    """Check the power-of-two cell size invariant; returns diagnostics."""
+def validate_profile(
+    profile: RequirementProfile,
+    edge_length: float,
+    max_step: int = GridConfig.max_step,
+) -> list[str]:
+    """Check the power-of-two cell size invariant and that a grid with
+    ``max_step`` can hold every demanded step; returns diagnostics."""
     problems = []
     for name, demand in profile.demands.items():
         ratio = edge_length / demand.max_cell_size_m
-        nearest = 2.0 ** round(math.log2(ratio))
+        step = round(math.log2(ratio))
+        nearest = 2.0**step
         if abs(ratio - nearest) > STEP_TOL * nearest:
             problems.append(
                 f"type {name!r}: edge {edge_length} / cell size "
                 f"{demand.max_cell_size_m} = {ratio} is not a power of two"
+            )
+        elif step > max_step:
+            problems.append(
+                f"type {name!r}: cell size {demand.max_cell_size_m} m needs "
+                f"step {step}, above the grid's max_step {max_step}"
             )
     return problems
 

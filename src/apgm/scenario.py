@@ -260,8 +260,9 @@ def validate_scenario(
     for _, label in script.mode_times:
         if label not in config.modes:
             problems.append(f"script uses undefined mode {label!r}")
+    grid = config.grid
     for label, profile in config.modes.items():
-        for issue in validate_profile(profile, config.grid.edge_length):
+        for issue in validate_profile(profile, grid.edge_length, grid.max_step):
             problems.append(f"mode {label!r}: {issue}")
     for lidar in config.lidars:
         if lidar.beams < 1:

@@ -161,15 +161,16 @@ def test_box_numbers_cells_x_major():
     assert cells.tolist() == [4 * 7 + 4, 4 * 7 + 5, 0 * 7 + 2, 0 * 7 + 1]
 
 
-def test_box_holds_cells_the_walk_emits_past_its_end_cell():
+def test_walk_stops_at_its_end_cell():
     # Ending on the lattice corner (0, -12), the reference walk's summed
-    # parameters put the crossing of y = -12 below t = 1, so it emits
-    # (-1, -13), outside the origin/end rectangle; the box widens to hold it.
+    # parameters put the crossing of y = -12 below t = 1, which would carry
+    # it into (-1, -13), a cell the segment never enters. The walk stops
+    # there instead, so the box is the origin/end rectangle.
     ray = ([-15.554], [-3.219], [0.0], [-12.0])
     xs, ys = _traverse_rays_impl(*ray, 64)
-    assert (xs[-1], ys[-1]) == (-1, -13)
+    assert (xs[-1], ys[-1]) == (-1, -12)
     _, box = traverse_rays(*(np.array(w) for w in ray), 64)
-    assert box.tolist() == [-16, -13, 17, 10]
+    assert box.tolist() == [-16, -12, 17, 9]
     assert_same_walk(*ray)
 
 
@@ -235,6 +236,25 @@ _ray = st.tuples(_coord, _coord, _coord, _coord)
 @given(st.lists(_ray, min_size=1, max_size=30))
 def test_walk_property_mixed_rays(rays):
     assert_same_walk(*np.array(rays).T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ray, min_size=1, max_size=30))
+def test_walk_property_transposed_batch(rays):
+    # The walk is symmetric in x and y: the transposed batch gives the
+    # transposed cells in the same order, in the reference walk and in the
+    # batch kernel (which places each ray's minor-axis crossings).
+    u0, v0, u1, v1 = np.array(rays).T
+    cap = ray_cell_cap(u0, v0, u1, v1)
+    xs, ys = _traverse_rays_impl(u0, v0, u1, v1, cap)
+    tx, ty = _traverse_rays_impl(v0, u0, v1, u1, cap)
+    assert np.array_equal(xs, ty) and np.array_equal(ys, tx)
+    cells, box = traverse_rays(u0, v0, u1, v1, cap)
+    t_cells, t_box = traverse_rays(v0, u0, v1, u1, cap)
+    assert t_box.tolist() == box[[1, 0, 3, 2]].tolist()
+    xs, ys = box_cells(cells, box)
+    tx, ty = box_cells(t_cells, t_box)
+    assert np.array_equal(xs, ty) and np.array_equal(ys, tx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -384,6 +404,23 @@ def test_fallback_rays_memory_is_sized_by_emitted_cells(monkeypatch):
     assert _peak_bytes(traverse_rays, u0, v0, u1, v1, cap) < 16 * cells.nbytes
     monkeypatch.undo()
     assert_same_walk(u0, v0, u1, v1, cap)
+
+
+def test_walk_memory_is_symmetric_in_x_and_y():
+    # The ordering check runs over each ray's minor-axis crossings, so 500
+    # shallow 400-cell rays and their transpose (steep rays) peak alike.
+    rng = np.random.default_rng(12)
+    angle = rng.uniform(-0.1, 0.1, 500) + np.pi * rng.integers(0, 2, 500)
+    u0 = rng.uniform(-8.0, 8.0, 500)
+    v0 = rng.uniform(-8.0, 8.0, 500)
+    u1 = u0 + 400.0 * np.cos(angle)
+    v1 = v0 + 400.0 * np.sin(angle)
+    cap = ray_cell_cap(u0, v0, u1, v1)
+    shallow = _peak_bytes(traverse_rays, u0, v0, u1, v1, cap)
+    steep = _peak_bytes(traverse_rays, v0, u0, v1, u1, cap)
+    assert max(shallow, steep) <= 1.25 * min(shallow, steep)
+    assert_same_walk(u0, v0, u1, v1, cap)
+    assert_same_walk(v0, u0, v1, u1, cap)
 
 
 def test_walk_rejects_nonfinite_like_reference():

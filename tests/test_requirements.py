@@ -45,6 +45,15 @@ def test_validate_profile_power_of_two():
     assert problems and "power of two" in problems[0]
 
 
+def test_validate_profile_step_above_max_step():
+    # 12.8 m / 2^11 needs step 11; the default grid (max_step 10) cannot
+    # hold it.
+    fine = profile(cell=12.8 / 2**11)
+    assert validate_profile(fine, 12.8, max_step=11) == []
+    problems = validate_profile(fine, 12.8)
+    assert problems and "needs step 11, above the grid's max_step 10" in problems[0]
+
+
 # -- horizon / frustum --------------------------------------------------------------
 
 

@@ -11,6 +11,8 @@ from apgm import (
     GridConfig,
     GridMap,
     LidarConfig,
+    RequirementProfile,
+    TypeRequirement,
     reference_cell_counts,
     run_scenario,
     simulate_camera,
@@ -166,6 +168,16 @@ def test_unknown_mode_raises_config_error():
     script, world, config = default_scenario()
     script.mode_times = [(0.0, "hover")]
     with pytest.raises(ConfigError):
+        run_scenario(script, world, config)
+
+
+def test_step_above_max_step_raises_config_error():
+    # Caught at entry, before a step-11 layer is built that GridMap.check()
+    # and load_grid would refuse.
+    script, world, config = default_scenario()
+    fine = TypeRequirement(True, 20.0, 12.8 / 2**11)
+    config.modes["parking"] = RequirementProfile({"occupancy": fine})
+    with pytest.raises(ConfigError, match="max_step 10"):
         run_scenario(script, world, config)
 
 
@@ -370,6 +382,16 @@ def test_cli_validate_broken_config(tmp_path):
         "[mode.parking]\noccupancy_cell_size_m = 0.3\n"
     )
     assert cli_main(["validate-config", str(bad)]) == 2
+
+
+def test_cli_validate_reports_step_above_max_step(tmp_path, capsys):
+    path = tmp_path / "fine.ini"
+    path.write_text(
+        "[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:parking\n"
+        f"[mode.parking]\noccupancy_cell_size_m = {12.8 / 2**11!r}\n"
+    )
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert "above the grid's max_step 10" in capsys.readouterr().err
 
 
 def test_cli_demo_resample(tmp_path):
