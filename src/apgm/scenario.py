@@ -70,6 +70,22 @@ class LidarConfig:
     def sensor_params(self) -> SensorModelParams:
         return SensorModelParams(self.mu_hit, self.mu_free, self.max_range)
 
+    def validate(self) -> list[str]:
+        """Diagnostics for every field; the sensor model's limits come
+        from :class:`SensorModelParams`."""
+        problems = []
+        if self.beams < 1:
+            problems.append("beam count must be positive")
+        try:
+            self.sensor_params()
+        except ValueError as exc:
+            problems.append(str(exc))
+        if not 0.0 <= self.noise_sigma < math.inf:
+            problems.append("noise_sigma must be finite and nonnegative")
+        if not all(math.isfinite(v) for v in self.mount):
+            problems.append("mount must be finite")
+        return problems
+
 
 @dataclass
 class CameraConfig:
@@ -80,6 +96,19 @@ class CameraConfig:
     angle_step_rad: float = math.radians(1.0)
     confidence_near: float = 0.9
     confidence_far: float = 0.4
+
+    def validate(self) -> list[str]:
+        """Diagnostics for every field."""
+        problems = []
+        if not 0.0 <= self.fov_half_angle_rad <= math.pi:
+            problems.append("fov half angle must be in [0, 180] degrees")
+        for key in ("max_range", "range_step", "angle_step_rad"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                problems.append(f"{key} must be finite and positive")
+        for key in ("confidence_near", "confidence_far"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                problems.append(f"{key} must be in [0, 1]")
+        return problems
 
 
 def _mounted(pose, mount) -> np.ndarray:
@@ -265,8 +294,10 @@ def validate_scenario(
         for issue in validate_profile(profile, grid.edge_length, grid.max_step):
             problems.append(f"mode {label!r}: {issue}")
     for lidar in config.lidars:
-        if lidar.beams < 1:
-            problems.append(f"lidar {lidar.name!r}: beam count must be positive")
+        problems += [f"lidar {lidar.name!r}: {p}" for p in lidar.validate()]
+    if config.camera is not None:
+        name = config.camera.name
+        problems += [f"camera {name!r}: {p}" for p in config.camera.validate()]
     if not 0.0 <= config.temporal_alpha <= 1.0:
         problems.append("temporal alpha must be in [0, 1]")
     return problems

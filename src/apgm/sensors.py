@@ -17,8 +17,9 @@ crossings with ``np.bincount`` over the cell box in which
 ``kernels.traverse_rays`` numbers them, reads each cell's free mass from a
 table indexed by crossing count and writes the box into the window with
 one slice; the few cells holding returns take their occupied mass from a
-table indexed by hit count. Semantics groups points with ``np.unique``
-over window numbers.
+table indexed by hit count. Semantics encodes the kept points' labels to
+frame indices with a dict and groups points with ``np.unique`` over
+window numbers.
 
 Builders are pure producers: every call returns a private grid map, so
 multiple sensor grids can be built concurrently.
@@ -27,11 +28,16 @@ multiple sensor grids can be built concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CellOutOfBoundsError, NonFiniteInputError
+from .errors import (
+    CellOutOfBoundsError,
+    NonFiniteInputError,
+    UnknownHypothesisError,
+)
 from .evidence import ConflictCounter, combine_mass_arrays
 from .grid import (
     GridConfig,
@@ -56,7 +62,7 @@ class SensorModelParams:
             raise ValueError("mu_hit must be in (0, 1]")
         if not 0.0 < self.mu_free < 1.0:
             raise ValueError("mu_free must be in (0, 1)")
-        if self.max_range <= 0.0:
+        if not self.max_range > 0.0:
             raise ValueError("max_range must be positive")
 
 
@@ -254,9 +260,16 @@ def measurement_grid_semantic(
     pts = obs.points[keep]
     if len(pts) == 0:
         return grid
-    names, label_of_point = np.unique(np.asarray(obs.labels)[keep], return_inverse=True)
-    frame_idx = np.array([frame.index(str(name)) for name in names], dtype=np.int64)
-    label_idx = frame_idx[label_of_point]
+    code = {name: j for j, name in enumerate(frame.hypotheses)}
+    try:
+        label_idx = np.array(
+            [code[name] for name in compress(obs.labels, keep.tolist())],
+            dtype=np.int64,
+        )
+    except KeyError as exc:
+        raise UnknownHypothesisError(
+            f"{exc.args[0]!r} is not in frame {frame.hypotheses}"
+        ) from None
     conf = np.clip(obs.confidences[keep], 0.0, 1.0)
 
     cells = global_cells_of(pts, config.datum, width)
@@ -265,6 +278,8 @@ def measurement_grid_semantic(
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in
     # log space, then combine the per-label aggregates with Dempster's rule.
+    # The fold starts from the first label's masses: combining them with a
+    # vacuous start returns them bit for bit and meets no conflict.
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-conf)
     agg = np.zeros((len(uniq), len(frame)))
@@ -272,7 +287,8 @@ def measurement_grid_semantic(
     label_mass = 1.0 - np.exp(agg)
 
     acc = np.zeros_like(label_mass)
-    for j in range(len(frame)):
+    acc[:, 0] = label_mass[:, 0]
+    for j in range(1, len(frame)):
         single = np.zeros_like(label_mass)
         single[:, j] = label_mass[:, j]
         acc, conflict = combine_mass_arrays(acc, single)

@@ -1,16 +1,18 @@
 """Reference implementations the rewritten hot layers must equal bit for bit.
 
 These are the earlier bodies of ``kernels.combine_masses`` (row
-reductions) and of the sort-based measurement-grid builders (uint64 cell
-keys, ``np.unique`` and a per-patch scatter). ``test_equivalence.py``
-compares the library against them with ``np.array_equal``.
+reductions), of the sort-based measurement-grid builders (uint64 cell
+keys, ``np.unique`` and a per-patch scatter) and of
+``WorldModel.label_points`` (every region tested against every point).
+``test_equivalence.py`` compares the library against them with
+``np.array_equal`` or list equality.
 """
 
 import numpy as np
 
 from apgm.errors import CellOutOfBoundsError
 from apgm.evidence import combine_mass_arrays
-from apgm.grid import GridMap, global_cells_of, split_global_cells
+from apgm.grid import UNKNOWN, GridMap, global_cells_of, split_global_cells
 from apgm.kernels import _traverse_rays_impl, ray_cell_cap
 from apgm.requirements import required_step
 from apgm.sensors import _clip_to_horizon, occupancy_evidence
@@ -168,3 +170,32 @@ def semantic_sorted(obs, profile, config, counter=None):
     for j in range(len(frame)):
         _scatter_channel(grid, step, "semantic", decoded, acc[:, j], j)
     return grid
+
+
+def points_in_polygon_all_edges(points, polygon):
+    px = points[:, 0]
+    py = points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    n = len(polygon)
+    for i in range(n):
+        x0, y0 = polygon[i]
+        x1, y1 = polygon[(i + 1) % n]
+        crosses = (y0 > py) != (y1 > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (px < xint)
+    return inside
+
+
+def label_points_every_region(regions, points):
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    labels = [UNKNOWN] * len(points)
+    undecided = np.ones(len(points), dtype=bool)
+    for region in regions:
+        if not np.any(undecided):
+            break
+        inside = points_in_polygon_all_edges(points, region.polygon) & undecided
+        for i in np.flatnonzero(inside):
+            labels[i] = region.label
+        undecided &= ~inside
+    return labels

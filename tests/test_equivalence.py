@@ -1,5 +1,6 @@
-"""The column combine kernel and the window-count builders equal their
-row-reducing and sort-based predecessors (``sort_oracles.py``) bit for bit.
+"""The column combine kernel, the window-count builders and the region
+labelling equal their row-reducing, sort-based and every-region
+predecessors (``sort_oracles.py``) bit for bit.
 """
 
 import math
@@ -21,7 +22,14 @@ from apgm import (
 from apgm.evidence import ConflictCounter
 from apgm.grid import SEMANTIC_FRAME
 from apgm.kernels import combine_masses
-from sort_oracles import combine_masses_rows, occupancy_sorted, semantic_sorted
+from apgm.scenario import CameraConfig, simulate_camera
+from apgm.world import Rect, SemanticRegion, WorldModel, default_world
+from sort_oracles import (
+    combine_masses_rows,
+    label_points_every_region,
+    occupancy_sorted,
+    semantic_sorted,
+)
 
 
 def assert_same_grid(got, want):
@@ -185,3 +193,79 @@ def test_semantic_equals_sort_based_builder(observation):
     want = semantic_sorted(obs, profile, config, want_counter)
     assert_same_grid(got, want)
     assert got_counter.cells == want_counter.cells
+
+
+# -- region labelling --------------------------------------------------------------
+
+# Half-metre lattice values put points on vertices, edges and bounding lines.
+_LATTICE = st.integers(-5, 5).map(lambda v: v / 2.0)
+_COORD = st.one_of(_LATTICE, st.floats(-2.5, 2.5))
+
+
+@st.composite
+def polygons(draw):
+    kind = draw(st.sampled_from(["rectangle", "ell", "slanted"]))
+    if kind == "rectangle":
+        x0, x1 = sorted(draw(st.tuples(_COORD, _COORD)))
+        y0, y1 = sorted(draw(st.tuples(_COORD, _COORD)))
+        vertices = Rect(x0, y0, x1, y1).as_polygon().tolist()
+    elif kind == "ell":  # axis-parallel and concave
+        x0, x1, x2 = sorted(draw(st.tuples(_COORD, _COORD, _COORD)))
+        y0, y1, y2 = sorted(draw(st.tuples(_COORD, _COORD, _COORD)))
+        vertices = [(x0, y0), (x2, y0), (x2, y1), (x1, y1), (x1, y2), (x0, y2)]
+    else:  # slanted edges, possibly concave or self-crossing
+        vertices = draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=7))
+    start = draw(st.integers(0, len(vertices) - 1))
+    vertices = vertices[start:] + vertices[:start]
+    if draw(st.booleans()):
+        vertices = vertices[::-1]
+    return np.array(vertices, dtype=np.float64)
+
+
+@st.composite
+def labelling_cases(draw):
+    # Distinct labels make the first-match-wins order visible.
+    regions = [
+        SemanticRegion(polygon, f"region{i}")
+        for i, polygon in enumerate(draw(st.lists(polygons(), max_size=5)))
+    ]
+    points = draw(st.lists(st.tuples(_COORD, _COORD), max_size=30))
+    far = st.floats(-100, 100)
+    points += draw(st.lists(st.tuples(far, far), max_size=5))
+    for region in regions:
+        vertices = region.polygon
+        x0, y0 = vertices.min(axis=0)
+        x1, y1 = vertices.max(axis=0)
+        t = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0 / 3.0]))
+        points += [tuple(v) for v in vertices]
+        ends = np.roll(vertices, -1, axis=0)
+        points += [tuple(a + t * (b - a)) for a, b in zip(vertices, ends)]
+        c = draw(_COORD)
+        points += [(x0, c), (x1, c), (c, y0), (c, y1)]
+    points = np.array(points, dtype=np.float64).reshape(-1, 2)
+    return WorldModel(regions=regions), points
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelling_cases())
+def test_label_points_equals_every_region_loop(case):
+    world, points = case
+    with np.errstate(over="ignore"):  # the loop reports an overflowing crossing x
+        want = label_points_every_region(world.regions, points)
+    assert world.label_points(points) == want
+
+
+def test_label_points_empty_inputs():
+    world = default_world()
+    assert world.label_points(np.empty((0, 2))) == []
+    points = np.array([[35.0, 0.0], [35.0, 4.0], [-100.0, 0.0]])
+    assert WorldModel().label_points(points) == ["unknown"] * 3
+
+
+def test_label_points_on_default_world_frustums():
+    world = default_world()
+    for x in np.linspace(-10.0, 470.0, 25):
+        for heading in (0.0, 0.7, math.pi):
+            points = simulate_camera(world, (x, 0.3, heading), CameraConfig()).points
+            got = world.label_points(points)
+            assert got == label_points_every_region(world.regions, points)

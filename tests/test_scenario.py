@@ -1,5 +1,6 @@
 """Simulators, references, metrics files, rasters, and the CLI surface."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,8 @@ from apgm.scenario import (
     summarize,
     uniform_patched_cell_count,
 )
-from apgm.world import Rect, WorldModel, default_world
+from apgm.errors import NonFiniteInputError
+from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 
 
 # -- lidar simulation -------------------------------------------------------------
@@ -107,6 +109,20 @@ def test_camera_frustum_has_no_rear_samples():
     assert np.all(np.hypot(obs.points[:, 0], obs.points[:, 1]) <= 40.0 + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "polygon,error",
+    [
+        ([(0.0, 0.0), (1.0, math.nan), (1.0, 1.0)], NonFiniteInputError),
+        ([(0.0, 0.0), (math.inf, 0.0), (1.0, 1.0)], NonFiniteInputError),
+        ([(0.0, 0.0), (1.0, 1.0)], ValueError),
+        ([0.0, 1.0, 2.0], ValueError),
+    ],
+)
+def test_semantic_region_rejects_bad_polygon(polygon, error):
+    with pytest.raises(error):
+        SemanticRegion(np.array(polygon), "road")
+
+
 # -- reference layouts -----------------------------------------------------------------
 
 
@@ -179,6 +195,53 @@ def test_step_above_max_step_raises_config_error():
     config.modes["parking"] = RequirementProfile({"occupancy": fine})
     with pytest.raises(ConfigError, match="max_step 10"):
         run_scenario(script, world, config)
+
+
+# One bad value per sensor field: (sensor, field, value, INI key, INI value,
+# diagnostic). Each used to escape as a bare error, run silently, or fail
+# only on the first cycle.
+BAD_SENSOR_FIELDS = [
+    ("camera", "fov_half_angle_rad", math.nan, "fov_half_angle_deg", "nan", "fov half"),
+    ("camera", "max_range", -40.0, "max_range", "-40", "max_range must be"),
+    ("camera", "range_step", 0.0, "range_step", "0", "range_step must be"),
+    ("camera", "range_step", -0.4, "range_step", "-0.4", "range_step must be"),
+    ("camera", "angle_step_rad", 0.0, "angle_step_deg", "0", "angle_step_rad must be"),
+    ("camera", "confidence_near", 1.5, "confidence_near", "1.5", "confidence_near must"),
+    ("camera", "confidence_far", -0.1, "confidence_far", "-0.1", "confidence_far must"),
+    ("lidar", "beams", 0, "beams", "0", "beam count must be positive"),
+    ("lidar", "max_range", 0.0, "max_range", "0", "max_range must be positive"),
+    ("lidar", "max_range", math.nan, "max_range", "nan", "max_range must be positive"),
+    ("lidar", "noise_sigma", -0.1, "noise_sigma", "-0.1", "noise_sigma must be"),
+    ("lidar", "mount", (math.nan, 0.0), "mount_x", "nan", "mount must be finite"),
+    ("lidar", "mu_hit", 1.5, "mu_hit", "1.5", "mu_hit must be in"),
+    ("lidar", "mu_free", 0.0, "mu_free", "0", "mu_free must be in"),
+]
+
+
+@pytest.mark.parametrize("sensor,field,value,key,raw,message", BAD_SENSOR_FIELDS)
+def test_bad_sensor_field_raises_config_error(sensor, field, value, key, raw, message):
+    script, world, config = default_scenario()
+    if sensor == "camera":
+        config.camera = dataclasses.replace(config.camera, **{field: value})
+    else:
+        config.lidars[0] = dataclasses.replace(config.lidars[0], **{field: value})
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(script, world, config)
+
+
+@pytest.mark.parametrize("sensor,field,value,key,raw,message", BAD_SENSOR_FIELDS)
+def test_cli_validate_reports_bad_sensor_field(
+    tmp_path, capsys, sensor, field, value, key, raw, message
+):
+    section = "camera" if sensor == "camera" else "lidar.front"
+    path = tmp_path / "sensor.ini"
+    path.write_text(
+        f"[{section}]\n{key} = {raw}\n"
+        "[mode.parking]\n"
+        "[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:parking\n"
+    )
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _short_config(duration, beams=180):

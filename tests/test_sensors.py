@@ -211,6 +211,36 @@ def test_semantic_unknown_label_outside_frustum_ignored(config, sem_profile):
     assert cell[0] == pytest.approx(0.8, abs=1e-6)
 
 
+@pytest.mark.parametrize("container", [tuple, np.array])
+def test_semantic_label_containers_build_same_grid(config, sem_profile, container):
+    rng = np.random.default_rng(5)
+    points = np.c_[rng.uniform(-2.0, 12.0, 60), rng.uniform(-3.0, 3.0, 60)]
+    labels = list(rng.choice(["road", "marking", "blocked", "unknown"], 60))
+    labels[0] = "water"
+    points[0] = (-6.0, 0.05)  # behind the vehicle: dropped, label ignored
+    confs = rng.uniform(0.0, 1.0, 60)
+    want = measurement_grid_semantic(
+        SemanticObservation(points, labels, confs), sem_profile, config
+    )
+    got = measurement_grid_semantic(
+        SemanticObservation(points, container(labels), confs), sem_profile, config
+    )
+    assert sorted(got.patches) == sorted(want.patches)
+    for index, layer in want.iter_layers():
+        assert np.array_equal(got.layer_at(index, "semantic").masses, layer.masses)
+
+
+@pytest.mark.parametrize("container", [list, tuple, np.array])
+def test_semantic_unknown_kept_label_raises_from_any_container(
+    config, sem_profile, container
+):
+    obs = SemanticObservation(
+        [(5.0, 0.05), (6.0, 0.05)], container(["road", "water"]), [0.8, 0.8]
+    )
+    with pytest.raises(UnknownHypothesisError, match="water"):
+        measurement_grid_semantic(obs, sem_profile, config)
+
+
 # -- cell keys far from the datum ------------------------------------------------
 
 NORTH = 150_000.0  # 1.5M cells of 0.1 m: more than 2^20
