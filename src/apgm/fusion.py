@@ -8,9 +8,13 @@ each other and Dempster's rule would erode occupied regions; the resample
 module owns that case.
 
 Layer fusion first brings all inputs to a common step r_fused, the demanded
-step capped by the best available one, then combines cell-wise. Patch and
-grid fusion take unions over types and patch indices. A cell in total
-conflict is reset to vacuous and counted; there is no other policy.
+step capped by the best available one, then combines cell-wise. Only the
+cells that two or more inputs hold (any stored bit set) go through
+Dempster's rule: a cell with one holder takes that holder's masses and a
+cell with none stays vacuous, which is what the rule returns for them, bit
+for bit (:func:`fuse_layers` states the precondition). Patch and grid
+fusion take unions over types and patch indices. A cell in total conflict
+is reset to vacuous and counted; there is no other policy.
 :func:`temporal_update` folds the aged previous map and the cycle's grids
 in one grid fusion; the scenario runner fuses through it.
 
@@ -26,15 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
-from .evidence import (
-    BBA,
-    ConflictCounter,
-    combine_dst,
-    combine_mass_arrays,
-    vacuous,
-)
+from .evidence import BBA, ConflictCounter, combine_dst, vacuous
 from .grid import GridMap, Layer, Patch
-from .kernels import total_conflict
+from .kernels import combine_masses, total_conflict
 from .requirements import RequirementProfile, cull_outside_horizon, required_step
 from .resample import resample_layer
 
@@ -87,7 +85,16 @@ def fuse_cells(cells, counter: ConflictCounter | None = None) -> BBA:
 def fuse_layers(
     layers, r_req: int, counter: ConflictCounter | None = None
 ) -> Layer:
-    """Fuse same-type layers of one patch footprint at step min(r_req, max r)."""
+    """Fuse same-type layers of one patch footprint at step min(r_req, max r).
+
+    The result and the total-conflict count equal the left fold of
+    Dempster's rule over every cell, bit for bit. Only the rows that at
+    least two inputs hold, or that carry a sign bit, are gathered and
+    folded in input order; every other row is the bitwise OR of the inputs'
+    rows, which is its one holder's row or zero. Precondition: each
+    single-holder row sums to at most 2, as in every layer that
+    :meth:`GridMap.check` accepts (see :func:`~apgm.kernels.combine_masses`).
+    """
     layers = list(layers)
     if not layers:
         raise ValueError("need at least one layer to fuse")
@@ -98,12 +105,65 @@ def fuse_layers(
         return Layer(
             first.type_name, first.frame, r_fused, resampled[0].masses.copy()
         )
-    acc = resampled[0].masses.astype(np.float64)
-    for nxt in resampled[1:]:
-        acc, conflict = combine_mass_arrays(acc, nxt.masses.astype(np.float64))
-        if counter is not None:
-            counter.add(np.count_nonzero(total_conflict(conflict)))
-    return Layer(first.type_name, first.frame, r_fused, acc.astype(np.float32))
+    masses = [np.ascontiguousarray(l.masses) for l in resampled]
+    shape = masses[0].shape
+    k = shape[-1]
+    words = [_row_words(m) for m in masses]
+    held = _row_any(words[0])
+    fold = np.zeros_like(held)  # held by two or more inputs so far
+    fused = words[0].copy()
+    for w in words[1:]:
+        h = _row_any(w)
+        fold |= held & h
+        held |= h
+        fused |= w
+    # A sign bit marks a -0.0 (or a negative mass): the rule would turn a
+    # -0.0 into +0.0 where the row sums to at most 1, so such rows fold too.
+    fold |= _row_any(fused & _SIGN_BITS[fused.dtype.type])
+    rows = np.flatnonzero(fold)
+    if len(rows):
+        row = np.dtype((np.void, masses[0].itemsize * k))
+
+        def gather(m):
+            return m.reshape(-1, k).view(row)[rows, 0].view(np.float32).reshape(-1, k)
+
+        # Three buffers serve the whole fold; each step writes the spare
+        # accumulator, which then becomes the current one.
+        acc = gather(masses[0]).astype(np.float64)
+        nxt, spare = np.empty_like(acc), np.empty_like(acc)
+        conflict = np.empty(len(rows))
+        for m in masses[1:]:
+            nxt[...] = gather(m)
+            combine_masses(acc, nxt, spare, conflict)
+            acc, spare = spare, acc
+            if counter is not None:
+                counter.add(np.count_nonzero(total_conflict(conflict)))
+        fused.view(row)[rows, 0] = acc.astype(np.float32).view(row)[:, 0]
+    return Layer(
+        first.type_name, first.frame, r_fused, fused.view(np.float32).reshape(shape)
+    )
+
+
+# Each float32 row is read as whole machine words: uint64 pairs of masses
+# when k is even, single uint32 masses when k is odd.
+_SIGN_BITS = {
+    np.uint64: np.uint64(0x8000000080000000),
+    np.uint32: np.uint32(0x80000000),
+}
+
+
+def _row_words(masses):
+    """(n, w) unsigned-word view of a contiguous float32 (..., k) array."""
+    k = masses.shape[-1]
+    return masses.reshape(-1, k).view(np.uint64 if k % 2 == 0 else np.uint32)
+
+
+def _row_any(words):
+    """Per row of an (n, w) word array: whether any stored bit is set."""
+    acc = words[:, 0]
+    for j in range(1, words.shape[1]):
+        acc = acc | words[:, j]
+    return acc != 0
 
 
 def fuse_patches(

@@ -325,6 +325,13 @@ def combine_masses(a, b, out, conflict):
     Total-conflict rows (:func:`total_conflict`) come back vacuous; the
     caller reads the conflict array. Inputs are float64 rows of shape
     (n, k), k >= 2, handled as one column view per hypothesis.
+
+    Combining a row with an all-zero row, in either order, returns the row
+    bit for bit with conflict exactly 0 when the row sums to s in [0, 2]
+    and has no -0.0 entry: the scale s + fl(1 - s) rounds to exactly 1
+    (1 - s is exact for s >= 1/2, and below that its rounding error is
+    under half a spacing of 1). A -0.0 entry comes back +0.0 where s <= 1.
+    :func:`~apgm.fusion.fuse_layers` relies on this to skip such rows.
     """
     k = a.shape[1]
     ac = [a[:, j] for j in range(k)]

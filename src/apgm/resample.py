@@ -57,7 +57,8 @@ def sem_block_merge(children: np.ndarray) -> np.ndarray:
     total = mean.sum(axis=-1)
     over = total > 1.0
     if np.any(over):
-        mean = np.where(over[..., None], mean / total[..., None], mean)
+        # Only over-full blocks are divided: a vacuous block's total is 0.
+        np.divide(mean, total[..., None], out=mean, where=over[..., None])
     return mean
 
 

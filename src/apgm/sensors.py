@@ -104,6 +104,12 @@ def occupancy_evidence(k, params: SensorModelParams):
     return 1.0 - (1.0 - params.mu_hit) ** np.asarray(k, dtype=np.float64)
 
 
+def _cell_bounds(cells):
+    """Per-axis (min, max) of (N, 2) cells, one column at a time: numpy
+    reduces an (N, 2) array along axis 0 as N two-element loops."""
+    return [c.min() for c in cells.T], [c.max() for c in cells.T]
+
+
 class _Window:
     """Patch-aligned block of cells, numbered x-major, covering the
     inclusive cell bounds ``lo`` to ``hi``."""
@@ -215,8 +221,9 @@ def measurement_grid_occupancy(
     # Spent arrays are freed early: this builder's peak sets the process peak.
     lo, hi = box[:2], box[:2] + box[2:] - 1
     if len(hit_cells):
-        lo = np.minimum(lo, hit_cells.min(axis=0))
-        hi = np.maximum(hi, hit_cells.max(axis=0))
+        hit_lo, hit_hi = _cell_bounds(hit_cells)
+        lo = np.minimum(lo, hit_lo)
+        hi = np.maximum(hi, hit_hi)
     window = _Window(lo, hi, step)
     crossings = np.bincount(crossed, minlength=box[2] * box[3]).reshape(box[2:])
     del crossed
@@ -273,7 +280,7 @@ def measurement_grid_semantic(
     conf = np.clip(obs.confidences[keep], 0.0, 1.0)
 
     cells = global_cells_of(pts, config.datum, width)
-    window = _Window(cells.min(axis=0), cells.max(axis=0), step)
+    window = _Window(*_cell_bounds(cells), step)
     uniq, inverse = np.unique(window.flat(*cells.T), return_inverse=True)
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in

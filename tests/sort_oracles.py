@@ -2,8 +2,9 @@
 
 These are the earlier bodies of ``kernels.combine_masses`` (row
 reductions), of the sort-based measurement-grid builders (uint64 cell
-keys, ``np.unique`` and a per-patch scatter) and of
-``WorldModel.label_points`` (every region tested against every point).
+keys, ``np.unique`` and a per-patch scatter), of
+``WorldModel.label_points`` (every region tested against every point) and
+of ``fusion.fuse_layers`` (Dempster's rule over every cell of every input).
 ``test_equivalence.py`` compares the library against them with
 ``np.array_equal`` or list equality.
 """
@@ -12,9 +13,10 @@ import numpy as np
 
 from apgm.errors import CellOutOfBoundsError
 from apgm.evidence import combine_mass_arrays
-from apgm.grid import UNKNOWN, GridMap, global_cells_of, split_global_cells
-from apgm.kernels import _traverse_rays_impl, ray_cell_cap
+from apgm.grid import UNKNOWN, GridMap, Layer, global_cells_of, split_global_cells
+from apgm.kernels import _traverse_rays_impl, ray_cell_cap, total_conflict
 from apgm.requirements import required_step
+from apgm.resample import resample_layer
 from apgm.sensors import _clip_to_horizon, occupancy_evidence
 
 _KEY_BIAS = 1 << 31
@@ -199,3 +201,22 @@ def label_points_every_region(regions, points):
             labels[i] = region.label
         undecided &= ~inside
     return labels
+
+
+def fuse_layers_dense(layers, r_req, counter=None):
+    layers = list(layers)
+    if not layers:
+        raise ValueError("need at least one layer to fuse")
+    r_fused = min(r_req, max(l.step for l in layers))
+    resampled = [resample_layer(l, r_fused) for l in layers]
+    first = layers[0]
+    if len(resampled) == 1:
+        return Layer(
+            first.type_name, first.frame, r_fused, resampled[0].masses.copy()
+        )
+    acc = resampled[0].masses.astype(np.float64)
+    for nxt in resampled[1:]:
+        acc, conflict = combine_mass_arrays(acc, nxt.masses.astype(np.float64))
+        if counter is not None:
+            counter.add(np.count_nonzero(total_conflict(conflict)))
+    return Layer(first.type_name, first.frame, r_fused, acc.astype(np.float32))

@@ -1,6 +1,7 @@
-"""The column combine kernel, the window-count builders and the region
-labelling equal their row-reducing, sort-based and every-region
-predecessors (``sort_oracles.py``) bit for bit.
+"""The column combine kernel, the window-count builders, the region
+labelling and the held-row layer fold equal their row-reducing,
+sort-based, every-region and dense predecessors (``sort_oracles.py``) bit
+for bit.
 """
 
 import math
@@ -10,22 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgm import (
+    Frame,
     GridConfig,
     PointCloud,
     RequirementProfile,
     SemanticObservation,
     SensorModelParams,
     TypeRequirement,
+    fuse_layers,
     measurement_grid_occupancy,
     measurement_grid_semantic,
 )
 from apgm.evidence import ConflictCounter
-from apgm.grid import SEMANTIC_FRAME
+from apgm.grid import MASS_SUM_TOL, OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
 from apgm.kernels import combine_masses
 from apgm.scenario import CameraConfig, simulate_camera
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 from sort_oracles import (
     combine_masses_rows,
+    fuse_layers_dense,
     label_points_every_region,
     occupancy_sorted,
     semantic_sorted,
@@ -79,6 +83,98 @@ def test_combine_masses_equals_row_reductions(k, seed, kinds):
     got = combine_masses(a, b, np.empty_like(a), np.empty(len(a)))
     want = combine_masses_rows(a, b, np.empty_like(a), np.empty(len(a)))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=80),
+)
+def test_combining_with_a_vacuous_row_returns_the_other_row(k, seed, kinds):
+    """The identity the layer fold relies on to pass single-holder rows."""
+    rng = np.random.default_rng(seed)
+    x = _mass_rows(rng, kinds, k).astype(np.float32).astype(np.float64)
+    assert x.min() >= 0.0 and x.sum(axis=1).max() <= 1.0 + MASS_SUM_TOL
+    zero = np.zeros_like(x)
+    for a, b in ((x, zero), (zero, x)):
+        out, conflict = combine_masses(a, b, np.empty_like(x), np.empty(len(x)))
+        assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
+        assert np.array_equal(conflict.view(np.uint64), np.zeros(len(x), np.uint64))
+
+
+# -- layer fold -------------------------------------------------------------------
+
+# Beyond _ROW_KINDS: a row with -0.0 entries summing below 1, one summing
+# above 1 (the rule keeps a -0.0 only there), and a certain row whose
+# hypothesis is the input's position, so two inputs holding it conflict
+# totally.
+_FOLD_KINDS = _ROW_KINDS + ("negative_zero", "negative_zero_over_one", "opposed")
+_FRAMES = {
+    2: ("occupancy", OCCUPANCY_FRAME),
+    3: ("semantic", Frame(("road", "marking", "blocked"))),
+    4: ("semantic", SEMANTIC_FRAME),
+}
+
+
+def _fold_rows(rng, kinds, k, position):
+    rows = _mass_rows(rng, [q if q in _ROW_KINDS else "random" for q in kinds], k)
+    rows = rows.astype(np.float32)
+    for i, kind in enumerate(kinds):
+        if kind == "negative_zero":
+            rows[i, rng.random(k) < 0.5] = -0.0
+        elif kind == "negative_zero_over_one":
+            rows[i] = -0.0
+            rows[i, 0] = 0.5 if k > 2 else 1.0
+            if k > 2:
+                rows[i, 1] = np.nextafter(np.float32(0.5), np.float32(1.0))
+        elif kind == "opposed":
+            rows[i] = 0.0
+            rows[i, position % k] = 1.0
+    return rows
+
+
+@st.composite
+def layer_stacks(draw):
+    """(layers, r_req): 1-4 same-type layers whose rows are held by every
+    input, by exactly one or by none, or whose inputs are all vacuous."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    type_name, frame = _FRAMES[k]
+    depth = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(0, 3), min_size=depth, max_size=depth))
+    else:
+        steps = [2] * depth
+    r_req = draw(st.integers(0, 3))
+    palette = draw(st.lists(st.sampled_from(_FOLD_KINDS), min_size=1, max_size=4))
+    empty = draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Per row: -1 = every input holds it, p = only input p, depth = none.
+    owner = rng.integers(-1, depth + 1, size=1 << 6)
+    layers = []
+    for position, (step, vacuous) in enumerate(zip(steps, empty)):
+        n = 1 << (2 * step)
+        kinds = [palette[i] for i in rng.integers(len(palette), size=n)]
+        rows = _fold_rows(rng, kinds, k, position)
+        rows[(owner[:n] != -1) & (owner[:n] != position)] = 0.0
+        if vacuous:
+            rows[:] = 0.0
+        m = 1 << step
+        layers.append(Layer(type_name, frame, step, rows.reshape(m, m, k)))
+    return layers, r_req
+
+
+@settings(max_examples=400, deadline=None)
+@given(layer_stacks())
+def test_fuse_layers_equals_dense_fold(stack):
+    layers, r_req = stack
+    got_counter, want_counter = ConflictCounter(), ConflictCounter()
+    got = fuse_layers(layers, r_req, got_counter)
+    want = fuse_layers_dense(layers, r_req, want_counter)
+    assert got.step == want.step
+    assert got.masses.dtype == np.float32
+    assert np.array_equal(got.masses.view(np.uint32), want.masses.view(np.uint32))
+    assert got_counter.cells == want_counter.cells
 
 
 # -- occupancy builder ------------------------------------------------------------

@@ -269,6 +269,64 @@ def test_grid_inputs_not_mutated():
     )
 
 
+def _sparse_layer(rng, step, holds):
+    """Random occupancy layer holding evidence only where ``holds`` is set."""
+    layer = random_layer(rng, "occupancy", OCCUPANCY_FRAME, step)
+    layer.masses[~holds.reshape(layer.masses.shape[:2])] = 0.0
+    return layer
+
+
+def _assert_fresh_and_inputs_intact(fused_layers, inputs, before):
+    for layer, snapshot in zip(inputs, before):
+        assert layer.masses.tobytes() == snapshot
+    for fused in fused_layers:
+        for layer in inputs:
+            assert not np.shares_memory(fused.masses, layer.masses)
+
+
+@pytest.mark.parametrize(
+    "stack",
+    ["single", "single_resampled", "one_holder_rest_vacuous", "sparse", "mixed_steps"],
+)
+def test_fuse_layers_output_is_fresh_and_inputs_untouched(stack):
+    rng = np.random.default_rng(15)
+    n = 1 << 6
+    every = np.ones(n, dtype=bool)
+    if stack == "single":
+        layers = [random_layer(rng, "occupancy", OCCUPANCY_FRAME, 3)]
+    elif stack == "single_resampled":
+        layers = [random_layer(rng, "occupancy", OCCUPANCY_FRAME, 4)]
+    elif stack == "one_holder_rest_vacuous":
+        layers = [Layer("occupancy", OCCUPANCY_FRAME, 3) for _ in range(3)]
+        layers[1] = _sparse_layer(rng, 3, every)
+    elif stack == "sparse":
+        layers = [_sparse_layer(rng, 3, rng.random(n) < 0.4) for _ in range(3)]
+    else:
+        layers = [
+            _sparse_layer(rng, 3, rng.random(n) < 0.5),
+            random_layer(rng, "occupancy", OCCUPANCY_FRAME, 2),
+        ]
+    before = [l.masses.tobytes() for l in layers]
+    fused = fuse_layers(layers, 3, ConflictCounter())
+    _assert_fresh_and_inputs_intact([fused], layers, before)
+
+
+def test_temporal_update_output_is_fresh_and_inputs_untouched():
+    rng = np.random.default_rng(16)
+    config = GridConfig()
+    previous = small_grid(rng, config, [((0, 0), "occupancy", 3), ((1, 0), "occupancy", 3)])
+    lidar = GridMap(config)
+    lidar.set_layer((0, 0), _sparse_layer(rng, 3, rng.random(64) < 0.3))
+    lidar.set_layer((2, 0), random_layer(rng, "occupancy", OCCUPANCY_FRAME, 3))
+    silent = GridMap(config)
+    silent.set_layer((1, 0), Layer("occupancy", OCCUPANCY_FRAME, 3))
+    inputs = [l for g in (previous, lidar, silent) for _, l in g.iter_layers()]
+    before = [l.masses.tobytes() for l in inputs]
+    out = temporal_update(previous, [lidar, silent], FusionPolicy({"occupancy": 3}))
+    assert set(out.patches) == {(0, 0), (1, 0), (2, 0)}
+    _assert_fresh_and_inputs_intact([l for _, l in out.iter_layers()], inputs, before)
+
+
 def test_grid_datum_mismatch():
     a = GridMap(GridConfig(datum=(0.0, 0.0)))
     b = GridMap(GridConfig(datum=(1.0, 0.0)))

@@ -18,6 +18,7 @@ from apgm import (
     split_sem,
 )
 from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
+from apgm.resample import sem_block_merge
 
 
 def occ(o, f=0.0):
@@ -140,6 +141,16 @@ def test_merge_sem_mean():
     merged = merge_sem([sem(1.0, 0.0, 0.0, 0.0), sem(0.0, 0.0, 1.0, 0.0)])
     assert merged.masses[0] == pytest.approx(0.5, abs=1e-12)
     assert merged.masses[2] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sem_block_merge_rescales_over_full_blocks_beside_vacuous_ones():
+    # float32 storage lets a stored sum exceed 1 by a rounding step.
+    over = np.array([0.5, np.nextafter(np.float32(0.5), 1), 0.0, 0.0], np.float32)
+    children = np.zeros((2, 1, 4))
+    children[0, 0] = over
+    merged = sem_block_merge(children)
+    assert np.array_equal(merged[1], np.zeros(4))
+    assert np.array_equal(merged[0], over / over.astype(np.float64).sum())
 
 
 # -- layer resampling --------------------------------------------------------------
