@@ -66,7 +66,15 @@ class _Reader:
         for key in keys:
             default = getattr(d, key)
             values[key] = self.get(section, key, type(default), default)
-        return dataclasses.replace(d, **values)
+        return self.replace(f"[{section}]", d, **values)
+
+    def replace(self, where, d, **values):
+        """``d`` with ``values`` set, or ``d`` and a problem if it refuses them."""
+        try:
+            return dataclasses.replace(d, **values)
+        except ValueError as exc:
+            self.problems.append(f"{where} {exc}")
+            return d
 
 
 def _as_bool(raw: str) -> bool:
@@ -96,7 +104,9 @@ def _profile_from(reader: _Reader, section: str) -> RequirementProfile:
     """A mode's demands, each key defaulting to the parking profile's."""
 
     def type_req(prefix: str, d: TypeRequirement) -> TypeRequirement:
-        return TypeRequirement(
+        return reader.replace(
+            f"[{section}] {prefix}:",
+            d,
             active=reader.get(section, f"{prefix}_active", _as_bool, d.active),
             horizon_m=reader.get(section, f"{prefix}_horizon_m", float, d.horizon_m),
             max_cell_size_m=reader.get(

@@ -33,7 +33,7 @@ from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
 from .evidence import BBA, ConflictCounter, combine_dst, vacuous
 from .grid import GridMap, Layer, Patch
 from .kernels import combine_masses, total_conflict
-from .requirements import RequirementProfile, cull_outside_horizon, required_step
+from .requirements import RequirementProfile, required_step
 from .resample import resample_layer
 
 
@@ -235,21 +235,17 @@ def temporal_update(
     previous: GridMap | None,
     current,
     policy: FusionPolicy,
-    profile: RequirementProfile | None = None,
     counter: ConflictCounter | None = None,
 ) -> GridMap:
-    """Age the previous map, fuse in the cycle's grids, cull to the horizon.
+    """Age the previous map and fuse in the cycle's grids.
 
     ``current`` lists the cycle's measurement grids. The previous map,
     discounted by ``policy.alpha_age``, is folded first, then the grids in
     their order. With ``alpha_age`` 0 the history is fully vacuous and is
     dropped entirely, so the result equals the current measurement fusion.
-    At least one grid must remain to fold.
+    At least one grid must remain to fold; the result is not culled.
     """
     grids = list(current)
     if previous is not None and policy.alpha_age > 0.0:
         grids.insert(0, discount_grid(previous, policy.alpha_age))
-    fused = fuse_grids(grids, policy, counter)  # perfbench reads arg 3
-    if profile is not None:
-        cull_outside_horizon(fused, profile)
-    return fused
+    return fuse_grids(grids, policy, counter)  # perfbench reads arg 3

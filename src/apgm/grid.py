@@ -56,8 +56,10 @@ class GridConfig:
     max_step: int = 10
 
     def __post_init__(self):
-        if self.edge_length <= 0.0:
-            raise ValueError("edge length must be positive")
+        if not 0.0 < self.edge_length < math.inf:
+            raise ValueError("edge_length must be finite and positive")
+        if not all(math.isfinite(v) for v in self.datum):
+            raise ValueError("datum must be finite")
         if not self.types:
             raise ValueError("type table must not be empty")
 
@@ -112,9 +114,6 @@ class Layer:
         """Frame mass per cell, computed from the stored singletons."""
         return 1.0 - self.masses.astype(np.float64).sum(axis=-1)
 
-    def copy(self) -> "Layer":
-        return Layer(self.type_name, self.frame, self.step, self.masses.copy())
-
     def __repr__(self) -> str:
         return f"Layer({self.type_name!r}, r={self.step})"
 
@@ -133,11 +132,6 @@ class GridMap:
     def __init__(self, config: GridConfig):
         self.config = config
         self.patches: dict[tuple[int, int], Patch] = {}
-
-    @classmethod
-    def like(cls, other: "GridMap") -> "GridMap":
-        """An empty map sharing the other map's geometry and type table."""
-        return cls(other.config)
 
     # -- datum arithmetic -------------------------------------------------
 
@@ -277,14 +271,6 @@ class GridMap:
 
     def layer_count(self) -> int:
         return sum(len(p.layers) for p in self.patches.values())
-
-    def copy(self) -> "GridMap":
-        out = GridMap(self.config)
-        for index, patch in self.patches.items():
-            out.patches[index] = Patch(
-                index, {t: l.copy() for t, l in patch.layers.items()}
-            )
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,8 @@ order ``sum(axis=-1)`` uses, so the results are the same bit for bit.
 
 Traversal coordinates are pre-scaled so cells are unit squares:
 u = (x - datum) / w. Cell binning is floor(u), matching the half-open
-cell convention used by the container module.
+cell convention used by the container module. A non-finite coordinate
+raises :class:`~apgm.errors.NonFiniteInputError`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ import math
 
 import numpy as np
 
-from .errors import CellOutOfBoundsError
+from .errors import CellOutOfBoundsError, NonFiniteInputError
 
 # No kernel is compiled; kept so run records can state the kernel path.
 USING_NUMBA = False
 
-# Rays beyond this many cells from the datum (or non-finite) take the
-# reference walk: the lattice arithmetic below relies on float64 holding
-# cell indices plus crossing counts exactly.
+# Rays beyond this many cells from the datum take the reference walk: the
+# lattice arithmetic below relies on float64 holding cell indices plus
+# crossing counts exactly.
 _LATTICE_LIMIT = 2.0**50
 _ULP = 2.0**-52
 # Box numbers and corners are int64; larger boxes are refused, not wrapped.
@@ -123,11 +124,7 @@ def _end_cell_bounds(u0, v0, u1, v1):
     lo = [np.minimum(a.min(), b.min()) for a, b in ((u0, u1), (v0, v1))]
     hi = [np.maximum(a.max(), b.max()) for a, b in ((u0, u1), (v0, v1))]
     if not np.isfinite(lo + hi).all():
-        # The reference walk raises on its first non-finite ray.
-        bad = ~(np.isfinite(u0) & np.isfinite(v0) & np.isfinite(u1) & np.isfinite(v1))
-        i = int(np.flatnonzero(bad)[0])
-        one = slice(i, i + 1)
-        _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], 1)
+        raise NonFiniteInputError("a ray holds a NaN or inf coordinate")
     return [math.floor(v) for v in lo], [math.floor(v) for v in hi]
 
 
@@ -159,8 +156,8 @@ def traverse_rays(u0, v0, u1, v1, cap):
     holds ``(x - x0) * ny + (y - y0)`` for exactly the cells, in the
     order, that the reference walk emits, cut at ``cap``
     (:func:`box_cells` decodes them). A box of more than 2**62 cells
-    raises :class:`CellOutOfBoundsError`; a non-finite ray raises as the
-    reference walk does.
+    raises :class:`CellOutOfBoundsError` and a non-finite ray
+    :class:`NonFiniteInputError`.
 
     Memory stays O(emitted cells + rays): a batch that could emit more
     than ``cap`` cells (:func:`ray_cell_cap`) takes the reference walk,
@@ -201,7 +198,7 @@ def traverse_rays(u0, v0, u1, v1, cap):
         xs, ys = _traverse_rays_impl(u0, v0, u1, v1, cap)
         return (xs - x0) * stride + (ys - y0), box
     span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
-    flag = ~(span < _LATTICE_LIMIT)
+    flag = span >= _LATTICE_LIMIT
     a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
     cx, cy, ex, ey = np.floor(a0), np.floor(b0), np.floor(a1), np.floor(b1)
     dx = a1 - a0
@@ -367,8 +364,11 @@ def ray_cell_cap(u0, v0, u1, v1) -> int:
 
     A ray crosses at most |du| + 1 vertical and |dv| + 1 horizontal
     boundaries at parameters below one, so floor deltas plus three slots
-    per ray cover every start/end alignment.
+    per ray cover every start/end alignment; a non-finite ray raises.
     """
     dx = np.abs(np.floor(u1) - np.floor(u0))
     dy = np.abs(np.floor(v1) - np.floor(v0))
-    return int((dx + dy + 3.0).sum())
+    cap = (dx + dy + 3.0).sum()
+    if not np.isfinite(cap):
+        raise NonFiniteInputError("a ray holds a NaN or inf coordinate")
+    return int(cap)

@@ -21,9 +21,7 @@ UNKNOWN_GREY = 127
 
 
 def _layer_betp(layer: Layer, hyp_index: int) -> np.ndarray:
-    masses = layer.masses.astype(np.float64)
-    omega = 1.0 - masses.sum(axis=-1)
-    return masses[..., hyp_index] + omega / len(layer.frame)
+    return layer.masses[..., hyp_index] + layer.omega() / len(layer.frame)
 
 
 def render_betp(

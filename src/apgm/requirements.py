@@ -31,10 +31,10 @@ class TypeRequirement:
     fov_half_angle_rad: float | None = None
 
     def __post_init__(self):
-        if self.horizon_m <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.max_cell_size_m <= 0.0:
-            raise ValueError("cell size must be positive")
+        if not 0.0 < self.horizon_m < math.inf:
+            raise ValueError("horizon_m must be finite and positive")
+        if not 0.0 < self.max_cell_size_m < math.inf:
+            raise ValueError("max_cell_size_m must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class RequirementProfile:
         return dataclasses.replace(
             self, vehicle_pose=(float(pose[0]), float(pose[1]), float(pose[2]))
         )
-
-    def demand(self, type_name: str) -> TypeRequirement | None:
-        return self.demands.get(type_name)
 
     def active_types(self) -> list[str]:
         return [t for t, d in self.demands.items() if d.active]

@@ -120,9 +120,7 @@ def split_sem(cell: BBA, n: int) -> list[BBA]:
 # -- layer-level resampling ---------------------------------------------------
 
 
-def resample_layer(
-    layer: Layer, r_target: int, max_delta: int = MAX_STEP_DELTA
-) -> Layer:
+def resample_layer(layer: Layer, r_target: int) -> Layer:
     """Resample a layer to a new resolution step.
 
     Upsampling splits every cell into a 2^d x 2^d block; downsampling
@@ -136,9 +134,9 @@ def resample_layer(
         raise UnsupportedTypeError(
             f"no merge/split operators for {layer.type_name!r}"
         )
-    if abs(delta) > max_delta:
+    if abs(delta) > MAX_STEP_DELTA:
         raise StepDeltaTooLargeError(
-            f"step change {layer.step} -> {r_target} exceeds cap {max_delta}"
+            f"step change {layer.step} -> {r_target} exceeds cap {MAX_STEP_DELTA}"
         )
     if r_target < 0:
         raise ValueError("resolution step must be nonnegative")

@@ -10,9 +10,11 @@ next to two reference layouts.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from .requirements import (
     required_step,
     validate_profile,
 )
+from .resample import MAX_STEP_DELTA
 from .sensors import (
     PointCloud,
     SemanticObservation,
@@ -185,20 +188,22 @@ class ScenarioScript:
         times = [k[0] for k in self.keyframes]
         if not times:
             problems.append("script has no keyframes")
+        elif not all(math.isfinite(v) for k in self.keyframes for v in k):
+            problems.append("keyframe values must be finite")
         elif any(b <= a for a, b in zip(times, times[1:])):
             problems.append("keyframe times must be strictly increasing")
         mtimes = [m[0] for m in self.mode_times]
         if not mtimes:
             problems.append("script has no modes")
         else:
-            if mtimes[0] > 0.0:
+            if not mtimes[0] <= 0.0:
                 problems.append("first mode must start at or before t=0")
-            if any(b <= a for a, b in zip(mtimes, mtimes[1:])):
-                problems.append("mode times must be strictly increasing")
-        if self.cycle_s <= 0.0:
-            problems.append("cycle period must be positive")
-        if self.duration_s < 0.0:
-            problems.append("duration must be nonnegative")
+            if not all(a < b for a, b in zip(mtimes, mtimes[1:])):
+                problems.append("mode times must be strictly increasing, not NaN")
+        if not 0.0 < self.cycle_s < math.inf:
+            problems.append("cycle_s must be finite and positive")
+        elif not 0.0 <= self.duration_s / self.cycle_s < 2**53:  # exact float indices
+            problems.append("duration_s must be finite, >= 0 and < 2**53 cycles")
         return problems
 
     def pose_at(self, t: float) -> tuple[float, float, float]:
@@ -226,6 +231,19 @@ class ScenarioScript:
 
     def n_cycles(self) -> int:
         return int(round(self.duration_s / self.cycle_s))
+
+    def cycle_time(self, i: int) -> float:
+        return round(i * self.cycle_s, 9)
+
+    def visited_modes(self) -> list[str]:
+        """Mode labels in the order the cycles meet them, repeats collapsed."""
+        n, labels = self.n_cycles(), []
+        ends = [t for t, _ in self.mode_times[1:]] + [math.inf]
+        for (start, label), end in zip(self.mode_times, ends):
+            i = bisect.bisect_left(range(n), start, key=self.cycle_time)
+            if i < n and self.cycle_time(i) < end and labels[-1:] != [label]:
+                labels.append(label)
+        return labels
 
 
 def parking_profile() -> RequirementProfile:
@@ -300,6 +318,16 @@ def validate_scenario(
         problems += [f"camera {name!r}: {p}" for p in config.camera.validate()]
     if not 0.0 <= config.temporal_alpha <= 1.0:
         problems.append("temporal alpha must be in [0, 1]")
+    # A type active in both modes of a switch has its layers resampled there.
+    for a, b in pairwise([] if problems else script.visited_modes()):
+        pa, pb = config.modes[a], config.modes[b]
+        for t in sorted(set(pa.active_types()) & set(pb.active_types())):
+            ra, rb = (required_step(p, t, grid.edge_length) for p in (pa, pb))
+            if abs(rb - ra) > MAX_STEP_DELTA:
+                problems.append(
+                    f"switch {a!r} -> {b!r} changes the {t} step {ra} -> {rb}, "
+                    f"more than resampling's cap of {MAX_STEP_DELTA}"
+                )
     return problems
 
 
@@ -428,7 +456,7 @@ def run_scenario(
     live: GridMap | None = None
 
     for i in range(script.n_cycles()):
-        t = round(i * script.cycle_s, 9)
+        t = script.cycle_time(i)
         pose = script.pose_at(t)
         mode = script.mode_at(t)
         profile = config.modes[mode].with_pose(pose)

@@ -72,7 +72,6 @@ class PointCloud:
 
     origin: np.ndarray
     points: np.ndarray  # (N, 2)
-    timestamp: float = 0.0
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(2)
@@ -102,12 +101,6 @@ class SemanticObservation:
 def occupancy_evidence(k, params: SensorModelParams):
     """Occupied mass of a cell holding k returns (scalar or array k)."""
     return 1.0 - (1.0 - params.mu_hit) ** np.asarray(k, dtype=np.float64)
-
-
-def _cell_bounds(cells):
-    """Per-axis (min, max) of (N, 2) cells, one column at a time: numpy
-    reduces an (N, 2) array along axis 0 as N two-element loops."""
-    return [c.min() for c in cells.T], [c.max() for c in cells.T]
 
 
 class _Window:
@@ -197,8 +190,6 @@ def measurement_grid_occupancy(
     pts = cloud.points
     rng = np.hypot(pts[:, 0] - origin[0], pts[:, 1] - origin[1])
     pts = pts[rng <= params.max_range + 1e-9]
-    if len(pts) == 0:
-        return grid
     hit_mask, ends = _clip_to_horizon(origin, pts, vehicle, demand.horizon_m)
     if len(ends) == 0:
         return grid
@@ -211,20 +202,14 @@ def measurement_grid_occupancy(
     eu = (ends[:, 0] - config.datum[0]) / width
     ev = (ends[:, 1] - config.datum[1]) / width
     crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
-    if len(hit_cells) + len(crossed) == 0:
-        return grid
 
     # A cell's mass depends only on its counts, so it is read from tables
     # indexed by count. Crossings are counted over the traversal box and
     # their free masses written into the window with one slice; the few
     # cells holding returns then get their occupied mass and no free mass.
+    # The box holds every ray's end cell (eu, ev), so every hit cell too.
     # Spent arrays are freed early: this builder's peak sets the process peak.
-    lo, hi = box[:2], box[:2] + box[2:] - 1
-    if len(hit_cells):
-        hit_lo, hit_hi = _cell_bounds(hit_cells)
-        lo = np.minimum(lo, hit_lo)
-        hi = np.maximum(hi, hit_hi)
-    window = _Window(lo, hi, step)
+    window = _Window(box[:2], box[:2] + box[2:] - 1, step)
     crossings = np.bincount(crossed, minlength=box[2] * box[3]).reshape(box[2:])
     del crossed
     free_mass = 1.0 - (1.0 - params.mu_free) ** np.arange(len(ends) + 1)
@@ -280,7 +265,8 @@ def measurement_grid_semantic(
     conf = np.clip(obs.confidences[keep], 0.0, 1.0)
 
     cells = global_cells_of(pts, config.datum, width)
-    window = _Window(*_cell_bounds(cells), step)
+    # Per column: numpy reduces (N, 2) along axis 0 as N two-element loops.
+    window = _Window([c.min() for c in cells.T], [c.max() for c in cells.T], step)
     uniq, inverse = np.unique(window.flat(*cells.T), return_inverse=True)
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in
@@ -331,7 +317,7 @@ def ray_traverse(origin, endpoint, config: GridConfig, step: int):
     ]
 
 
-def load_point_file(path, origin=(0.0, 0.0), timestamp: float = 0.0):
+def load_point_file(path, origin=(0.0, 0.0)):
     """Read the fixture text format: one `x y [label confidence]` per line.
 
     Lines with two fields load as a :class:`PointCloud`; lines with four
@@ -358,4 +344,4 @@ def load_point_file(path, origin=(0.0, 0.0), timestamp: float = 0.0):
         raise ValueError("mixed labeled and unlabeled point lines")
     if labels:
         return SemanticObservation(np.array(pts), labels, np.array(confs))
-    return PointCloud(np.asarray(origin, dtype=np.float64), np.array(pts), timestamp)
+    return PointCloud(np.asarray(origin, dtype=np.float64), np.array(pts))

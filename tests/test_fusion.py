@@ -21,7 +21,7 @@ from apgm import (
 )
 from apgm.evidence import ConflictCounter
 from apgm.grid import OCCUPANCY_FRAME, Layer, Patch
-from apgm.requirements import RequirementProfile, TypeRequirement
+from apgm.requirements import RequirementProfile, TypeRequirement, apply_requirements
 from apgm.scenario import ScenarioConfig
 from conftest import bf_combine
 
@@ -395,7 +395,8 @@ def test_temporal_horizon_culling():
         {"occupancy": TypeRequirement(True, 20.0, 1.6)}, vehicle_pose=(0.0, 0.0, 0.0)
     )
     policy = FusionPolicy({"occupancy": 3}, alpha_age=1.0)
-    out = temporal_update(previous, [GridMap(config)], policy, profile)
+    out = temporal_update(previous, [GridMap(config)], policy)
+    apply_requirements(out, profile)
     assert set(out.patches) == {(0, 0)}
 
 

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import apgm.kernels
 import apgm.sensors
-from apgm import Frame, make_bba, run_scenario
-from apgm.errors import CellOutOfBoundsError
+from apgm import Frame, GridConfig, make_bba, run_scenario
+from apgm.errors import CellOutOfBoundsError, NonFiniteInputError
 from apgm.kernels import (
     _traverse_rays_impl,
     box_cells,
@@ -426,8 +426,10 @@ def test_walk_memory_is_symmetric_in_x_and_y():
 def test_walk_rejects_nonfinite_like_reference():
     z = np.zeros(1)
     for bad in (np.nan, np.inf):
-        with pytest.raises((ValueError, OverflowError)):
+        with pytest.raises(NonFiniteInputError):
             traverse_rays(z, z, z + bad, z, 8)
+        with pytest.raises(NonFiniteInputError):
+            apgm.sensors.ray_traverse((0.0, 0.0), (bad, 1.0), GridConfig(), 7)
 
 
 @pytest.mark.parametrize(
