@@ -21,7 +21,6 @@ from .errors import (
     PointOutsidePatchError,
     ResolutionConflictError,
     SnapshotError,
-    StepDeltaTooLargeError,
     TotalConflictError,
     UnknownHypothesisError,
     UnsupportedTypeError,

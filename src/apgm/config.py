@@ -37,8 +37,10 @@ class _Reader:
     def __init__(self, parser: configparser.ConfigParser):
         self.parser = parser
         self.problems: list[str] = []
+        self.asked: set[tuple[str, str]] = set()
 
     def get(self, section, key, cast, default):
+        self.asked.add((section, key))
         if not self.parser.has_option(section, key):
             return default
         raw = self.parser.get(section, key)
@@ -203,6 +205,10 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
         measure_timing=reader.get("run", "timing", _as_bool, defaults.measure_timing),
     )
 
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in reader.asked:
+                reader.problems.append(f"[{section}] {key}: unknown key")
     problems = reader.problems + validate_scenario(script, config)
     if problems:
         raise ConfigError("; ".join(problems))

@@ -48,10 +48,6 @@ class UnsupportedTypeError(GridMapError):
     """No merge/split operators are registered for this information type."""
 
 
-class StepDeltaTooLargeError(GridMapError):
-    """Requested resolution change exceeds the configured step-delta cap."""
-
-
 class DatumMismatchError(GridMapError):
     """Grid maps with different reference datums cannot be fused."""
 

@@ -39,6 +39,8 @@ SEMANTIC_FRAME = Frame((ROAD, MARKING, BLOCKED, UNKNOWN))
 BYTES_PER_MASS = 4  # cells store one float32 per hypothesis
 # Stored singleton sums may exceed 1 by float32 rounding, never by more.
 MASS_SUM_TOL = 1e-5
+# Largest resolution step: a layer of step 32 would hold 2^64 cells.
+MAX_STEP = 31
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,8 @@ class GridConfig:
             raise ValueError("datum must be finite")
         if not self.types:
             raise ValueError("type table must not be empty")
+        if not 0 <= self.max_step <= MAX_STEP:
+            raise ValueError(f"max_step must be in [0, {MAX_STEP}]")
 
     def cell_width(self, step: int) -> float:
         return self.edge_length / (1 << step)

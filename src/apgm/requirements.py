@@ -35,6 +35,9 @@ class TypeRequirement:
             raise ValueError("horizon_m must be finite and positive")
         if not 0.0 < self.max_cell_size_m < math.inf:
             raise ValueError("max_cell_size_m must be finite and positive")
+        fov = self.fov_half_angle_rad
+        if fov is not None and not 0.0 <= fov <= math.pi:
+            raise ValueError("fov_half_angle_rad must be None or in [0, pi]")
 
 
 @dataclass(frozen=True)

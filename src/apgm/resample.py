@@ -14,6 +14,9 @@ clip because it is the safety-critical quantity.
 
 Semantic layers use a pragmatic mean/copy pair; a principled operator for
 arbitrary hypothesis counts is an open problem.
+
+A layer resamples to any step in [0, ``grid.MAX_STEP``] in one call, however
+far that lies from its own step.
 """
 
 from __future__ import annotations
@@ -22,12 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StepDeltaTooLargeError, UnsupportedTypeError
+from .errors import UnsupportedTypeError
 from .evidence import BBA, make_bba
-from .grid import Layer
-
-# Cap on |r_target - r| per request; 4 already means a 256x cell blowup.
-MAX_STEP_DELTA = 4
+from .grid import MAX_STEP, Layer
 
 
 # -- occupancy, block level ------------------------------------------------
@@ -121,12 +121,16 @@ def split_sem(cell: BBA, n: int) -> list[BBA]:
 
 
 def resample_layer(layer: Layer, r_target: int) -> Layer:
-    """Resample a layer to a new resolution step.
+    """Resample a layer to any resolution step in [0, ``grid.MAX_STEP``].
 
-    Upsampling splits every cell into a 2^d x 2^d block; downsampling
-    merges aligned blocks. Equal steps return the same layer object
-    (no copy), so callers that need a private result must copy.
+    Upsampling by d steps splits every cell into a 2^d x 2^d block;
+    downsampling merges aligned blocks. The result holds 4^(r_target)
+    cells whatever the distance from ``layer.step``; bounding that is the
+    job of the grid's ``max_step``. Equal steps return the same layer
+    object (no copy), so callers that need a private result must copy.
     """
+    if not 0 <= r_target <= MAX_STEP:
+        raise ValueError(f"resolution step {r_target} outside [0, {MAX_STEP}]")
     delta = r_target - layer.step
     if delta == 0:
         return layer
@@ -134,12 +138,6 @@ def resample_layer(layer: Layer, r_target: int) -> Layer:
         raise UnsupportedTypeError(
             f"no merge/split operators for {layer.type_name!r}"
         )
-    if abs(delta) > MAX_STEP_DELTA:
-        raise StepDeltaTooLargeError(
-            f"step change {layer.step} -> {r_target} exceeds cap {MAX_STEP_DELTA}"
-        )
-    if r_target < 0:
-        raise ValueError("resolution step must be nonnegative")
     merge, split = _OPERATORS[layer.type_name]
     src = layer.masses.astype(np.float64)
     if delta > 0:

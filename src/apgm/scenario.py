@@ -10,11 +10,9 @@ next to two reference layouts.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +29,6 @@ from .requirements import (
     required_step,
     validate_profile,
 )
-from .resample import MAX_STEP_DELTA
 from .sensors import (
     PointCloud,
     SemanticObservation,
@@ -235,16 +232,6 @@ class ScenarioScript:
     def cycle_time(self, i: int) -> float:
         return round(i * self.cycle_s, 9)
 
-    def visited_modes(self) -> list[str]:
-        """Mode labels in the order the cycles meet them, repeats collapsed."""
-        n, labels = self.n_cycles(), []
-        ends = [t for t, _ in self.mode_times[1:]] + [math.inf]
-        for (start, label), end in zip(self.mode_times, ends):
-            i = bisect.bisect_left(range(n), start, key=self.cycle_time)
-            if i < n and self.cycle_time(i) < end and labels[-1:] != [label]:
-                labels.append(label)
-        return labels
-
 
 def parking_profile() -> RequirementProfile:
     return RequirementProfile(
@@ -318,16 +305,8 @@ def validate_scenario(
         problems += [f"camera {name!r}: {p}" for p in config.camera.validate()]
     if not 0.0 <= config.temporal_alpha <= 1.0:
         problems.append("temporal alpha must be in [0, 1]")
-    # A type active in both modes of a switch has its layers resampled there.
-    for a, b in pairwise([] if problems else script.visited_modes()):
-        pa, pb = config.modes[a], config.modes[b]
-        for t in sorted(set(pa.active_types()) & set(pb.active_types())):
-            ra, rb = (required_step(p, t, grid.edge_length) for p in (pa, pb))
-            if abs(rb - ra) > MAX_STEP_DELTA:
-                problems.append(
-                    f"switch {a!r} -> {b!r} changes the {t} step {ra} -> {rb}, "
-                    f"more than resampling's cap of {MAX_STEP_DELTA}"
-                )
+    if not (isinstance(config.seed, int) and config.seed >= 0):
+        problems.append(f"seed must be a nonnegative integer, not {config.seed!r}")
     return problems
 
 

@@ -104,9 +104,9 @@ def load_grid(path) -> GridMap:
 
     Raises :class:`SnapshotError` (a ``ValueError``) for a file that is
     not a snapshot, is truncated, has bytes after the last patch, or holds
-    non-finite geometry or masses, an invalid type table, an unknown type
-    id, a layer step above the header's max step, or a repeated patch or
-    layer.
+    non-finite geometry or masses, a max step above ``grid.MAX_STEP``, an
+    invalid type table, an unknown type id, a layer step above the
+    header's max step, or a repeated patch or layer.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -151,9 +151,6 @@ def load_grid(path) -> GridMap:
             if grid.layer_at((ix, iy), name) is not None:
                 raise SnapshotError(f"{name} layer at {(ix, iy)} stored twice")
             frame = types[name]
-            # A layer of step 32 or more would hold over 2^64 cells.
-            if step >= 32:
-                raise SnapshotError("truncated snapshot")
             m = 1 << step
             raw = rd.take(4 * len(frame) * m * m)
             masses = np.frombuffer(raw, dtype="<f4").reshape(m, m, len(frame))

@@ -7,8 +7,7 @@ import pytest
 
 from apgm.cli import main as cli_main
 from apgm.config import load_scenario, validate_file
-from apgm.errors import ConfigError
-from apgm.requirements import RequirementProfile, TypeRequirement
+from apgm.requirements import RequirementProfile, TypeRequirement, required_step
 from apgm.scenario import (
     ScenarioConfig,
     default_scenario,
@@ -84,6 +83,20 @@ BAD_VALUES = [
         "nan",
         "[mode.parking] occupancy: max_cell_size_m",
     ),
+    ("grid", "max_step", "40", "[grid] max_step must be in [0, 31]"),
+    (
+        "mode.parking",
+        "semantic_fov_half_angle_deg",
+        "nan",
+        "[mode.parking] semantic: fov_half_angle_rad",
+    ),
+    (
+        "mode.parking",
+        "semantic_fov_half_angle_deg",
+        "400",
+        "[mode.parking] semantic: fov_half_angle_rad",
+    ),
+    ("run", "seed", "-1", "seed must be a nonnegative integer"),
 ]
 
 
@@ -108,27 +121,64 @@ def test_cli_validate_reports_bad_value(tmp_path, capsys, section, key, raw, mes
     assert message in capsys.readouterr().err
 
 
-# Resampling takes at most MAX_STEP_DELTA (4) steps per change: the runner
-# would fail at the first switch from 0.8 m (step 4) to 0.025 m (step 9).
+def test_cli_run_reports_negative_seed(tmp_path, capsys):
+    path = tmp_path / "ok.ini"
+    path.write_text(
+        "[mode.parking]\n[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:parking\n",
+        encoding="utf-8",
+    )
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli_main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_cli_validate_reports_unknown_keys(tmp_path, capsys):
+    path = tmp_path / "typos.ini"
+    path.write_text(
+        "[mode.parking]\noccupancy_horizon = 50\n"
+        "[run]\nsede = 3\n"
+        "[camra]\nmax_range = 5\n"
+        "[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:parking\n",
+        encoding="utf-8",
+    )
+    assert cli_main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    for where in ("[mode.parking] occupancy_horizon", "[run] sede", "[camra] max_range"):
+        assert f"{where}: unknown key" in err
+
+
+# Steps 4 (0.8 m) and 9 (0.025 m): one switch resamples a layer by 5 steps.
 FAR_STEPS = (
     "[mode.road]\noccupancy_cell_size_m = 0.8\n"
     "[mode.parking]\noccupancy_cell_size_m = 0.025\n"
     "[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:road 0.2:parking\n"
 )
-FAR_STEPS_MESSAGE = "switch 'road' -> 'parking' changes the occupancy step 4 -> 9"
 
 
-def test_cli_validate_reports_step_change_above_cap(tmp_path, capsys):
+def test_cli_validate_accepts_far_step_switch(tmp_path, capsys):
     path = tmp_path / "far.ini"
     path.write_text(FAR_STEPS, encoding="utf-8")
-    assert cli_main(["validate-config", str(path)]) == 2
-    assert FAR_STEPS_MESSAGE in capsys.readouterr().err
+    assert cli_main(["validate-config", str(path)]) == 0
 
 
-def test_run_refuses_step_change_above_cap():
+def test_run_realizes_far_step_switches():
     script, world, config = default_scenario()
+    script.duration_s = 0.6
+    script.mode_times = [(0.0, "road"), (0.2, "parking"), (0.4, "road")]
+    config.measure_timing = False
+    for lidar in config.lidars:
+        lidar.beams = 180
     for label, cell_size in (("road", 0.8), ("parking", 0.025)):
-        demand = TypeRequirement(True, 20.0, cell_size)
+        demand = TypeRequirement(True, 6.0, cell_size)
         config.modes[label] = RequirementProfile({"occupancy": demand})
-    with pytest.raises(ConfigError, match=FAR_STEPS_MESSAGE):
-        run_scenario(script, world, config)
+    steps = []
+
+    def on_cycle(record, grid, profile):
+        grid.check()
+        want = required_step(profile, "occupancy", grid.config.edge_length)
+        layers = [layer for _, layer in grid.iter_layers()]
+        assert layers and all(layer.step == want for layer in layers)
+        steps.append(want)
+
+    run_scenario(script, world, config, on_cycle=on_cycle)
+    assert steps == [4, 4, 9, 9, 4, 4]

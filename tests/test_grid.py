@@ -364,7 +364,7 @@ def test_snapshot_huge_step_under_huge_max_step_raises_before_allocating():
     data, at = _one_layer_snapshot()
     data[at + 4 : at + 8] = struct.pack("<I", 2**31)
     data[5 + 24 : 5 + 28] = struct.pack("<I", 2**32 - 1)  # header max step
-    with pytest.raises(SnapshotError, match="truncated"):
+    with pytest.raises(SnapshotError, match="max_step must be in"):
         _load_bytes(bytes(data))
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from apgm import (
     GridConfig,
     GridMap,
-    StepDeltaTooLargeError,
     UnsupportedTypeError,
     make_bba,
     merge_occ,
@@ -18,7 +17,7 @@ from apgm import (
     split_sem,
 )
 from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
-from apgm.resample import sem_block_merge
+from apgm.resample import block_view, sem_block_merge
 
 
 def occ(o, f=0.0):
@@ -216,9 +215,49 @@ def test_resample_unsupported_type():
         resample_layer(layer, 2)
 
 
-def test_resample_step_delta_cap():
-    with pytest.raises(StepDeltaTooLargeError):
-        resample_layer(make_layer(7), 2)
+def test_resample_target_outside_step_bound_raises():
+    for target in (-1, 32):
+        with pytest.raises(ValueError, match="outside"):
+            resample_layer(make_layer(7), target)
+
+
+@given(
+    st.sampled_from([("occupancy", OCCUPANCY_FRAME), ("semantic", SEMANTIC_FRAME)]),
+    st.integers(0, 6),
+    st.integers(0, 8),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_resample_any_step_change(typed, step, target, sparse, seed):
+    # Any distance between steps, not only the one-step changes of a drive.
+    name, frame = typed
+    rng = np.random.default_rng(seed)
+    layer = Layer(name, frame, step)
+    k = len(frame)
+    rows = rng.dirichlet(np.ones(k + 1), size=layer.cells)[:, :k]
+    if sparse:
+        rows[rng.random(layer.cells) > 0.05] = 0.0
+        rows[rng.random(layer.cells) > 0.98] = np.eye(k)[0]
+    layer.masses[:] = rows.reshape(layer.masses.shape).astype(np.float32)
+
+    out = resample_layer(layer, target)
+    m = 1 << target
+    assert out.step == target
+    assert out.masses.shape == (m, m, k)
+    grid = GridMap(GridConfig())
+    grid.set_layer((0, 0), out)
+    grid.check()
+    if name != "occupancy" or target == step:
+        return
+    occ_in, occ_out = layer.masses[..., 0], out.masses[..., 0]
+    if target < step:
+        children = block_view(layer.masses, 1 << (step - target))[..., 0]
+        assert np.all(occ_out >= children.max(axis=-1) - 2.0**-24)
+    else:
+        f = 1 << (target - step)
+        parents = np.repeat(np.repeat(occ_in, f, axis=0), f, axis=1)
+        assert np.all(occ_out <= parents + 2.0**-24)
 
 
 def test_semantic_layer_resample_round_trip():

@@ -25,11 +25,9 @@ from apgm.raster import compare_resampling_demo, export_raster, render_betp
 from apgm.scenario import (
     REFERENCE_STATIC_CELLS,
     ScenarioConfig,
-    ScenarioScript,
     default_scenario,
     summarize,
     uniform_patched_cell_count,
-    validate_scenario,
 )
 from apgm.errors import NonFiniteInputError
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
@@ -196,34 +194,6 @@ def test_step_above_max_step_raises_config_error():
     config.modes["parking"] = RequirementProfile({"occupancy": fine})
     with pytest.raises(ConfigError, match="max_step 10"):
         run_scenario(script, world, config)
-
-
-@pytest.mark.parametrize("cycle_s", [0.1, 0.3, 0.07])
-def test_visited_modes_follow_the_cycle_times(cycle_s):
-    # "b" at 0.25 holds no cycle time when cycles fall on 0.2 and 0.3.
-    times = [0.0, 0.25, 0.3, 0.32, 0.5, 0.9, 2.0]
-    script = ScenarioScript(
-        [(0.0, 0.0, 0.0, 0.0)], list(zip(times, "abcbcca")), 1.0, cycle_s
-    )
-    labels = [script.mode_at(script.cycle_time(i)) for i in range(script.n_cycles())]
-    runs = [b for a, b in zip([None] + labels, labels) if a != b]
-    assert script.visited_modes() == runs
-    if cycle_s == 0.1:
-        assert runs == ["a", "c", "b", "c"]
-
-
-def test_step_change_across_an_inactive_mode_passes():
-    # The middle mode culls every occupancy layer, so none is resampled.
-    script, _, config = default_scenario()
-    script.mode_times = [(0.0, "coarse"), (1.0, "off"), (2.0, "fine")]
-    config.modes = {
-        "coarse": RequirementProfile({"occupancy": TypeRequirement(True, 20.0, 0.8)}),
-        "off": RequirementProfile({"occupancy": TypeRequirement(False, 20.0, 0.8)}),
-        "fine": RequirementProfile({"occupancy": TypeRequirement(True, 20.0, 0.025)}),
-    }
-    assert validate_scenario(script, config) == []
-    script.mode_times = [(0.0, "coarse"), (1.0, "fine")]
-    assert len(validate_scenario(script, config)) == 1
 
 
 # One bad value per sensor field: (sensor, field, value, INI key, INI value,
