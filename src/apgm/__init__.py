@@ -77,11 +77,9 @@ from .scenario import (
     CameraConfig,
     LidarConfig,
     MetricsRecord,
-    ReferenceLayout,
     ScenarioConfig,
     ScenarioScript,
     default_scenario,
-    reference_cell_counts,
     run_scenario,
     simulate_camera,
     simulate_lidar,

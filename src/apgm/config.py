@@ -1,10 +1,13 @@
 """Scenario configuration files (INI sections, documented in the README).
 
 ``load_scenario`` turns a file into the (script, world, config) triple the
-runner consumes; every problem found is collected and raised as one
-:class:`ConfigError` so the CLI can print complete diagnostics. A missing
-key takes its value from ``ScenarioConfig()`` and ``default_script()``;
-every ``[mode.*]`` section starts from ``parking_profile()``.
+runner consumes. A missing key takes its value from ``ScenarioConfig()``
+and ``default_script()``; every ``[mode.*]`` section starts from
+``parking_profile()``. Each part refuses bad fields when built, and the
+loader labels those problems with their section. Only once every part is
+built does it apply ``validate_scenario``'s cross-part rules, so no
+diagnostic names a default standing in for a refused part. All problems
+are raised as one :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -62,20 +65,22 @@ class _Reader:
             for axis, v in zip("xy", default)
         )
 
-    def fields(self, section, d, keys, **values):
+    def fields(self, section, d, keys, where=None, **values):
         """Dataclass ``d`` with each field in ``keys`` read from the key of
-        the same name, cast like its default, and with ``values`` set."""
+        the same name, cast like its default, and with ``values`` set;
+        problems are labelled ``where``, by default the section."""
         for key in keys:
             default = getattr(d, key)
             values[key] = self.get(section, key, type(default), default)
-        return self.replace(f"[{section}]", d, **values)
+        return self.replace(f"[{section}] " if where is None else where, d, **values)
 
     def replace(self, where, d, **values):
-        """``d`` with ``values`` set, or ``d`` and a problem if it refuses them."""
+        """``d`` with ``values`` set, or ``d`` and its problems, each
+        prefixed with ``where``, if it refuses them."""
         try:
             return dataclasses.replace(d, **values)
-        except ValueError as exc:
-            self.problems.append(f"{where} {exc}")
+        except ConfigError as exc:
+            self.problems += [f"{where}{p}" for p in exc.problems]
             return d
 
 
@@ -107,7 +112,7 @@ def _profile_from(reader: _Reader, section: str) -> RequirementProfile:
 
     def type_req(prefix: str, d: TypeRequirement) -> TypeRequirement:
         return reader.replace(
-            f"[{section}] {prefix}:",
+            f"[{section}] {prefix}: ",
             d,
             active=reader.get(section, f"{prefix}_active", _as_bool, d.active),
             horizon_m=reader.get(section, f"{prefix}_horizon_m", float, d.horizon_m),
@@ -191,6 +196,7 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
         "run",
         default_script(),
         ("duration_s", "cycle_s"),
+        where="",  # its problems name their keys, from [run] and [timeline]
         keyframes=keyframes,
         mode_times=mode_times,
     )
@@ -209,9 +215,9 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
         for key in parser.options(section):
             if (section, key) not in reader.asked:
                 reader.problems.append(f"[{section}] {key}: unknown key")
-    problems = reader.problems + validate_scenario(script, config)
+    problems = reader.problems or validate_scenario(script, config)
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError(*problems)
     return script, world, config
 
 
@@ -220,5 +226,5 @@ def validate_file(path) -> list[str]:
     try:
         load_scenario(path)
     except ConfigError as exc:
-        return str(exc).split("; ")
+        return exc.problems
     return []

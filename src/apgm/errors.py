@@ -68,5 +68,17 @@ class SnapshotError(GridMapError, ValueError):
     """A grid snapshot is truncated, has trailing bytes or is malformed."""
 
 
-class ConfigError(GridMapError):
-    """Scenario configuration is invalid; the message carries diagnostics."""
+class ConfigError(GridMapError, ValueError):
+    """Configuration is invalid; ``problems`` lists every diagnostic found."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+
+def require(*checks: tuple[bool, str]) -> None:
+    """Raise one :class:`ConfigError` naming every ``(ok, message)`` check
+    that failed; config parts call it from ``__post_init__``."""
+    problems = [message for ok, message in checks if not ok]
+    if problems:
+        raise ConfigError(*problems)

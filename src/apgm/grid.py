@@ -23,6 +23,7 @@ from .errors import (
     InvariantError,
     PointOutsidePatchError,
     ResolutionConflictError,
+    require,
 )
 from .evidence import Frame
 
@@ -58,14 +59,12 @@ class GridConfig:
     max_step: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.edge_length < math.inf:
-            raise ValueError("edge_length must be finite and positive")
-        if not all(math.isfinite(v) for v in self.datum):
-            raise ValueError("datum must be finite")
-        if not self.types:
-            raise ValueError("type table must not be empty")
-        if not 0 <= self.max_step <= MAX_STEP:
-            raise ValueError(f"max_step must be in [0, {MAX_STEP}]")
+        require(
+            (0.0 < self.edge_length < math.inf, "edge_length must be finite and positive"),
+            (all(math.isfinite(v) for v in self.datum), "datum must be finite"),
+            (bool(self.types), "type table must not be empty"),
+            (0 <= self.max_step <= MAX_STEP, f"max_step must be in [0, {MAX_STEP}]"),
+        )
 
     def cell_width(self, step: int) -> float:
         return self.edge_length / (1 << step)

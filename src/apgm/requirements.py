@@ -14,7 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .grid import GridConfig, GridMap
 from .resample import resample_layer
 
@@ -31,13 +31,18 @@ class TypeRequirement:
     fov_half_angle_rad: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.horizon_m < math.inf:
-            raise ValueError("horizon_m must be finite and positive")
-        if not 0.0 < self.max_cell_size_m < math.inf:
-            raise ValueError("max_cell_size_m must be finite and positive")
         fov = self.fov_half_angle_rad
-        if fov is not None and not 0.0 <= fov <= math.pi:
-            raise ValueError("fov_half_angle_rad must be None or in [0, pi]")
+        require(
+            (0.0 < self.horizon_m < math.inf, "horizon_m must be finite and positive"),
+            (
+                0.0 < self.max_cell_size_m < math.inf,
+                "max_cell_size_m must be finite and positive",
+            ),
+            (
+                fov is None or 0.0 <= fov <= math.pi,
+                "fov_half_angle_rad must be None or in [0, pi]",
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -68,31 +73,6 @@ def required_step(
     raise ConfigError(
         f"cell size {target} m unreachable from edge length {edge_length} m"
     )
-
-
-def validate_profile(
-    profile: RequirementProfile,
-    edge_length: float,
-    max_step: int = GridConfig.max_step,
-) -> list[str]:
-    """Check the power-of-two cell size invariant and that a grid with
-    ``max_step`` can hold every demanded step; returns diagnostics."""
-    problems = []
-    for name, demand in profile.demands.items():
-        ratio = edge_length / demand.max_cell_size_m
-        step = round(math.log2(ratio))
-        nearest = 2.0**step
-        if abs(ratio - nearest) > STEP_TOL * nearest:
-            problems.append(
-                f"type {name!r}: edge {edge_length} / cell size "
-                f"{demand.max_cell_size_m} = {ratio} is not a power of two"
-            )
-        elif step > max_step:
-            problems.append(
-                f"type {name!r}: cell size {demand.max_cell_size_m} m needs "
-                f"step {step}, above the grid's max_step {max_step}"
-            )
-    return problems
 
 
 # -- horizon / frustum geometry ---------------------------------------------

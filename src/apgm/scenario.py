@@ -17,17 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .evidence import ConflictCounter
 from .fusion import FusionPolicy, temporal_update
 from .grid import GridConfig, GridMap
 from .requirements import (
+    STEP_TOL,
     RequirementProfile,
     TypeRequirement,
-    _rect_min_distance,
     apply_requirements,
     required_step,
-    validate_profile,
 )
 from .sensors import (
     PointCloud,
@@ -57,7 +56,7 @@ CSV_HEADER = "time_s,mode,horizon_m,src,type,cells,bytes,fuse_ms"
 # -- sensor suite -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LidarConfig:
     name: str = "lidar"
     beams: int = 720
@@ -67,27 +66,19 @@ class LidarConfig:
     mu_hit: float = 0.6
     mu_free: float = 0.3
 
+    def __post_init__(self):
+        require(
+            (self.beams >= 1, "beam count must be positive"),
+            *SensorModelParams.checks(self.mu_hit, self.mu_free, self.max_range),
+            (0.0 <= self.noise_sigma < math.inf, "noise_sigma must be finite and nonnegative"),
+            (all(math.isfinite(v) for v in self.mount), "mount must be finite"),
+        )
+
     def sensor_params(self) -> SensorModelParams:
         return SensorModelParams(self.mu_hit, self.mu_free, self.max_range)
 
-    def validate(self) -> list[str]:
-        """Diagnostics for every field; the sensor model's limits come
-        from :class:`SensorModelParams`."""
-        problems = []
-        if self.beams < 1:
-            problems.append("beam count must be positive")
-        try:
-            self.sensor_params()
-        except ValueError as exc:
-            problems.append(str(exc))
-        if not 0.0 <= self.noise_sigma < math.inf:
-            problems.append("noise_sigma must be finite and nonnegative")
-        if not all(math.isfinite(v) for v in self.mount):
-            problems.append("mount must be finite")
-        return problems
 
-
-@dataclass
+@dataclass(frozen=True)
 class CameraConfig:
     name: str = "camera"
     fov_half_angle_rad: float = math.radians(30.0)
@@ -97,18 +88,15 @@ class CameraConfig:
     confidence_near: float = 0.9
     confidence_far: float = 0.4
 
-    def validate(self) -> list[str]:
-        """Diagnostics for every field."""
-        problems = []
-        if not 0.0 <= self.fov_half_angle_rad <= math.pi:
-            problems.append("fov half angle must be in [0, 180] degrees")
-        for key in ("max_range", "range_step", "angle_step_rad"):
-            if not 0.0 < getattr(self, key) < math.inf:
-                problems.append(f"{key} must be finite and positive")
-        for key in ("confidence_near", "confidence_far"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                problems.append(f"{key} must be in [0, 1]")
-        return problems
+    def __post_init__(self):
+        fov = self.fov_half_angle_rad
+        require(
+            (0.0 <= fov <= math.pi, "fov half angle must be in [0, 180] degrees"),
+            *((0.0 < getattr(self, k) < math.inf, f"{k} must be finite and positive")
+              for k in ("max_range", "range_step", "angle_step_rad")),
+            *((0.0 <= getattr(self, k) <= 1.0, f"{k} must be in [0, 1]")
+              for k in ("confidence_near", "confidence_far")),
+        )
 
 
 def _mounted(pose, mount) -> np.ndarray:
@@ -171,16 +159,18 @@ def simulate_camera(
 # -- timeline -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioScript:
     """Pose keyframes plus a mode step function covering the whole run."""
 
-    keyframes: list[tuple[float, float, float, float]]  # t, x, y, heading
-    mode_times: list[tuple[float, str]]  # switch time, mode label
+    keyframes: tuple[tuple[float, float, float, float], ...]  # t, x, y, heading
+    mode_times: tuple[tuple[float, str], ...]  # switch time, mode label
     duration_s: float = 60.0
     cycle_s: float = 0.1
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
+        object.__setattr__(self, "keyframes", tuple(self.keyframes))
+        object.__setattr__(self, "mode_times", tuple(self.mode_times))
         problems = []
         times = [k[0] for k in self.keyframes]
         if not times:
@@ -201,7 +191,8 @@ class ScenarioScript:
             problems.append("cycle_s must be finite and positive")
         elif not 0.0 <= self.duration_s / self.cycle_s < 2**53:  # exact float indices
             problems.append("duration_s must be finite, >= 0 and < 2**53 cycles")
-        return problems
+        if problems:
+            raise ConfigError(*problems)
 
     def pose_at(self, t: float) -> tuple[float, float, float]:
         ks = self.keyframes
@@ -290,19 +281,35 @@ def default_scenario() -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
 def validate_scenario(
     script: ScenarioScript, config: ScenarioConfig
 ) -> list[str]:
-    problems = script.validate()
-    for _, label in script.mode_times:
-        if label not in config.modes:
-            problems.append(f"script uses undefined mode {label!r}")
-    grid = config.grid
+    """Diagnostics for the rules that span parts or read the mutable
+    ``ScenarioConfig``; each part checked its own fields when built. A cell
+    size is the edge over a power of two, 2^-k included (met at step 0)."""
+    problems = [
+        f"script uses undefined mode {label!r}"
+        for _, label in script.mode_times
+        if label not in config.modes
+    ]
+    edge, max_step = config.grid.edge_length, config.grid.max_step
     for label, profile in config.modes.items():
-        for issue in validate_profile(profile, grid.edge_length, grid.max_step):
-            problems.append(f"mode {label!r}: {issue}")
-    for lidar in config.lidars:
-        problems += [f"lidar {lidar.name!r}: {p}" for p in lidar.validate()]
-    if config.camera is not None:
-        name = config.camera.name
-        problems += [f"camera {name!r}: {p}" for p in config.camera.validate()]
+        for name, demand in profile.demands.items():
+            where = f"mode {label!r}: type {name!r}:"
+            try:
+                step = required_step(profile, name, edge)
+            except ConfigError as exc:
+                problems.append(f"{where} {exc}")
+                continue
+            cell = demand.max_cell_size_m
+            # cell * 2^step / edge is 1, or 2^k for a coarser demand, within STEP_TOL
+            mantissa = math.frexp(math.ldexp(cell, step) / edge)[0]
+            if min(abs(2.0 * mantissa - 1.0), abs(1.0 - mantissa)) > STEP_TOL:
+                problems.append(
+                    f"{where} edge {edge} / cell size {cell} is not a power of two"
+                )
+            elif step > max_step:
+                problems.append(
+                    f"{where} cell size {cell} m needs step {step}, "
+                    f"above the grid's max_step {max_step}"
+                )
     if not 0.0 <= config.temporal_alpha <= 1.0:
         problems.append("temporal alpha must be in [0, 1]")
     if not (isinstance(config.seed, int) and config.seed >= 0):
@@ -336,33 +343,27 @@ class MetricsRecord:
         return 0
 
 
-@dataclass(frozen=True)
-class ReferenceLayout:
-    label: str
-    cells: int
-    bytes_per_cell: int = REFERENCE_BYTES_PER_CELL
-
-    @property
-    def bytes(self) -> int:
-        return self.cells * self.bytes_per_cell
-
-
 def uniform_patched_cell_count(
     center, horizon_m: float, edge_length: float, step: int
 ) -> int:
-    """Cells of a uniform-resolution patched layout covering the horizon disc."""
-    cx, cy = float(center[0]), float(center[1])
+    """Cells of a uniform-resolution patched layout covering the horizon disc.
+
+    A patch counts when its nearest point is within the horizon. With the
+    center's gaps to the patch rows sorted, a column holds a prefix of the
+    rows that shrinks as its own gap grows: O(reach) distance tests.
+    """
     reach = int(math.ceil(horizon_m / edge_length)) + 1
-    base_x = math.floor(cx / edge_length)
-    base_y = math.floor(cy / edge_length)
-    patches = 0
-    for ix in range(base_x - reach, base_x + reach + 1):
-        for iy in range(base_y - reach, base_y + reach + 1):
-            x0 = ix * edge_length
-            y0 = iy * edge_length
-            d = _rect_min_distance(cx, cy, x0, y0, x0 + edge_length, y0 + edge_length)
-            if d <= horizon_m:
-                patches += 1
+
+    def gaps(c: float) -> list[float]:
+        lo = (np.arange(-reach, reach + 1) + math.floor(c / edge_length)) * edge_length
+        return np.sort(np.maximum(np.maximum(lo - c, 0.0), c - (lo + edge_length))).tolist()
+
+    rows = gaps(float(center[1]))
+    patches, n = 0, len(rows)
+    for dx in gaps(float(center[0])):
+        while n and math.hypot(dx, rows[n - 1]) > horizon_m:
+            n -= 1
+        patches += n
     return patches * (1 << (2 * step))
 
 
@@ -389,21 +390,6 @@ def uniform_reference_cells(
     )
 
 
-def reference_cell_counts(config: ScenarioConfig) -> list[ReferenceLayout]:
-    """Reference layouts the scenario is compared against.
-
-    The uniform-patched layouts are evaluated with the vehicle at a patch
-    center, one per mode with an active type.
-    """
-    out = [ReferenceLayout("static_nonuniform", REFERENCE_STATIC_CELLS)]
-    e = config.grid.edge_length
-    for label, profile in sorted(config.modes.items()):
-        if profile.active_types():
-            cells = uniform_reference_cells(profile, (e / 2.0, e / 2.0), e)
-            out.append(ReferenceLayout(f"uniform_{label}", cells))
-    return out
-
-
 # -- runner -------------------------------------------------------------------
 
 
@@ -427,7 +413,7 @@ def run_scenario(
     """
     problems = validate_scenario(script, config)
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError(*problems)
 
     gc = config.grid
     counter = ConflictCounter()

@@ -37,6 +37,7 @@ from .errors import (
     CellOutOfBoundsError,
     NonFiniteInputError,
     UnknownHypothesisError,
+    require,
 )
 from .evidence import ConflictCounter, combine_mass_arrays
 from .grid import (
@@ -49,7 +50,8 @@ from .grid import (
 from .kernels import box_cells, ray_cell_cap, total_conflict, traverse_rays
 from .requirements import RequirementProfile, required_step
 
-@dataclass
+
+@dataclass(frozen=True)
 class SensorModelParams:
     """Cell-invariant sensor model for point returns and ray free space."""
 
@@ -58,12 +60,16 @@ class SensorModelParams:
     max_range: float = 100.0
 
     def __post_init__(self):
-        if not 0.0 < self.mu_hit <= 1.0:
-            raise ValueError("mu_hit must be in (0, 1]")
-        if not 0.0 < self.mu_free < 1.0:
-            raise ValueError("mu_free must be in (0, 1)")
-        if not self.max_range > 0.0:
-            raise ValueError("max_range must be positive")
+        require(*self.checks(self.mu_hit, self.mu_free, self.max_range))
+
+    @staticmethod
+    def checks(mu_hit, mu_free, max_range) -> tuple[tuple[bool, str], ...]:
+        """The model's limits as ``(ok, message)`` pairs for :func:`require`."""
+        return (
+            (0.0 < mu_hit <= 1.0, "mu_hit must be in (0, 1]"),
+            (0.0 < mu_free < 1.0, "mu_free must be in (0, 1)"),
+            (max_range > 0.0, "max_range must be positive"),
+        )
 
 
 @dataclass

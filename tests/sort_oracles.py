@@ -4,10 +4,13 @@ These are the earlier bodies of ``kernels.combine_masses`` (row
 reductions), of the sort-based measurement-grid builders (uint64 cell
 keys, ``np.unique`` and a per-patch scatter), of
 ``WorldModel.label_points`` (every region tested against every point) and
-of ``fusion.fuse_layers`` (Dempster's rule over every cell of every input).
+of ``fusion.fuse_layers`` (Dempster's rule over every cell of every input)
+and of ``scenario.uniform_patched_cell_count`` (a distance test per patch).
 ``test_equivalence.py`` compares the library against them with
 ``np.array_equal`` or list equality.
 """
+
+import math
 
 import numpy as np
 
@@ -15,7 +18,7 @@ from apgm.errors import CellOutOfBoundsError
 from apgm.evidence import combine_mass_arrays
 from apgm.grid import UNKNOWN, GridMap, Layer, global_cells_of, split_global_cells
 from apgm.kernels import _traverse_rays_impl, ray_cell_cap, total_conflict
-from apgm.requirements import required_step
+from apgm.requirements import _rect_min_distance, required_step
 from apgm.resample import resample_layer
 from apgm.sensors import _clip_to_horizon, occupancy_evidence
 
@@ -220,3 +223,19 @@ def fuse_layers_dense(layers, r_req, counter=None):
         if counter is not None:
             counter.add(np.count_nonzero(total_conflict(conflict)))
     return Layer(first.type_name, first.frame, r_fused, acc.astype(np.float32))
+
+
+def uniform_patched_cell_count_scan(center, horizon_m, edge_length, step):
+    cx, cy = float(center[0]), float(center[1])
+    reach = int(math.ceil(horizon_m / edge_length)) + 1
+    base_x = math.floor(cx / edge_length)
+    base_y = math.floor(cy / edge_length)
+    patches = 0
+    for ix in range(base_x - reach, base_x + reach + 1):
+        for iy in range(base_y - reach, base_y + reach + 1):
+            x0 = ix * edge_length
+            y0 = iy * edge_length
+            d = _rect_min_distance(cx, cy, x0, y0, x0 + edge_length, y0 + edge_length)
+            if d <= horizon_m:
+                patches += 1
+    return patches * (1 << (2 * step))

@@ -8,7 +8,7 @@ scenario is executed once and shared by the run-level criteria.
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -220,7 +220,7 @@ def test_c08_determinism(tmp_path):
         paths = []
         for name in ("a", "b"):
             script, world, config = default_scenario()
-            script.duration_s = 10.0
+            script = replace(script, duration_s=10.0)
             config.measure_timing = False  # wall time is not reproducible
             result = run_scenario(script, world, config)
             paths.append(write_metrics(result.records, tmp_path / f"{name}.csv"))
@@ -233,9 +233,12 @@ def test_c09_fusion_time_budget():
     with criterion(9, "road-config fusion cycle under the hardware-tolerant 1 s gate"):
         script, world, config = default_scenario()
         pose = (200.0, 0.0, 0.0)
-        script.keyframes = [(0.0, 200.0, 0.0, 0.0), (2.0, 226.0, 0.0, 0.0)]
-        script.mode_times = [(0.0, "road")]
-        script.duration_s = 2.0
+        script = replace(
+            script,
+            keyframes=[(0.0, 200.0, 0.0, 0.0), (2.0, 226.0, 0.0, 0.0)],
+            mode_times=[(0.0, "road")],
+            duration_s=2.0,
+        )
         live = run_scenario(script, world, config).grid
 
         profile = config.modes["road"].with_pose(pose)

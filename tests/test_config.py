@@ -61,6 +61,17 @@ def test_bad_timeline_entries_are_reported(tmp_path):
         assert any(entry in p for p in problems)
 
 
+def _write_ini(path, sections):
+    path.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
 # One bad value per case: (section, key, INI value, diagnostic). Each used to
 # pass validation and fail the run, crash validation, or exit 3.
 BAD_VALUES = [
@@ -97,6 +108,20 @@ BAD_VALUES = [
         "[mode.parking] semantic: fov_half_angle_rad",
     ),
     ("run", "seed", "-1", "seed must be a nonnegative integer"),
+    # Cell sizes whose step no float ratio reaches: edge / cell overflows.
+    (
+        "mode.parking",
+        "occupancy_cell_size_m",
+        "5e-324",
+        "mode 'parking': type 'occupancy': cell size 5e-324 m unreachable",
+    ),
+    (
+        "mode.parking",
+        "occupancy_cell_size_m",
+        "1e-310",
+        "mode 'parking': type 'occupancy': cell size 1e-310 m unreachable",
+    ),
+    ("grid", "edge_length", "1e308", "unreachable from edge length 1e+308 m"),
 ]
 
 
@@ -109,16 +134,69 @@ def test_cli_validate_reports_bad_value(tmp_path, capsys, section, key, raw, mes
         "timeline": {"keyframes": "0:0:0:0 1:2:0:0", "modes": "0:parking"},
     }
     sections[section][key] = raw
-    path = tmp_path / "bad.ini"
-    path.write_text(
-        "".join(
-            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-            for name, keys in sections.items()
-        ),
-        encoding="utf-8",
-    )
+    path = _write_ini(tmp_path / "bad.ini", sections)
     assert cli_main(["validate-config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# (edge length, cell size, exit code). The accepted cell sizes are the
+# edge over a power of two, coarser ones included (they run at step 0).
+CELL_SIZES = [
+    ("12.8", "25.6", 0),
+    ("12.8", "51.2", 0),
+    ("12.8", "20", 2),
+    ("12.8", "0.3", 2),
+    ("1e308", "1e-10", 2),
+]
+
+
+@pytest.mark.parametrize("edge,cell,code", CELL_SIZES)
+def test_cli_validate_pins_accepted_cell_sizes(tmp_path, capsys, edge, cell, code):
+    path = _write_ini(
+        tmp_path / "cell.ini",
+        {
+            "run": {"duration_s": "0.1", "timing": "false"},
+            "grid": {"edge_length": edge},
+            "lidar.front": {"beams": "90"},
+            "lidar.rear": {"beams": "90"},
+            "mode.parking": {
+                "occupancy_cell_size_m": cell,
+                "semantic_cell_size_m": cell,
+            },
+            "timeline": {"keyframes": "0:0:0:0 1:2:0:0", "modes": "0:parking"},
+        },
+    )
+    assert cli_main(["validate-config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "mode 'parking': type 'occupancy':" in err
+        return
+    steps = set()
+
+    def on_cycle(record, grid, profile):
+        steps.update(layer.step for _, layer in grid.iter_layers())
+
+    run_scenario(*load_scenario(path), on_cycle=on_cycle)
+    assert steps == {0}
+
+
+def test_diagnostics_name_only_what_the_file_holds(tmp_path):
+    # The refused script must not be replaced by the built-in one, whose
+    # 'road' mode this file does not define; and the keyframe problem
+    # belongs to [timeline], not [run].
+    path = _write_ini(
+        tmp_path / "mixed.ini",
+        {
+            "camera": {"max_range": "-1", "range_step": "0"},
+            "mode.parking": {},
+            "timeline": {"keyframes": "0:nan:0:0 1:2:0:0", "modes": "0:parking"},
+        },
+    )
+    assert validate_file(path) == [
+        "[camera] max_range must be finite and positive",
+        "[camera] range_step must be finite and positive",
+        "keyframe values must be finite",
+    ]
 
 
 def test_cli_run_reports_negative_seed(tmp_path, capsys):
@@ -163,11 +241,13 @@ def test_cli_validate_accepts_far_step_switch(tmp_path, capsys):
 
 def test_run_realizes_far_step_switches():
     script, world, config = default_scenario()
-    script.duration_s = 0.6
-    script.mode_times = [(0.0, "road"), (0.2, "parking"), (0.4, "road")]
+    script = dataclasses.replace(
+        script,
+        duration_s=0.6,
+        mode_times=[(0.0, "road"), (0.2, "parking"), (0.4, "road")],
+    )
     config.measure_timing = False
-    for lidar in config.lidars:
-        lidar.beams = 180
+    config.lidars = [dataclasses.replace(lidar, beams=180) for lidar in config.lidars]
     for label, cell_size in (("road", 0.8), ("parking", 0.025)):
         demand = TypeRequirement(True, 6.0, cell_size)
         config.modes[label] = RequirementProfile({"occupancy": demand})

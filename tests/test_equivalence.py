@@ -1,7 +1,7 @@
 """The column combine kernel, the window-count builders, the region
-labelling and the held-row layer fold equal their row-reducing,
-sort-based, every-region and dense predecessors (``sort_oracles.py``) bit
-for bit.
+labelling, the held-row layer fold and the per-column reference count
+equal their row-reducing, sort-based, every-region, dense and per-patch
+predecessors (``sort_oracles.py``) bit for bit.
 """
 
 import math
@@ -25,7 +25,8 @@ from apgm import (
 from apgm.evidence import ConflictCounter
 from apgm.grid import MASS_SUM_TOL, OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
 from apgm.kernels import combine_masses
-from apgm.scenario import CameraConfig, simulate_camera
+from apgm.requirements import _rect_min_distance
+from apgm.scenario import CameraConfig, simulate_camera, uniform_patched_cell_count
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 from sort_oracles import (
     combine_masses_rows,
@@ -33,6 +34,7 @@ from sort_oracles import (
     label_points_every_region,
     occupancy_sorted,
     semantic_sorted,
+    uniform_patched_cell_count_scan,
 )
 
 
@@ -365,3 +367,30 @@ def test_label_points_on_default_world_frustums():
             points = simulate_camera(world, (x, 0.3, heading), CameraConfig()).points
             got = world.label_points(points)
             assert got == label_points_every_region(world.regions, points)
+
+
+@st.composite
+def reference_discs(draw):
+    """(center, horizon, edge, step); a third of the horizons equal a
+    patch's exact distance, so boundary rows sit on the horizon."""
+    edge = draw(st.sampled_from([12.8, 3.2, 1.0, 0.7, 25.0]))
+    coord = st.one_of(
+        st.floats(-1e4, 1e4, allow_nan=False),
+        st.integers(-800, 800).map(lambda i: i * edge),  # on patch borders
+    )
+    cx, cy = draw(coord), draw(coord)
+    horizon = draw(st.floats(0.0, 60.0, allow_nan=False))
+    if draw(st.integers(0, 2)) == 0:
+        ix = math.floor(cx / edge) + draw(st.integers(-6, 6))
+        iy = math.floor(cy / edge) + draw(st.integers(-6, 6))
+        x0, y0 = ix * edge, iy * edge
+        horizon = _rect_min_distance(cx, cy, x0, y0, x0 + edge, y0 + edge)
+    return (cx, cy), horizon, edge, draw(st.integers(0, 10))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reference_discs())
+def test_uniform_count_equals_per_patch_scan(disc):
+    center, horizon, edge, step = disc
+    got = uniform_patched_cell_count(center, horizon, edge, step)
+    assert got == uniform_patched_cell_count_scan(center, horizon, edge, step)

@@ -8,6 +8,7 @@ It numbers them in a cell box holding every ray's origin and end cell;
 ``box_cells`` decodes them.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -442,9 +443,9 @@ def test_walk_rejects_nonfinite_like_reference():
 def test_walk_matches_reference_on_scenario_calls(monkeypatch, mode, keyframes):
     # Every traversal the default scenario makes in a few cycles.
     script, world, config = default_scenario()
-    script.keyframes = keyframes
-    script.mode_times = [(0.0, mode)]
-    script.duration_s = 0.3
+    script = dataclasses.replace(
+        script, keyframes=keyframes, mode_times=[(0.0, mode)], duration_s=0.3
+    )
     config.measure_timing = False
     calls = []
 

@@ -1,5 +1,6 @@
 """Requirement profiles: step selection, horizon/frustum geometry, realization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from apgm import (
     patch_in_horizon,
     required_step,
 )
-from apgm.requirements import validate_profile
+from apgm.scenario import ScenarioConfig, default_script, validate_scenario
 
 
 def profile(horizon=20.0, cell=0.1, fov=None, active=True, pose=(0.0, 0.0, 0.0)):
@@ -39,19 +40,35 @@ def test_step_whole_patch():
     assert required_step(profile(cell=12.8), "occupancy", 12.8) == 0
 
 
-def test_validate_profile_power_of_two():
-    assert validate_profile(profile(cell=0.1), 12.8) == []
-    problems = validate_profile(profile(cell=0.3), 12.8)
-    assert problems and "power of two" in problems[0]
+# (cell size, max_step, diagnostic or None) on a 12.8 m edge: a cell size
+# must be the edge over a power of two whose step fits max_step. The
+# coarser sizes and the overflowing ones are pinned in test_config.py.
+CELL_SIZES = [
+    pytest.param(0.1, 10, None, id="step_7"),
+    pytest.param(0.3, 10, "is not a power of two", id="power_of_two_0.3"),
+    pytest.param(12.8 / 2**11, 11, None, id="step_11_within_max_step_11"),
+    pytest.param(
+        12.8 / 2**11,
+        10,
+        "needs step 11, above the grid's max_step 10",
+        id="step_11_above_max_step_10",
+    ),
+]
 
 
-def test_validate_profile_step_above_max_step():
-    # 12.8 m / 2^11 needs step 11; the default grid (max_step 10) cannot
-    # hold it.
-    fine = profile(cell=12.8 / 2**11)
-    assert validate_profile(fine, 12.8, max_step=11) == []
-    problems = validate_profile(fine, 12.8)
-    assert problems and "needs step 11, above the grid's max_step 10" in problems[0]
+@pytest.mark.parametrize("cell,max_step,message", CELL_SIZES)
+def test_validate_scenario_cell_size(cell, max_step, message):
+    script = dataclasses.replace(default_script(), mode_times=[(0.0, "parking")])
+    config = ScenarioConfig(
+        grid=GridConfig(max_step=max_step), modes={"parking": profile(cell=cell)}
+    )
+    problems = validate_scenario(script, config)
+    if message is None:
+        assert problems == []
+    else:
+        assert len(problems) == 1
+        assert problems[0].startswith("mode 'parking': type 'occupancy':")
+        assert message in problems[0]
 
 
 # -- horizon / frustum --------------------------------------------------------------

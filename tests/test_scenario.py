@@ -14,7 +14,6 @@ from apgm import (
     LidarConfig,
     RequirementProfile,
     TypeRequirement,
-    reference_cell_counts,
     run_scenario,
     simulate_camera,
     simulate_lidar,
@@ -23,11 +22,12 @@ from apgm import (
 from apgm.cli import main as cli_main
 from apgm.raster import compare_resampling_demo, export_raster, render_betp
 from apgm.scenario import (
-    REFERENCE_STATIC_CELLS,
-    ScenarioConfig,
     default_scenario,
+    parking_profile,
+    road_profile,
     summarize,
     uniform_patched_cell_count,
+    uniform_reference_cells,
 )
 from apgm.errors import NonFiniteInputError
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
@@ -125,12 +125,6 @@ def test_semantic_region_rejects_bad_polygon(polygon, error):
 # -- reference layouts -----------------------------------------------------------------
 
 
-def test_static_reference_constant():
-    refs = {r.label: r for r in reference_cell_counts(ScenarioConfig())}
-    assert refs["static_nonuniform"].cells == 640_000
-    assert refs["static_nonuniform"].bytes == 640_000 * 8
-
-
 def test_uniform_reference_matches_enumeration_oracle():
     e = 12.8
     for horizon, step in ((20.0, 7), (100.0, 6)):
@@ -152,13 +146,13 @@ def test_uniform_reference_minimum_is_vehicle_patch():
 
 
 def test_reference_layouts_per_mode():
-    refs = {r.label: r for r in reference_cell_counts(ScenarioConfig())}
-    assert refs["uniform_parking"].cells == uniform_patched_cell_count(
-        (6.4, 6.4), 20.0, 12.8, 7
-    )
-    assert refs["uniform_road"].cells == uniform_patched_cell_count(
-        (6.4, 6.4), 100.0, 12.8, 6
-    )
+    center = (6.4, 6.4)
+    assert uniform_reference_cells(
+        parking_profile(), center, 12.8
+    ) == uniform_patched_cell_count(center, 20.0, 12.8, 7)
+    assert uniform_reference_cells(
+        road_profile(), center, 12.8
+    ) == uniform_patched_cell_count(center, 100.0, 12.8, 6)
 
 
 # -- runner ---------------------------------------------------------------------------
@@ -166,23 +160,22 @@ def test_reference_layouts_per_mode():
 
 def test_zero_length_run():
     script, world, config = default_scenario()
-    script.duration_s = 0.0
+    script = dataclasses.replace(script, duration_s=0.0)
     result = run_scenario(script, world, config)
     assert result.records == []
     assert result.grid.cell_count() == 0
 
 
 def test_invalid_script_raises_config_error():
-    script, world, config = default_scenario()
-    script.mode_times = [(5.0, "road")]  # does not cover t=0
-    with pytest.raises(ConfigError):
-        run_scenario(script, world, config)
+    script, _, _ = default_scenario()
+    with pytest.raises(ConfigError, match="first mode must start"):
+        dataclasses.replace(script, mode_times=[(5.0, "road")])  # misses t=0
 
 
 def test_unknown_mode_raises_config_error():
     script, world, config = default_scenario()
-    script.mode_times = [(0.0, "hover")]
-    with pytest.raises(ConfigError):
+    script = dataclasses.replace(script, mode_times=[(0.0, "hover")])
+    with pytest.raises(ConfigError, match="undefined mode 'hover'"):
         run_scenario(script, world, config)
 
 
@@ -193,6 +186,16 @@ def test_step_above_max_step_raises_config_error():
     fine = TypeRequirement(True, 20.0, 12.8 / 2**11)
     config.modes["parking"] = RequirementProfile({"occupancy": fine})
     with pytest.raises(ConfigError, match="max_step 10"):
+        run_scenario(script, world, config)
+
+
+@pytest.mark.parametrize("cell", [5e-324, 1e-310])
+def test_unreachable_cell_size_raises_config_error(cell):
+    # edge / cell overflows to inf; the step search refuses it by name.
+    script, world, config = default_scenario()
+    tiny = TypeRequirement(True, 20.0, cell)
+    config.modes["parking"] = RequirementProfile({"occupancy": tiny})
+    with pytest.raises(ConfigError, match="mode 'parking': type 'occupancy': cell"):
         run_scenario(script, world, config)
 
 
@@ -219,13 +222,10 @@ BAD_SENSOR_FIELDS = [
 
 @pytest.mark.parametrize("sensor,field,value,key,raw,message", BAD_SENSOR_FIELDS)
 def test_bad_sensor_field_raises_config_error(sensor, field, value, key, raw, message):
-    script, world, config = default_scenario()
-    if sensor == "camera":
-        config.camera = dataclasses.replace(config.camera, **{field: value})
-    else:
-        config.lidars[0] = dataclasses.replace(config.lidars[0], **{field: value})
+    # The part refuses the value when built, before any run can see it.
+    part = CameraConfig() if sensor == "camera" else LidarConfig()
     with pytest.raises(ConfigError, match=message):
-        run_scenario(script, world, config)
+        dataclasses.replace(part, **{field: value})
 
 
 @pytest.mark.parametrize("sensor,field,value,key,raw,message", BAD_SENSOR_FIELDS)
@@ -245,9 +245,8 @@ def test_cli_validate_reports_bad_sensor_field(
 
 def _short_config(duration, beams=180):
     script, world, config = default_scenario()
-    script.duration_s = duration
-    for lidar in config.lidars:
-        lidar.beams = beams
+    script = dataclasses.replace(script, duration_s=duration)
+    config.lidars = [dataclasses.replace(lidar, beams=beams) for lidar in config.lidars]
     config.measure_timing = False
     return script, world, config
 
@@ -274,8 +273,11 @@ def test_parking_cycles_realize_requirements():
 
 def test_mode_switch_swaps_profile_exactly():
     script, world, config = _short_config(1.0)
-    script.keyframes = [(0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0)]
-    script.mode_times = [(0.0, "parking"), (0.5, "road")]
+    script = dataclasses.replace(
+        script,
+        keyframes=[(0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0)],
+        mode_times=[(0.0, "parking"), (0.5, "road")],
+    )
     steps_by_mode = {}
 
     def on_cycle(record, grid, profile):
@@ -301,8 +303,11 @@ def test_write_metrics_empty(tmp_path):
 
 def test_road_cycle_row_contract(tmp_path):
     script, world, config = _short_config(0.1)
-    script.keyframes = [(0.0, 100.0, 0.0, 0.0), (0.1, 100.2, 0.0, 0.0)]
-    script.mode_times = [(0.0, "road")]
+    script = dataclasses.replace(
+        script,
+        keyframes=[(0.0, 100.0, 0.0, 0.0), (0.1, 100.2, 0.0, 0.0)],
+        mode_times=[(0.0, "road")],
+    )
     result = run_scenario(script, world, config)
     path = write_metrics(result.records, tmp_path / "m.csv")
     lines = path.read_text().splitlines()
