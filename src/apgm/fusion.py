@@ -13,14 +13,19 @@ cells that two or more inputs hold (any stored bit set) go through
 Dempster's rule: a cell with one holder takes that holder's masses and a
 cell with none stays vacuous, which is what the rule returns for them, bit
 for bit (:func:`fuse_layers` states the precondition). Patch and grid
-fusion take unions over types and patch indices. A cell in total conflict
-is reset to vacuous and counted; there is no other policy.
-:func:`temporal_update` folds the aged previous map and the cycle's grids
-in one grid fusion; the scenario runner fuses through it.
+fusion take unions over types and patch indices. The held cells of every
+patch in one call are folded together, in slices of at most
+``FOLD_SLICE`` rows shared by the layers with as many inputs and
+hypotheses; the rule treats each cell on its own, so the result does not
+depend on which cells share a slice. A cell in total conflict is reset to
+vacuous and counted; there is no other policy. :func:`temporal_update`
+folds the aged previous map and the cycle's grids in one grid fusion; the
+scenario runner fuses through it.
 
 Concurrency contract: all inputs are read-only; the fused grid is a fresh
-value. Each output patch index is produced by exactly one fold, so a driver
-may process different indices in parallel with a single writer per patch.
+value. One call's fold writes rows of many output patches, so a driver
+that fuses in parallel splits the inputs into separate calls (by patch
+index, say) and gives each call its own counter.
 """
 
 from __future__ import annotations
@@ -88,13 +93,24 @@ def fuse_layers(
     """Fuse same-type layers of one patch footprint at step min(r_req, max r).
 
     The result and the total-conflict count equal the left fold of
-    Dempster's rule over every cell, bit for bit. Only the rows that at
-    least two inputs hold, or that carry a sign bit, are gathered and
-    folded in input order; every other row is the bitwise OR of the inputs'
-    rows, which is its one holder's row or zero. Precondition: each
-    single-holder row sums to at most 2, as in every layer that
-    :meth:`GridMap.check` accepts (see :func:`~apgm.kernels.combine_masses`).
+    Dempster's rule over every cell, bit for bit. This is :func:`fuse_grids`
+    for one layer: only the rows that at least two inputs hold, or that
+    carry a sign bit, go through the rule, folded in input order; every
+    other row is the bitwise OR of the inputs' rows, which is its one
+    holder's row or zero. Precondition: each single-holder row sums to at
+    most 2, as in every layer that :meth:`GridMap.check` accepts (see
+    :func:`~apgm.kernels.combine_masses`).
     """
+    fold = _HeldRowFold(counter)
+    out = _or_layers(layers, r_req, fold)
+    fold.flush()
+    return out
+
+
+def _or_layers(layers, r_req: int, fold: _HeldRowFold) -> Layer:
+    """The fused layer with every row the OR of the inputs' rows; the rows
+    two inputs hold (or that carry a sign bit) are queued on ``fold``,
+    which writes their Dempster fold into the returned layer's masses."""
     layers = list(layers)
     if not layers:
         raise ValueError("need at least one layer to fuse")
@@ -107,41 +123,105 @@ def fuse_layers(
         )
     masses = [np.ascontiguousarray(l.masses) for l in resampled]
     shape = masses[0].shape
-    k = shape[-1]
     words = [_row_words(m) for m in masses]
     held = _row_any(words[0])
-    fold = np.zeros_like(held)  # held by two or more inputs so far
+    both = np.zeros_like(held)  # held by two or more inputs so far
     fused = words[0].copy()
     for w in words[1:]:
         h = _row_any(w)
-        fold |= held & h
+        both |= held & h
         held |= h
         fused |= w
     # A sign bit marks a -0.0 (or a negative mass): the rule would turn a
     # -0.0 into +0.0 where the row sums to at most 1, so such rows fold too.
-    fold |= _row_any(fused & _SIGN_BITS[fused.dtype.type])
-    rows = np.flatnonzero(fold)
+    both |= _row_any(fused & _SIGN_BITS[fused.dtype.type])
+    rows = np.flatnonzero(both)
     if len(rows):
-        row = np.dtype((np.void, masses[0].itemsize * k))
-
-        def gather(m):
-            return m.reshape(-1, k).view(row)[rows, 0].view(np.float32).reshape(-1, k)
-
-        # Three buffers serve the whole fold; each step writes the spare
-        # accumulator, which then becomes the current one.
-        acc = gather(masses[0]).astype(np.float64)
-        nxt, spare = np.empty_like(acc), np.empty_like(acc)
-        conflict = np.empty(len(rows))
-        for m in masses[1:]:
-            nxt[...] = gather(m)
-            combine_masses(acc, nxt, spare, conflict)
-            acc, spare = spare, acc
-            if counter is not None:
-                counter.add(np.count_nonzero(total_conflict(conflict)))
-        fused.view(row)[rows, 0] = acc.astype(np.float32).view(row)[:, 0]
+        fold.add(words, fused, rows, shape[-1])
     return Layer(
         first.type_name, first.frame, r_fused, fused.view(np.float32).reshape(shape)
     )
+
+
+# Held rows go through Dempster's rule in slices of at most FOLD_SLICE
+# rows: a float64 column temporary of 8192 rows is 64 KiB, under glibc's
+# default 128 KiB mmap threshold (so combine_masses's temporaries reuse
+# heap memory instead of mapping fresh pages) and well inside a 4 MiB L2.
+# Slices of 16k rows and more measured slower on parking (BENCH_13.json).
+FOLD_SLICE = 8192
+
+
+class _HeldRowFold:
+    """Held rows of many output layers, folded together in shared slices.
+
+    A queued layer gives its inputs' row words in fold order, its output
+    row words and the rows to fold. Layers are queued per (inputs, k), and
+    a queue is folded once it holds FOLD_SLICE rows, or at :meth:`flush`.
+    The rule treats each row on its own, so the slice a row shares with
+    other layers' rows cannot change a bit of its result.
+    """
+
+    def __init__(self, counter: ConflictCounter | None):
+        self.counter = counter
+        self.queues: dict[tuple[int, int], tuple[list, int]] = {}
+
+    def add(self, words, fused, rows, k: int) -> None:
+        key = (len(words), k)
+        queued, n = self.queues.pop(key, ([], 0))
+        queued.append((words, fused, rows))
+        n += len(rows)
+        if n >= FOLD_SLICE:
+            self._fold(queued, n, k)
+        else:
+            self.queues[key] = (queued, n)
+
+    def flush(self) -> None:
+        for (_, k), (queued, n) in self.queues.items():
+            self._fold(queued, n, k)
+        self.queues.clear()
+
+    def _fold(self, queued, n: int, k: int) -> None:
+        depth = len(queued[0][0])
+        width = queued[0][1].shape[1]
+        # Row words of every input's queued rows, one (n, width) block per
+        # input; block 0 then takes the fold's result.
+        gathered = np.empty((depth, n, width), queued[0][1].dtype)
+        start = 0
+        for words, _, rows in queued:
+            stop = start + len(rows)
+            for block, w in zip(gathered, words):
+                # "raise" would buffer the output; the rows are in range
+                # by construction, so "clip" changes nothing.
+                np.take(w, rows, axis=0, out=block[start:stop], mode="clip")
+            start = stop
+        masses = gathered.view(np.float32).reshape(depth, n, k)
+        size = min(n, FOLD_SLICE)
+        # Three distinct buffers serve every slice; each step writes the
+        # spare accumulator, which then becomes the current one.
+        buffers = [np.empty((size, k)) for _ in range(3)]
+        conflict_buffer = np.empty(size)
+        for lo in range(0, n, FOLD_SLICE):
+            part = masses[:, lo:lo + FOLD_SLICE]
+            m = part.shape[1]
+            acc, nxt, spare = (b[:m] for b in buffers)
+            conflict = conflict_buffer[:m]
+            acc[...] = part[0]
+            for x in part[1:]:
+                nxt[...] = x
+                combine_masses(acc, nxt, spare, conflict)
+                acc, spare = spare, acc
+                if self.counter is not None:
+                    self.counter.add(np.count_nonzero(total_conflict(conflict)))
+            part[0] = acc
+        # Scattered as one void element per row: a 2-D fancy assignment
+        # copies a two-word row several times slower.
+        row = np.dtype((np.void, gathered.itemsize * width))
+        result = gathered[0].view(row)[:, 0]
+        start = 0
+        for _, fused, rows in queued:
+            stop = start + len(rows)
+            fused.view(row)[rows, 0] = result[start:stop]
+            start = stop
 
 
 # Each float32 row is read as whole machine words: uint64 pairs of masses
@@ -178,12 +258,19 @@ def fuse_patches(
     index = patches[0].index
     if any(p.index != index for p in patches):
         raise ValueError("patch indices differ")
-    out = Patch(index)
+    fold = _HeldRowFold(counter)
+    out = _or_patches(patches, policy, fold)
+    fold.flush()
+    return out
+
+
+def _or_patches(patches, policy: FusionPolicy, fold: _HeldRowFold) -> Patch:
+    out = Patch(patches[0].index)
     type_names = sorted({t for p in patches for t in p.layers})
     for type_name in type_names:
         stack = [p.layers[type_name] for p in patches if type_name in p.layers]
         r_req = policy.r_req.get(type_name, max(l.step for l in stack))
-        out.layers[type_name] = fuse_layers(stack, r_req, counter)
+        out.layers[type_name] = _or_layers(stack, r_req, fold)
     return out
 
 
@@ -192,7 +279,11 @@ def fuse_grids(
     policy: FusionPolicy,
     counter: ConflictCounter | None = None,
 ) -> GridMap:
-    """Fuse grid maps sharing datum and edge length; indices take the union."""
+    """Fuse grid maps sharing datum and edge length; indices take the union.
+
+    Every patch's held rows share the folds of :class:`_HeldRowFold`, so
+    the rule runs over slices of up to FOLD_SLICE rows, not once per patch.
+    """
     grids = list(grids)
     if not grids:
         raise ValueError("need at least one grid to fuse")
@@ -207,10 +298,12 @@ def fuse_grids(
                 f"{g.config.edge_length} vs {base.edge_length}"
             )
     out = GridMap(base)
+    fold = _HeldRowFold(counter)
     indices = sorted({i for g in grids for i in g.patches})
     for index in indices:
         stack = [g.patches[index] for g in grids if index in g.patches]
-        out.patches[index] = fuse_patches(stack, policy, counter)
+        out.patches[index] = _or_patches(stack, policy, fold)
+    fold.flush()
     return out
 
 

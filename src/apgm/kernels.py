@@ -328,7 +328,8 @@ def combine_masses(a, b, out, conflict):
     and has no -0.0 entry: the scale s + fl(1 - s) rounds to exactly 1
     (1 - s is exact for s >= 1/2, and below that its rounding error is
     under half a spacing of 1). A -0.0 entry comes back +0.0 where s <= 1.
-    :func:`~apgm.fusion.fuse_layers` relies on this to skip such rows.
+    The held-row fold of :mod:`apgm.fusion` relies on this to skip such
+    rows.
     """
     k = a.shape[1]
     ac = [a[:, j] for j in range(k)]

@@ -55,6 +55,15 @@ CSV_HEADER = "time_s,mode,horizon_m,src,type,cells,bytes,fuse_ms"
 
 # -- sensor suite -------------------------------------------------------------
 
+# Work bounds per sensor frame (peaks traced with tracemalloc).
+# simulate_lidar holds a few float64 (beams, world segments) arrays: 4,096
+# beams against the default world's 90 segments peak at 13 MB, so the bound
+# comes near 52 MB. simulate_camera holds about 85 bytes per polar sample
+# (2^18 samples peak at 22 MB), so its bound comes near 90 MB. The defaults
+# are 720 beams and 6,100 samples.
+MAX_LIDAR_BEAMS = 1 << 14
+MAX_CAMERA_SAMPLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class LidarConfig:
@@ -69,6 +78,7 @@ class LidarConfig:
     def __post_init__(self):
         require(
             (self.beams >= 1, "beam count must be positive"),
+            (self.beams <= MAX_LIDAR_BEAMS, f"beams must be at most {MAX_LIDAR_BEAMS}"),
             *SensorModelParams.checks(self.mu_hit, self.mu_free, self.max_range),
             (0.0 <= self.noise_sigma < math.inf, "noise_sigma must be finite and nonnegative"),
             (all(math.isfinite(v) for v in self.mount), "mount must be finite"),
@@ -90,13 +100,30 @@ class CameraConfig:
 
     def __post_init__(self):
         fov = self.fov_half_angle_rad
-        require(
+        shape = [
             (0.0 <= fov <= math.pi, "fov half angle must be in [0, 180] degrees"),
             *((0.0 < getattr(self, k) < math.inf, f"{k} must be finite and positive")
               for k in ("max_range", "range_step", "angle_step_rad")),
+        ]
+        if all(ok for ok, _ in shape):
+            samples = math.prod(self.polar_shape())
+            shape.append((
+                samples <= MAX_CAMERA_SAMPLES,
+                f"range_step and angle_step_rad ask for {samples:.3g} samples per "
+                f"frame, above {MAX_CAMERA_SAMPLES}",
+            ))
+        require(
+            *shape,
             *((0.0 <= getattr(self, k) <= 1.0, f"{k} must be in [0, 1]")
               for k in ("confidence_near", "confidence_far")),
         )
+
+    def polar_shape(self) -> tuple[float, float]:
+        """(angles, ranges) of the polar grid :func:`simulate_camera` samples,
+        as floats, so that a tiny step reads inf instead of overflowing."""
+        angles = np.rint(2.0 * self.fov_half_angle_rad / self.angle_step_rad)
+        ranges = np.floor(self.max_range / self.range_step)
+        return max(1.0, angles + 1.0), max(1.0, ranges)
 
 
 def _mounted(pose, mount) -> np.ndarray:
@@ -139,9 +166,8 @@ def simulate_camera(
 ) -> SemanticObservation:
     """Sample labeled ground points on a polar grid inside the frustum."""
     half = config.fov_half_angle_rad
-    n_ang = max(1, int(round(2.0 * half / config.angle_step_rad)) + 1)
+    n_ang, n_rng = (int(n) for n in config.polar_shape())
     angles = pose[2] + np.linspace(-half, half, n_ang)
-    n_rng = max(1, int(math.floor(config.max_range / config.range_step)))
     ranges = (np.arange(n_rng) + 1) * config.range_step
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     pts = (

@@ -1,7 +1,7 @@
 """The column combine kernel, the window-count builders, the region
-labelling, the held-row layer fold and the per-column reference count
-equal their row-reducing, sort-based, every-region, dense and per-patch
-predecessors (``sort_oracles.py``) bit for bit.
+labelling, the held-row layer and grid folds and the per-column reference
+count equal their row-reducing, sort-based, every-region, dense and
+per-patch predecessors (``sort_oracles.py``) bit for bit.
 """
 
 import math
@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from apgm import (
     Frame,
+    FusionPolicy,
     GridConfig,
+    GridMap,
     PointCloud,
     RequirementProfile,
     SemanticObservation,
     SensorModelParams,
     TypeRequirement,
+    fuse_grids,
     fuse_layers,
     measurement_grid_occupancy,
     measurement_grid_semantic,
@@ -136,30 +139,39 @@ def _fold_rows(rng, kinds, k, position):
     return rows
 
 
+# Kinds whose rows hold no stored bit once cast to float32.
+_EMPTY_KINDS = ("vacuous", "tiny")
+
+
 @st.composite
-def layer_stacks(draw):
+def layer_stacks(draw, ks=(2, 3, 4), depths=st.integers(1, 4), max_step=3, bulk=False):
     """(layers, r_req): 1-4 same-type layers whose rows are held by every
-    input, by exactly one or by none, or whose inputs are all vacuous."""
-    k = draw(st.sampled_from([2, 3, 4]))
+    input, by exactly one or by none, or whose inputs are all vacuous.
+    A ``bulk`` stack has every input at ``max_step`` and holding every row."""
+    k = draw(st.sampled_from(ks))
     type_name, frame = _FRAMES[k]
-    depth = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        steps = draw(st.lists(st.integers(0, 3), min_size=depth, max_size=depth))
+    depth = draw(depths)
+    if not bulk and draw(st.booleans()):
+        steps = draw(st.lists(st.integers(0, max_step), min_size=depth, max_size=depth))
     else:
-        steps = [2] * depth
-    r_req = draw(st.integers(0, 3))
-    palette = draw(st.lists(st.sampled_from(_FOLD_KINDS), min_size=1, max_size=4))
+        steps = [max_step if bulk else 2] * depth
+    r_req = draw(st.integers(0, max_step))
+    kinds = tuple(q for q in _FOLD_KINDS if not (bulk and q in _EMPTY_KINDS))
+    palette = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
     empty = draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Per row: -1 = every input holds it, p = only input p, depth = none.
-    owner = rng.integers(-1, depth + 1, size=1 << 6)
+    if bulk:
+        owner = np.full(1 << (2 * max_step), -1)
+    else:
+        owner = rng.integers(-1, depth + 1, size=1 << (2 * max_step))
     layers = []
     for position, (step, vacuous) in enumerate(zip(steps, empty)):
         n = 1 << (2 * step)
         kinds = [palette[i] for i in rng.integers(len(palette), size=n)]
         rows = _fold_rows(rng, kinds, k, position)
         rows[(owner[:n] != -1) & (owner[:n] != position)] = 0.0
-        if vacuous:
+        if vacuous and not bulk:
             rows[:] = 0.0
         m = 1 << step
         layers.append(Layer(type_name, frame, step, rows.reshape(m, m, k)))
@@ -176,6 +188,72 @@ def test_fuse_layers_equals_dense_fold(stack):
     assert got.step == want.step
     assert got.masses.dtype == np.float32
     assert np.array_equal(got.masses.view(np.uint32), want.masses.view(np.uint32))
+    assert got_counter.cells == want_counter.cells
+
+
+# -- grid fold ----------------------------------------------------------------------
+
+_GRIDS = 4
+# Bulk stack steps in patch order. Small patches add at most 640 rows, so
+# the first two bulk stacks (4,096 + 16,384 held rows) end in one fold of
+# at least three 8,192-row slices, one shared by both, and the third
+# (4,096 rows) goes to the fold at the end of the call.
+_BULK_STEPS = (6, 7, 6)
+
+
+def _place(grids, index, layers, holders):
+    for g, layer in zip(sorted(holders[: len(layers)]), layers):
+        grids[g].set_layer(index, layer)
+
+
+@st.composite
+def grid_stacks(draw):
+    """(grids, policy): four grids whose patches hold layer_stacks draws.
+
+    Each small patch index gets an occupancy stack, a semantic stack or
+    both, every input in a drawn grid, so every holder pattern occurs.
+    Three bulk occupancy stacks (``_BULK_STEPS``), whose rows every input
+    holds, are placed among them. The semantic step may be capped (inputs
+    merge); occupancy keeps its finest input step (coarser inputs split).
+    """
+    grids = [GridMap(GridConfig()) for _ in range(_GRIDS)]
+    n_small = draw(st.integers(1, 10))
+    for i in range(n_small):
+        for k in sorted(draw(st.sets(st.sampled_from([2, 4]), min_size=1))):
+            layers, _ = draw(layer_stacks(ks=(k,)))
+            _place(grids, (i, 0), layers, draw(st.permutations(range(_GRIDS))))
+    depth = draw(st.integers(2, _GRIDS))
+    columns = draw(st.lists(st.integers(0, n_small + 2), min_size=3, max_size=3, unique=True))
+    for column, step in zip(sorted(columns), _BULK_STEPS):
+        layers, _ = draw(
+            layer_stacks(ks=(2,), depths=st.just(depth), max_step=step, bulk=True)
+        )
+        _place(grids, (column, 1), layers, draw(st.permutations(range(_GRIDS))))
+    r_req = draw(st.one_of(st.just({}), st.builds(lambda r: {"semantic": r}, st.integers(0, 3))))
+    return grids, FusionPolicy(r_req)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_stacks())
+def test_fuse_grids_equals_dense_fold_per_layer(case):
+    grids, policy = case
+    got_counter, want_counter = ConflictCounter(), ConflictCounter()
+    got = fuse_grids(grids, policy, got_counter)
+    indices = sorted({i for g in grids for i in g.patches})
+    assert sorted(got.patches) == indices
+    for index in indices:
+        patches = [g.patches[index] for g in grids if index in g.patches]
+        names = sorted({t for p in patches for t in p.layers})
+        assert sorted(got.patches[index].layers) == names
+        for name in names:
+            stack = [p.layers[name] for p in patches if name in p.layers]
+            r_req = policy.r_req.get(name, max(l.step for l in stack))
+            want = fuse_layers_dense(stack, r_req, want_counter)
+            layer = got.patches[index].layers[name]
+            assert layer.step == want.step
+            assert np.array_equal(
+                layer.masses.view(np.uint32), want.masses.view(np.uint32)
+            ), (index, name)
     assert got_counter.cells == want_counter.cells
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from apgm import fusion
 from apgm import (
     DatumMismatchError,
     EdgeMismatchError,
@@ -20,7 +21,8 @@ from apgm import (
     vacuous,
 )
 from apgm.evidence import ConflictCounter
-from apgm.grid import OCCUPANCY_FRAME, Layer, Patch
+from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer, Patch
+from apgm.kernels import combine_masses
 from apgm.requirements import RequirementProfile, TypeRequirement, apply_requirements
 from apgm.scenario import ScenarioConfig
 from conftest import bf_combine
@@ -325,6 +327,36 @@ def test_temporal_update_output_is_fresh_and_inputs_untouched():
     out = temporal_update(previous, [lidar, silent], FusionPolicy({"occupancy": 3}))
     assert set(out.patches) == {(0, 0), (1, 0), (2, 0)}
     _assert_fresh_and_inputs_intact([l for _, l in out.iter_layers()], inputs, before)
+
+
+def test_grid_fold_shares_bounded_slices_across_patches(monkeypatch):
+    # 48 patches of 256 rows, every row held by each input: occupancy from
+    # three grids, semantic from two. Each type's queue folds once it holds
+    # 8192 rows (32 patches) and again at the end (16 patches), one
+    # combine call per fold step and slice, not one per patch and step.
+    rng = np.random.default_rng(21)
+    grids = [GridMap(GridConfig()) for _ in range(3)]
+    for i in range(48):
+        for g, grid in enumerate(grids):
+            grid.set_layer((i, 0), random_layer(rng, "occupancy", OCCUPANCY_FRAME, 4))
+            if g < 2:
+                grid.set_layer((i, 0), random_layer(rng, "semantic", SEMANTIC_FRAME, 4))
+    rows = []
+
+    def spy(a, b, out, conflict):
+        rows.append(len(a))
+        return combine_masses(a, b, out, conflict)
+
+    monkeypatch.setattr(fusion, "combine_masses", spy)
+    policy = FusionPolicy()
+    fused = fuse_grids(grids, policy)
+    assert max(rows) <= 8192
+    assert sorted(rows) == [4096] * 3 + [8192] * 3
+    monkeypatch.undo()
+    for index, patch in fused.patches.items():
+        alone = fuse_patches([g.patches[index] for g in grids], policy)
+        for name, layer in patch.layers.items():
+            assert layer.masses.tobytes() == alone.layers[name].masses.tobytes()
 
 
 def test_grid_datum_mismatch():

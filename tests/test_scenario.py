@@ -22,6 +22,8 @@ from apgm import (
 from apgm.cli import main as cli_main
 from apgm.raster import compare_resampling_demo, export_raster, render_betp
 from apgm.scenario import (
+    MAX_CAMERA_SAMPLES,
+    MAX_LIDAR_BEAMS,
     default_scenario,
     parking_profile,
     road_profile,
@@ -217,6 +219,11 @@ BAD_SENSOR_FIELDS = [
     ("lidar", "mount", (math.nan, 0.0), "mount_x", "nan", "mount must be finite"),
     ("lidar", "mu_hit", 1.5, "mu_hit", "1.5", "mu_hit must be in"),
     ("lidar", "mu_free", 0.0, "mu_free", "0", "mu_free must be in"),
+    # Valid steps that would build ~2.4e12 (and inf) polar samples a frame.
+    ("camera", "range_step", 1e-9, "range_step", "1e-9", "range_step and angle_step_rad ask"),
+    ("camera", "range_step", 1e-320, "range_step", "1e-320", "ask for inf samples"),
+    ("camera", "angle_step_rad", 1e-9, "angle_step_deg", "5.7e-8", "angle_step_rad ask"),
+    ("lidar", "beams", 16385, "beams", "16385", "beams must be at most 16384"),
 ]
 
 
@@ -241,6 +248,18 @@ def test_cli_validate_reports_bad_sensor_field(
     )
     assert cli_main(["validate-config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_sensor_work_bounds_admit_their_limits():
+    # Built, never run: the bounds admit the largest work they allow.
+    assert LidarConfig(beams=MAX_LIDAR_BEAMS).beams == MAX_LIDAR_BEAMS
+    ranges = MAX_CAMERA_SAMPLES // 61  # the default fov and step give 61 angles
+    CameraConfig(max_range=float(ranges), range_step=1.0)
+    with pytest.raises(ConfigError, match="samples per frame, above"):
+        CameraConfig(max_range=float(ranges + 1), range_step=1.0)
+    camera = CameraConfig()
+    obs = simulate_camera(default_world(), (0.0, 0.0, 0.0), camera)
+    assert camera.polar_shape() == (61.0, 100.0) and len(obs.points) == 6100
 
 
 def _short_config(duration, beams=180):
