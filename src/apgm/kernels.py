@@ -3,20 +3,25 @@
 These two kernels dominate a mapping cycle: hundreds of rays times hundreds
 of cells, plus Dempster folds over whole layers. Both are plain numpy.
 ``traverse_rays`` walks the whole ray batch at once and emits exactly the
-cells, in order, of the per-ray reference walk ``_traverse_rays_impl``,
-which it keeps as the fallback for the few rays whose crossings are too
-close to order safely (0.2-0.6 % of the rays of a scenario scan). The
-walk is symmetric in x and y, so each ray places the crossings of its
-minor axis among those of its major axis, and the ordering check costs
-one pass over min(nx, ny) crossings per ray. Cells are numbered x-major
-in the rectangle of every ray's origin and end cell (the reference walk
-stops at its end cell), so a single running sum yields the numbers the
-occupancy builder counts. Walk memory is O(emitted cells): ``cap``
-bounds the output but reserves nothing, so each fallback ray costs only
-the cells it emits. ``combine_masses`` works on one
-column view per hypothesis: numpy reduces a short last axis far slower
-than it adds columns, and a left-to-right chain of column adds is the
-order ``sum(axis=-1)`` uses, so the results are the same bit for bit.
+cells, in order, of the per-ray reference walk ``_traverse_rays_impl``
+(Amanatides & Woo, "A Fast Voxel Traversal Algorithm for Ray Tracing",
+Eurographics 1987), which it keeps as the fallback for the few rays whose
+crossings are too close to order safely (0.2-0.6 % of the rays of a
+scenario scan). The walk is symmetric in x and y, so each ray places the
+crossings of its minor axis among those of its major axis. One pass puts
+each minor crossing in major-crossing units and clears those a proved
+margin away from every major crossing; the exact ordering check runs
+only on the rest (1-2 % of the crossings of a scenario scan). Cells are
+numbered x-major in the rectangle of every ray's origin and end cell
+(the reference walk stops at its end cell), so a single running sum over
+one slot per emitted cell yields the numbers the occupancy builder
+counts; no slot is built for the step into an end cell. Walk memory is
+O(emitted cells): ``cap`` bounds the output but reserves nothing, so
+each fallback ray costs only the cells it emits. ``combine_masses``
+works on one column view per hypothesis: numpy reduces a short last axis
+far slower than it adds columns, and a left-to-right chain of column
+adds is the order ``sum(axis=-1)`` uses, so the results are the same bit
+for bit.
 ``python3 perfbench/run.py --workload parking --seed 1 --seconds 36
 --trace 1`` times both kernels per emitted cell
 (``kernels.*.ns_per_cell``) on inputs captured from a real cycle.
@@ -43,6 +48,11 @@ USING_NUMBA = False
 # crossing counts exactly.
 _LATTICE_LIMIT = 2.0**50
 _ULP = 2.0**-52
+# A minor crossing at least this far, in major-crossing units, from every
+# major one skips the exact ordering check on rays of under this many
+# cells per axis (see traverse_rays for the proof).
+_CLEAR_MARGIN = 2.0**-20
+_CLEAR_CELLS = 2**15
 # Box numbers and corners are int64; larger boxes are refused, not wrapped.
 _BOX_LIMIT = 2**62
 # Conflict at or above this leaves at most 1e-12 mass to renormalize.
@@ -171,21 +181,47 @@ def traverse_rays(u0, v0, u1, v1, cap):
     lattice corner) resolves bit for bit into one diagonal step. Each ray
     places the crossings of its minor axis m, the one with fewer crossings
     (y where ny < nx, else x), in its merged event order by counting the
-    major-axis crossings before each; major crossings fill the remaining
-    slots. The walk treats x and y alike, so this orders the events as it
-    does, and the check costs sum(min(nx, ny)) crossings, not sum(nx). A
-    box number is linear in (x, y), so each event adds ``step_x * ny +
-    step_y`` and one running sum over the batch gives every cell.
+    major-axis crossings before each (c); major crossings fill the
+    remaining slots. The walk treats x and y alike, so this orders the
+    events as it does. A box number is linear in (x, y), so each event
+    adds ``step_x * ny + step_y``.
 
     The reference walk accumulates ``tmax += tdelta``, so for t <= 1 its
     k-th crossing parameter deviates from the direct one by at most
     (k + 6) * 2**-53 (k + 3 from the sums, 3 from the direct form); the
     first crossings agree exactly. A ray with an x and a y crossing (other
-    than the two first ones) within twice the pair's bound of each other,
-    or a crossing before its end cell within that of t = 1, could be
+    than the two first ones) within twice the pair's bound, tol, of each
+    other, or a crossing before its end cell within tol of t = 1, could be
     ordered differently by the walk and is handed to
     ``_traverse_rays_impl``. The bound grows with the crossing count, so
     no fixed tolerance is safe for long rays at fine steps.
+
+    The exact check (:func:`_order_crossings`) is needed only near a tie.
+    One pass places minor crossing k at x = (q_m + k) * (ad_M / ad_m) -
+    q_M major-crossing units (major crossing j sits at x = j) and takes
+    c = floor(x) + 1. Let u = 2**-53 and T < 1 be the exact parameter of
+    the crossing (a ray flagged at its end is handed over anyway). The
+    float x, and the check's own estimate of it, lie within E = 4.02 u
+    ad_M + u of the exact value, and the check's t and neighbouring major
+    parameters within 2.01 u of theirs. So where x is farther than a
+    margin M from every integer, the check takes the same c, and both
+    gaps to the neighbours exceed tol, once M > ad_M (tol (1 + 1.01 u) +
+    8.04 u) + u (which exceeds 2E): it passes the crossing. A corner tie,
+    or a first crossing within tol of the first major one, where the
+    check's rules for first crossings act, has |x| < M, so it is always
+    checked. A cleared c needs no clip to [0, n_M]: x > -1 - E, and x <
+    ad_M - q_M + E < n_M + M as q_M + n_M >= ad_M (1 - u) - u. On rays of
+    under 2**15 cells per axis (ad_M <= 2**15, tol <= (2**16 + 14) *
+    2**-52) the bound is 1.0003 * 2**-21, and M = 2**-20; longer rays get
+    x = NaN and go to the check whole. So ``c`` and the rays handed over
+    are those the check over every crossing gives.
+
+    A ray emits its events but the last, which enters its end cell, and
+    that one is its last minor crossing exactly when c = n_M there, so
+    ``step`` gets one slot per emitted cell and its running sum is the
+    result. Each live ray's first slot steps from the last cell the live
+    ray before it emitted, which is that ray's end cell less its last
+    step (a fallback ray's last walked cell).
     """
     u0 = np.asarray(u0, dtype=np.float64)
     v0 = np.asarray(v0, dtype=np.float64)
@@ -228,63 +264,106 @@ def traverse_rays(u0, v0, u1, v1, cap):
         for q, ad, n in ((qx, adx, nx), (qy, ady, ny)):
             flag |= (n > 0) & ((q + (n - 1)) / ad >= 1.0 - tol)
 
-        # Minor-axis crossings, flat over the batch: index k within its ray.
-        k = np.arange(n_m.sum()) - np.repeat(np.cumsum(n_m) - n_m, n_m)
-        t = (np.repeat(q_m, n_m) + k) / np.repeat(ad_m, n_m)
-        qr, adr, nr, tolr = (np.repeat(w, n_m) for w in (q_M, ad_M, n_M, tol))
-        tier = np.repeat(tie, n_m)
-        # c = number of major crossings at or before t: a guess from the
-        # major position, then checked against its two neighbouring crossings.
-        c = np.floor(t * adr - qr).astype(np.int64) + 1
-        np.clip(c, 0, nr, out=c)
-        first = k == 0
-        c[first & tier] = 1
-        below = (qr + (c - 1)) / adr
-        above = (qr + c) / adr
-        # Pairs of first crossings compare exactly as in the walk.
-        bad = (c > 0) & ((below > t) | ((t - below <= tolr) & ~(first & (c == 1))))
-        bad |= (c < nr) & ((above <= t) | ((above - t <= tolr) & ~(first & (c == 0))))
-    flag[np.repeat(np.arange(len(n_m)), n_m)[bad]] = True
-    # Free the ordering checks' arrays before the event arrays are built.
-    del t, qr, adr, nr, tolr, first, below, above, bad
+        # Minor-axis crossings, flat over the batch: index k within its ray,
+        # at x major-crossing units past the first major crossing. Rays too
+        # long for the margin get x = NaN, which no crossing clears.
+        m_end = np.cumsum(n_m)
+        m_start = m_end - n_m
+        k = np.arange(n_m.sum())
+        k -= np.repeat(m_start, n_m)
+        ratio = np.where(n_M < _CLEAR_CELLS, ad_M / ad_m, np.nan)
+        x = np.repeat(q_m, n_m) + k
+        x *= np.repeat(ratio, n_m)
+        x -= np.repeat(q_M, n_m)
+        c = np.floor(x)
+        x -= c
+        clear = (x > _CLEAR_MARGIN) & (x < 1.0 - _CLEAR_MARGIN)
+        del x
+        c = c.astype(np.int64)
+        c += 1
+    check = np.flatnonzero(~clear)
+    del clear
+    ray = np.searchsorted(m_end, check, side="right")
+    c[check], bad = _order_crossings(
+        q_m[ray], ad_m[ray], q_M[ray], ad_M[ray], n_M[ray], tol[ray], tie[ray], k[check]
+    )
+    flag[ray[bad]] = True
+    del check, ray, bad
 
     # Flagged rays take the reference walk, which stops at its end cell.
     fallback = np.flatnonzero(flag)
-    walks = []
+    paths = []
     for r in fallback:
         one = slice(r, r + 1)
-        walks.append(_traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap))
+        fx, fy = _traverse_rays_impl(u0[one], v0[one], u1[one], v1[one], cap)
+        paths.append((fx - x0) * stride + (fy - y0))
 
-    # Merged events per ray (a corner tie is one diagonal step); the last
-    # one enters the end cell, which is not emitted. A y step adds 1 to
-    # the box number, an x step adds the stride, a diagonal step both. A
-    # fallback ray's events step through its walk's cells to its end cell.
-    n_events = np.where(flag, 0, nx + ny - tie)
-    n_events[fallback] = [len(fx) + 1 for fx, _ in walks]
-    start = np.cumsum(n_events) - n_events
-    ok = ~np.repeat(flag, n_m)
-    at_m = (np.repeat(start, n_m) + k + c - tier)[ok]
-    step = np.repeat(step_M, n_events)
-    step[at_m] = np.repeat(step_m, n_m)[ok]
-    diag = np.flatnonzero(tie & ~flag)
-    step[start[diag]] += step_M[diag]
-    live = np.flatnonzero(n_events)
-    origin = _box_numbers(u0[live], v0[live], x0, y0, stride)
-    end = _box_numbers(u1[live], v1[live], x0, y0, stride)
-    at = np.searchsorted(live, fallback)
-    for r, i, (fx, fy) in zip(fallback, at, walks):
-        path = (fx - x0) * stride + (fy - y0)
-        step[start[r] : start[r] + len(path) + 1] = np.diff(
-            path, prepend=origin[i], append=end[i]
-        )
-    # Chain the rays into one running sum: each starts from its origin
-    # cell, and the one before it ended in its end cell.
-    first_at = start[live]
-    step[first_at] += origin
-    step[first_at[1:]] -= end[:-1]
-    emit = np.ones(len(step), dtype=bool)
-    emit[first_at + n_events[live] - 1] = False
-    return np.cumsum(step, out=step)[emit][:cap], box
+    # A ray emits its merged events but the last (a corner tie is one
+    # diagonal step), which enters the end cell; a fallback ray its walk's
+    # cells. A y step adds 1 to the box number, an x step the stride.
+    n_emit = np.maximum(nx + ny - tie - 1, 0)
+    n_emit[fallback] = [len(p) for p in paths]
+    total = int(n_emit.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), box
+    start = np.cumsum(n_emit) - n_emit
+    has_m = np.flatnonzero(n_m)
+    # Minor crossing k is event k + c - tie of its ray; the last one is
+    # the end-cell event exactly when it follows every major crossing.
+    c_first = c[m_start[has_m]]
+    ends_minor = c[m_end[has_m] - 1] == n_M[has_m]
+    slot = c
+    slot += k
+    del k
+    slot += np.repeat(start - tie, n_m)
+    # Writes with no slot of their own go to slot 0, the first live ray's
+    # first slot, which is set last.
+    slot[m_end[has_m[ends_minor]] - 1] = 0
+    for r in fallback:
+        slot[m_start[r] : m_end[r]] = 0
+    step = np.repeat(step_M, n_emit)
+    step[slot] = np.repeat(step_m, n_m)
+    del slot
+    for r, path in zip(fallback, paths):
+        step[start[r] + 1 : start[r] + len(path)] = np.diff(path)
+
+    # Each live ray's first slot steps from the last cell the live ray
+    # before it emitted: its end cell less its last step.
+    first_step = step_M.copy()
+    minor_first = c_first == tie[has_m]  # a tie forces c = 1
+    first_step[has_m[minor_first]] = (step_m + tie * step_M)[has_m[minor_first]]
+    last_step = step_M.copy()
+    last_step[has_m[ends_minor]] = step_m[has_m[ends_minor]]
+    first_cell = _box_numbers(u0, v0, x0, y0, stride) + first_step
+    last_cell = _box_numbers(u1, v1, x0, y0, stride) - last_step
+    walked = [i for i, p in enumerate(paths) if len(p)]
+    first_cell[fallback[walked]] = [paths[i][0] for i in walked]
+    last_cell[fallback[walked]] = [paths[i][-1] for i in walked]
+    live = np.flatnonzero(n_emit)
+    step[start[live]] = first_cell[live] - np.r_[0, last_cell[live[:-1]]]
+    return np.cumsum(step, out=step), box
+
+
+def _order_crossings(q_m, ad_m, q_M, ad_M, n_M, tol, tie, k):
+    """The exact ordering check of minor crossing k among the major ones.
+
+    Per crossing (arrays of the ray's values): c, the number of major
+    crossings at or before it, and whether the reference walk could order
+    it differently. c is a guess from the major position, checked against
+    the two neighbouring major crossings; pairs of first crossings compare
+    exactly as in the walk.
+    """
+    with np.errstate(all="ignore"):
+        t = (q_m + k) / ad_m
+        c = np.floor(t * ad_M - q_M).astype(np.int64) + 1
+        np.clip(c, 0, n_M, out=c)
+        first = k == 0
+        c[first & tie] = 1
+        below = (q_M + (c - 1)) / ad_M
+        above = (q_M + c) / ad_M
+        bad = (c > 0) & ((below > t) | ((t - below <= tol) & ~(first & (c == 1))))
+        bad |= (c < n_M) & ((above <= t) | ((above - t <= tol) & ~(first & (c == 0))))
+    return c, bad
 
 
 def _box_numbers(u, v, x0, y0, stride):

@@ -56,13 +56,23 @@ CSV_HEADER = "time_s,mode,horizon_m,src,type,cells,bytes,fuse_ms"
 # -- sensor suite -------------------------------------------------------------
 
 # Work bounds per sensor frame (peaks traced with tracemalloc).
-# simulate_lidar holds a few float64 (beams, world segments) arrays: 4,096
-# beams against the default world's 90 segments peak at 13 MB, so the bound
-# comes near 52 MB. simulate_camera holds about 85 bytes per polar sample
-# (2^18 samples peak at 22 MB), so its bound comes near 90 MB. The defaults
-# are 720 beams and 6,100 samples.
+# simulate_lidar holds a few float64 (segments in range, beams) arrays:
+# 4,096 beams against all of the default world's 90 segments peak at 13 MB,
+# so the bound comes near 52 MB. Segments out of range are dropped first: a
+# scan of the default drive keeps 34-51, and 4,096 beams from the start
+# pose (47 segments) peak at 7 MB. simulate_camera holds about 85 bytes per
+# polar sample (2^18 samples peak at 22 MB), so its bound comes near 90 MB.
+# The defaults are 720 beams and 6,100 samples.
 MAX_LIDAR_BEAMS = 1 << 14
 MAX_CAMERA_SAMPLES = 1 << 20
+# Work bounds per demand: cells in one layer at the demanded step (2^24
+# cells is step 12; the defaults ask for steps 6 and 7), and patches the
+# horizon disc may reach (the default 100 m horizon on 12.8 m patches
+# reaches at most 267).
+MAX_LAYER_CELLS = 1 << 24
+MAX_HORIZON_PATCHES = 1 << 16
+# A beam meets a segment only where |dir x (B - A)| exceeds this.
+_PARALLEL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,28 +147,76 @@ def _mounted(pose, mount) -> np.ndarray:
 def simulate_lidar(
     world: WorldModel, pose, config: LidarConfig, rng: np.random.Generator
 ) -> PointCloud:
-    """Cast beams against the world geometry; noisy ranges, fixed order."""
+    """Cast beams against the world geometry; noisy ranges, fixed order.
+
+    Only the segments :func:`_segments_in_range` keeps are cast against. A
+    dropped segment cannot return a range up to ``max_range``, and a
+    beam's range is the least over the segments it meets, so the cloud is
+    the one the whole world gives, bit for bit.
+    """
     origin = _mounted(pose, config.mount)
     angles = pose[2] + np.arange(config.beams) * (2.0 * np.pi / config.beams)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     noise = rng.normal(0.0, config.noise_sigma, size=config.beams)
 
     segs = world.segments()
-    if len(segs) == 0:
-        return PointCloud(origin, np.empty((0, 2)))
     rel = segs[:, :2] - origin  # A - o, (M, 2)
     vec = segs[:, 2:] - segs[:, :2]  # B - A, (M, 2)
-    denom = dirs[:, 0, None] * vec[None, :, 1] - dirs[:, 1, None] * vec[None, :, 0]
+    keep = _segments_in_range(rel, vec, config.max_range)
+    if not keep.any():
+        return PointCloud(origin, np.empty((0, 2)))
+    rel, vec = rel[keep], vec[keep]
+    # (segment, beam) arrays: the least range per beam then reduces over
+    # rows, which numpy runs as whole-row minima.
+    dx, dy = dirs[:, 0], dirs[:, 1]
+    denom = dx * vec[:, 1, None]
+    denom -= dy * vec[:, 0, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rel[None, :, 0] * vec[None, :, 1] - rel[None, :, 1] * vec[None, :, 0]) / denom
-        s = (rel[None, :, 0] * dirs[:, 1, None] - rel[None, :, 1] * dirs[:, 0, None]) / denom
-    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (s >= 0.0) & (s <= 1.0)
-    t = np.where(valid, t, np.inf)
-    ranges = t.min(axis=1)
+        t = (rel[:, 0] * vec[:, 1] - rel[:, 1] * vec[:, 0])[:, None] / denom
+        s = rel[:, 0, None] * dy
+        s -= rel[:, 1, None] * dx
+        s /= denom
+    valid = np.abs(denom) > _PARALLEL
+    valid &= t > 1e-9
+    valid &= s >= 0.0
+    valid &= s <= 1.0
+    ranges = np.min(t, axis=0, where=valid, initial=np.inf)
     hit = ranges <= config.max_range
     ranges = np.maximum(ranges[hit] + noise[hit], 1e-3)
     points = origin + dirs[hit] * ranges[:, None]
     return PointCloud(origin, points)
+
+
+def _segments_in_range(rel, vec, max_range) -> np.ndarray:
+    """Mask of the segments (``rel`` = A - o, ``vec`` = B - A) that could
+    return a range up to ``max_range`` to some beam of :func:`simulate_lidar`.
+
+    A beam returns t = N / D (N = rel x vec, D = dir x vec) only where
+    |D| > 1e-12. With u = 2**-53, rounding moves N by at most
+    2.01 u |rel| |vec| and D by 2.02 u |vec| (|dir| <= 1 + 2u). So with
+    a = 2.02 u |vec| / 1e-12, N / D lies within a (|rel| + |tau|) of the
+    exact line crossing tau, and the cast's s within a (|rel| / |vec| + |s|)
+    + u of its exact value. A beam the cast accepts then meets the
+    segment's line within (u + a (|rel| / |vec| + 1)) / (1 - a) segment
+    lengths of the segment, at a distance of at least d - 3.01 a (d +
+    |vec|) (d the segment's distance from o; |rel| <= d + |vec|), and its
+    float t exceeds ``max_range`` where that distance does by a relative
+    3.01 u. Each segment is kept unless d passes ``max_range`` by
+    3 a' (d + |vec|), a' = 4 u |vec| / 1e-12 >= 1.98 a, plus 2**-40 of the
+    lengths for the rounding of d and of this test. A segment with
+    a' > 1/8 (over 280 units long) is always kept. A zero-length one never
+    meets a beam (D = 0).
+    """
+    length = np.hypot(vec[:, 0], vec[:, 1])
+    square = (vec * vec).sum(axis=1)
+    along = np.divide(
+        -(rel * vec).sum(axis=1), square, out=np.zeros(len(vec)), where=square > 0.0
+    )
+    near = rel + np.clip(along, 0.0, 1.0)[:, None] * vec
+    dist = np.hypot(near[:, 0], near[:, 1])
+    a = (4.0 * 2.0**-53 / _PARALLEL) * length
+    reach = max_range + 3.0 * a * (dist + length) + 2.0**-40 * (max_range + dist + length)
+    return (a > 0.125) | (dist <= reach)
 
 
 def simulate_camera(
@@ -335,6 +393,19 @@ def validate_scenario(
                 problems.append(
                     f"{where} cell size {cell} m needs step {step}, "
                     f"above the grid's max_step {max_step}"
+                )
+            elif 4**step > MAX_LAYER_CELLS:
+                problems.append(
+                    f"{where} cell size {cell} m needs step {step}: {4**step} "
+                    f"cells per layer, above {MAX_LAYER_CELLS}"
+                )
+            # Every patch the horizon disc reaches lies within edge * sqrt(2)
+            # of the disc, so the disc reaches at most this many patches.
+            reach = math.pi * (demand.horizon_m / edge + math.sqrt(2.0)) ** 2
+            if reach > MAX_HORIZON_PATCHES:
+                problems.append(
+                    f"{where} horizon {demand.horizon_m} m may reach {reach:.3g} "
+                    f"patches of edge {edge} m, above {MAX_HORIZON_PATCHES}"
                 )
     if not 0.0 <= config.temporal_alpha <= 1.0:
         problems.append("temporal alpha must be in [0, 1]")

@@ -7,7 +7,10 @@ keys, ``np.unique`` and a per-patch scatter), of
 of ``fusion.fuse_layers`` (Dempster's rule over every cell of every input)
 and of ``scenario.uniform_patched_cell_count`` (a distance test per patch).
 ``test_equivalence.py`` compares the library against them with
-``np.array_equal`` or list equality.
+``np.array_equal`` or list equality. ``traverse_rays_fallback`` is the
+ordering check of ``kernels.traverse_rays`` run over every minor-axis
+crossing, and ``simulate_lidar_all_segments`` casts every beam against
+every world segment; ``test_kernels.py`` and ``test_scenario.py`` use them.
 """
 
 import math
@@ -18,9 +21,10 @@ from apgm.errors import CellOutOfBoundsError
 from apgm.evidence import combine_mass_arrays
 from apgm.grid import UNKNOWN, GridMap, Layer, global_cells_of, split_global_cells
 from apgm.kernels import _traverse_rays_impl, ray_cell_cap, total_conflict
+from apgm.scenario import _mounted
 from apgm.requirements import _rect_min_distance, required_step
 from apgm.resample import resample_layer
-from apgm.sensors import _clip_to_horizon, occupancy_evidence
+from apgm.sensors import PointCloud, _clip_to_horizon, occupancy_evidence
 
 _KEY_BIAS = 1 << 31
 _LOW_BITS = np.uint64(0xFFFFFFFF)
@@ -239,3 +243,68 @@ def uniform_patched_cell_count_scan(center, horizon_m, edge_length, step):
             if d <= horizon_m:
                 patches += 1
     return patches * (1 << (2 * step))
+
+
+def traverse_rays_fallback(u0, v0, u1, v1):
+    """Indices of the rays ``traverse_rays`` hands to the reference walk,
+    with the exact ordering check run over every minor-axis crossing."""
+    u0, v0, u1, v1 = (np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1))
+    span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
+    flag = span >= 2.0**50
+    a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
+    cx, cy, ex, ey = np.floor(a0), np.floor(b0), np.floor(a1), np.floor(b1)
+    dx = a1 - a0
+    dy = b1 - b0
+    qx = np.where(dx > 0.0, (cx + 1.0) - a0, a0 - cx)
+    qy = np.where(dy > 0.0, (cy + 1.0) - b0, b0 - cy)
+    adx = np.abs(dx)
+    ady = np.abs(dy)
+    nx = np.abs(ex - cx).astype(np.int64)
+    ny = np.abs(ey - cy).astype(np.int64)
+    tol = (nx + ny + 16) * 2.0**-52
+    minor_y = ny < nx
+    q_m, q_M = np.where(minor_y, qy, qx), np.where(minor_y, qx, qy)
+    ad_m, ad_M = np.where(minor_y, ady, adx), np.where(minor_y, adx, ady)
+    n_m, n_M = np.minimum(nx, ny), np.maximum(nx, ny)
+    with np.errstate(all="ignore"):
+        tie = (n_m > 0) & (q_m / ad_m == q_M / ad_M)
+        for q, ad, n in ((qx, adx, nx), (qy, ady, ny)):
+            flag |= (n > 0) & ((q + (n - 1)) / ad >= 1.0 - tol)
+        k = np.arange(n_m.sum()) - np.repeat(np.cumsum(n_m) - n_m, n_m)
+        t = (np.repeat(q_m, n_m) + k) / np.repeat(ad_m, n_m)
+        qr, adr, nr, tolr = (np.repeat(w, n_m) for w in (q_M, ad_M, n_M, tol))
+        tier = np.repeat(tie, n_m)
+        c = np.floor(t * adr - qr).astype(np.int64) + 1
+        np.clip(c, 0, nr, out=c)
+        first = k == 0
+        c[first & tier] = 1
+        below = (qr + (c - 1)) / adr
+        above = (qr + c) / adr
+        bad = (c > 0) & ((below > t) | ((t - below <= tolr) & ~(first & (c == 1))))
+        bad |= (c < nr) & ((above <= t) | ((above - t <= tolr) & ~(first & (c == 0))))
+    flag[np.repeat(np.arange(len(n_m)), n_m)[bad]] = True
+    return np.flatnonzero(flag)
+
+
+def simulate_lidar_all_segments(world, pose, config, rng):
+    origin = _mounted(pose, config.mount)
+    angles = pose[2] + np.arange(config.beams) * (2.0 * np.pi / config.beams)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    noise = rng.normal(0.0, config.noise_sigma, size=config.beams)
+
+    segs = world.segments()
+    if len(segs) == 0:
+        return PointCloud(origin, np.empty((0, 2)))
+    rel = segs[:, :2] - origin
+    vec = segs[:, 2:] - segs[:, :2]
+    denom = dirs[:, 0, None] * vec[None, :, 1] - dirs[:, 1, None] * vec[None, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[None, :, 0] * vec[None, :, 1] - rel[None, :, 1] * vec[None, :, 0]) / denom
+        s = (rel[None, :, 0] * dirs[:, 1, None] - rel[None, :, 1] * dirs[:, 0, None]) / denom
+    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (s >= 0.0) & (s <= 1.0)
+    t = np.where(valid, t, np.inf)
+    ranges = t.min(axis=1)
+    hit = ranges <= config.max_range
+    ranges = np.maximum(ranges[hit] + noise[hit], 1e-3)
+    points = origin + dirs[hit] * ranges[:, None]
+    return PointCloud(origin, points)

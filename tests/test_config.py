@@ -122,7 +122,27 @@ BAD_VALUES = [
         "mode 'parking': type 'occupancy': cell size 1e-310 m unreachable",
     ),
     ("grid", "edge_length", "1e308", "unreachable from edge length 1e+308 m"),
+    # Demands whose work has no bound: a 1e12 m horizon, and a step-20
+    # layer (2^40 cells) once max_step allows it (see WITH_KEYS).
+    (
+        "mode.parking",
+        "occupancy_horizon_m",
+        "1e12",
+        "mode 'parking': type 'occupancy': horizon 1000000000000.0 m may reach",
+    ),
+    (
+        "mode.parking",
+        "occupancy_cell_size_m",
+        repr(12.8 / 2**20),
+        "mode 'parking': type 'occupancy': cell size 1.220703125e-05 m needs step 20",
+    ),
 ]
+# Keys a BAD_VALUES case sets alongside its own, by (section, key, value).
+WITH_KEYS = {
+    ("mode.parking", "occupancy_cell_size_m", repr(12.8 / 2**20)): {
+        "grid": {"max_step": "31"}
+    },
+}
 
 
 @pytest.mark.parametrize("section,key,raw,message", BAD_VALUES)
@@ -134,6 +154,8 @@ def test_cli_validate_reports_bad_value(tmp_path, capsys, section, key, raw, mes
         "timeline": {"keyframes": "0:0:0:0 1:2:0:0", "modes": "0:parking"},
     }
     sections[section][key] = raw
+    for name, keys in WITH_KEYS.get((section, key, raw), {}).items():
+        sections[name].update(keys)
     path = _write_ini(tmp_path / "bad.ini", sections)
     assert cli_main(["validate-config", str(path)]) == 2
     assert message in capsys.readouterr().err

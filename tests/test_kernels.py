@@ -5,13 +5,16 @@ The batch traversal must return exactly what the per-ray reference walk
 the lattice-aligned geometry the scenarios produce (origins on lattice
 corners, 45 degree beams, axis-parallel beams, endpoints on boundaries).
 It numbers them in a cell box holding every ray's origin and end cell;
-``box_cells`` decodes them.
+``box_cells`` decodes them. It hands the reference walk exactly the rays
+that its ordering check, run over every crossing
+(``sort_oracles.traverse_rays_fallback``), flags.
 """
 
 import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from apgm.kernels import (
 )
 from apgm.scenario import default_scenario
 from conftest import bf_combine, random_mass_rows
+from sort_oracles import traverse_rays_fallback
 
 
 def assert_same_walk(u0, v0, u1, v1, cap=None):
@@ -422,6 +426,205 @@ def test_walk_memory_is_symmetric_in_x_and_y():
     assert max(shallow, steep) <= 1.25 * min(shallow, steep)
     assert_same_walk(u0, v0, u1, v1, cap)
     assert_same_walk(v0, u0, v1, u1, cap)
+
+
+# -- the ordering pre-filter and slot-free emission --------------------------------
+
+
+def test_clear_margin_covers_ordering_tolerance():
+    # The proof in traverse_rays: on rays of under _CLEAR_CELLS cells per
+    # axis, M > ad_M (tol (1 + 1.01 u) + 8.04 u) + u, in exact arithmetic.
+    u = Fraction(1, 2**53)
+    cells = apgm.kernels._CLEAR_CELLS
+    ad_major = Fraction(cells)  # |d| < n_M + 1 <= _CLEAR_CELLS
+    tol = (2 * (cells - 1) + 16) * Fraction(1, 2**52)  # nx + ny <= 2 (cells - 1)
+    need = ad_major * (tol * (1 + Fraction(101, 100) * u) + Fraction(804, 100) * u) + u
+    assert Fraction(apgm.kernels._CLEAR_MARGIN) > need
+
+
+# Moves in ulps: a few, or a power of two up to 2^30 (about 2e-7 relative).
+_ulps = st.integers(-3, 3) | st.builds(
+    lambda sign, e: sign * 2**e, st.sampled_from([-1, 1]), st.integers(2, 30)
+)
+
+
+@st.composite
+def _near_tie_rays(draw, length=st.integers(1, 30)):
+    """A ray from a lattice corner (or a half or quarter cell) along a
+    rational slope p/q, its origin and end moved by some ulps: minor
+    crossings fall on, or from an ulp to about 1e-4 cells off, major ones.
+    Half the rays are transposed."""
+    ox = draw(st.integers(-40, 40)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+    oy = draw(st.integers(-40, 40)) + draw(st.sampled_from([0.0, 0.5]))
+    p = draw(st.integers(-9, 9))
+    q = draw(st.sampled_from([-1, 1])) * draw(st.integers(0, 9))
+    scale = draw(length) / draw(st.sampled_from([1, 2, 3, 4]))
+    ex, ey = ox + q * scale, oy + p * scale
+    ox += draw(_ulps) * math.ulp(max(abs(ox), 1.0))
+    ex += draw(_ulps) * math.ulp(ex)
+    ey += draw(_ulps) * math.ulp(ey)
+    ray = (float(ox), float(oy), ex, ey)
+    return (ray[1], ray[0], ray[3], ray[2]) if draw(st.booleans()) else ray
+
+
+# Shallow rays of 2^15 and more cells along x: beyond the pre-filter's limit.
+_long_rays = _near_tie_rays(length=st.just(1)).map(
+    lambda r: (r[0], r[1], r[0] + 2**15 + abs(r[2] - r[0]), r[3])
+)
+
+
+def _walk_recording_fallback(u0, v0, u1, v1):
+    """Assert the batch walk equals the reference walk; return the rays it
+    handed to the reference walk, in order."""
+    walks = []
+
+    def spy(*args):
+        walks.append(tuple(float(w[0]) for w in args[:4]))
+        return _traverse_rays_impl(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(apgm.kernels, "_traverse_rays_impl", spy)
+        assert_same_walk(u0, v0, u1, v1)
+    return walks
+
+
+def _assert_fallback_as_full_check(rays):
+    u0, v0, u1, v1 = np.array(rays, dtype=np.float64).T
+    walks = _walk_recording_fallback(u0, v0, u1, v1)
+    flagged = traverse_rays_fallback(u0, v0, u1, v1)
+    assert walks == [tuple(rays[i]) for i in flagged]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_near_tie_rays(), min_size=1, max_size=25))
+def test_prefilter_hands_over_the_rays_the_full_check_flags(rays):
+    _assert_fallback_as_full_check(rays)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(_near_tie_rays(), max_size=6), _long_rays, st.data())
+def test_prefilter_checks_long_rays_whole(rays, long_ray, data):
+    rays.insert(data.draw(st.integers(0, len(rays))), long_ray)
+    _assert_fallback_as_full_check(rays)
+
+
+@pytest.mark.parametrize(
+    "cells, gap, flagged",
+    [
+        # Inside the ordering tolerance (tol * ad_M = 4.8e-12, 4.8e-7 and
+        # 1.9e-6 major-crossing units), the last beyond 2^-20 on a ray too
+        # long for the pre-filter: the full check flags these.
+        (100, 2.0**-40, True),
+        (2**15 - 1, 2.0**-22, True),
+        (2**16, 1.5 * 2.0**-20, True),
+        # Beyond the tolerance: these walk in the batch.
+        (100, 2.0**-30, False),
+        (100, 0.25, False),
+    ],
+)
+def test_prefilter_margin_on_diagonal_rays(cells, gap, flagged):
+    # A 45 degree ray from (0.5 + gap, 0.5) crosses each x boundary `gap`
+    # major-crossing units before the next y boundary, at every crossing.
+    ray = (0.5 + gap, 0.5, 0.5 + gap + cells, 0.5 + cells)
+    rays = [ray, (0.5, 0.5, 3.7, 1.2)]
+    assert len(traverse_rays_fallback(*np.array(rays).T)) == int(flagged)
+    _assert_fallback_as_full_check(rays)
+
+
+# Rays by how they end (cell units). The reference walk steps last along
+# the minor axis (the one crossed fewer times), along the major one, or
+# diagonally; some emit nothing. The fallback rays, which the batch walk
+# hands to the reference walk, run through lattice corners, miss them by an
+# ulp, or end on a boundary (the last one emits nothing).
+_EMIT_RAYS = {
+    "minor_last": [(0.5, 0.1, 3.9, 1.05), (0.1, 0.5, -1.05, -3.9)],
+    "major_last": [(0.5, 0.1, 3.5, 1.7), (-0.5, 0.1, -3.5, -1.7)],
+    # The first x and y crossings tie exactly: the first step is diagonal.
+    "diagonal_first": [(0.5, 0.25, 2.25, 2.875), (0.5, 0.25, -1.75, 3.625)],
+    "nothing": [
+        (0.5, 0.5, 1.5, 1.5),  # a lone diagonal step into the end cell
+        (2.2, 2.2, 2.8, 2.9),  # within one cell
+        (0.5, 0.5, 1.5, 0.5),  # one step into the end cell
+        (4.0, 4.0, 4.0, 4.0),  # zero length
+    ],
+    "fallback": [
+        (0.0, 0.0, 20.5, 20.5),
+        (3.0, 0.0, 23.0, math.nextafter(20.0, 0.0)),
+        (1.0, 0.0, -5.5, -6.5),
+        (0.5, 0.5, 2.5, 2.5),
+        (0.3, 0.3, 1.0, 0.3),
+    ],
+}
+
+
+def _emits(ray):
+    return len(_traverse_rays_impl(*([w] for w in ray), 64)[0])
+
+
+def _last_step(ray):
+    """The reference walk's step from its last emitted cell into the end cell."""
+    xs, ys = _traverse_rays_impl(*([w] for w in ray), 64)
+    dx = abs(math.floor(ray[2]) - xs[-1])
+    dy = abs(math.floor(ray[3]) - ys[-1])
+    crossed_x = abs(math.floor(ray[2]) - math.floor(ray[0]))
+    crossed_y = abs(math.floor(ray[3]) - math.floor(ray[1]))
+    minor_is_y = crossed_y < crossed_x
+    if dx and dy:
+        return "diagonal"
+    return "minor" if bool(dy) == minor_is_y else "major"
+
+
+def test_emit_ray_kinds():
+    # The rays above end as named; only the fallback ones are flagged.
+    assert {_last_step(r) for r in _EMIT_RAYS["minor_last"]} == {"minor"}
+    assert {_last_step(r) for r in _EMIT_RAYS["major_last"]} == {"major"}
+    fall = _EMIT_RAYS["fallback"]
+    assert [_last_step(r) for r in fall[:4]] == ["diagonal", "major", "diagonal", "diagonal"]
+    assert all(_emits(r) == 0 for r in _EMIT_RAYS["nothing"] + fall[4:])
+    for ray in _EMIT_RAYS["diagonal_first"]:
+        xs, ys = _traverse_rays_impl(*([w] for w in ray), 64)
+        assert (abs(xs[0] - math.floor(ray[0])), abs(ys[0] - math.floor(ray[1]))) == (1, 1)
+    for kind in ("minor_last", "major_last", "diagonal_first", "nothing"):
+        assert not len(traverse_rays_fallback(*np.array(_EMIT_RAYS[kind]).T))
+    assert len(traverse_rays_fallback(*np.array(fall).T)) == len(fall)
+
+
+def _assert_emits_exactly(rays):
+    u0, v0, u1, v1 = np.array(rays, dtype=np.float64).T
+    walks = _walk_recording_fallback(u0, v0, u1, v1)
+    assert walks == [r for r in rays if r in _EMIT_RAYS["fallback"]]
+    # The result is the running sum itself: one slot per emitted cell.
+    cells, _ = traverse_rays(u0, v0, u1, v1, ray_cell_cap(u0, v0, u1, v1))
+    assert cells.base is None and cells.size == sum(_emits(r) for r in rays)
+
+
+def test_emission_chains_around_rays_that_emit_nothing():
+    minor, major, nothing = (_EMIT_RAYS[k] for k in ("minor_last", "major_last", "nothing"))
+    diag = _EMIT_RAYS["diagonal_first"]
+    _assert_emits_exactly(
+        [nothing[0], minor[0], nothing[1], major[0], nothing[2], nothing[3], minor[1],
+         diag[0], nothing[0], major[1], diag[1], nothing[3]]
+    )
+
+
+def test_emission_with_fallback_rays_first_last_and_adjacent():
+    minor, major, nothing = (_EMIT_RAYS[k] for k in ("minor_last", "major_last", "nothing"))
+    fall = _EMIT_RAYS["fallback"]
+    _assert_emits_exactly(
+        [fall[0], minor[0], fall[1], fall[4], fall[2], nothing[0], major[0], nothing[2],
+         fall[3]]
+    )
+
+
+def test_emission_when_every_ray_falls_back():
+    _assert_emits_exactly(_EMIT_RAYS["fallback"])
+    _assert_emits_exactly(_EMIT_RAYS["fallback"][2:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([r for rs in _EMIT_RAYS.values() for r in rs]), max_size=12))
+def test_emission_property_any_order(rays):
+    _assert_emits_exactly(rays or [_EMIT_RAYS["nothing"][3]])
 
 
 def test_walk_rejects_nonfinite_like_reference():

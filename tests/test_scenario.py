@@ -24,6 +24,7 @@ from apgm.raster import compare_resampling_demo, export_raster, render_betp
 from apgm.scenario import (
     MAX_CAMERA_SAMPLES,
     MAX_LIDAR_BEAMS,
+    _segments_in_range,
     default_scenario,
     parking_profile,
     road_profile,
@@ -33,6 +34,7 @@ from apgm.scenario import (
 )
 from apgm.errors import NonFiniteInputError
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
+from sort_oracles import simulate_lidar_all_segments
 
 
 # -- lidar simulation -------------------------------------------------------------
@@ -74,6 +76,61 @@ def test_lidar_mount_offset():
     cfg = LidarConfig(beams=8, max_range=50.0, noise_sigma=0.0, mount=(2.0, 0.0))
     cloud = simulate_lidar(world, (0.0, 0.0, 0.0), cfg, np.random.default_rng(0))
     np.testing.assert_allclose(cloud.origin, [2.0, 0.0])
+
+
+def _cast_equals_full_cast(world, pose, cfg, seed):
+    cloud = simulate_lidar(world, pose, cfg, np.random.default_rng(seed))
+    full = simulate_lidar_all_segments(world, pose, cfg, np.random.default_rng(seed))
+    assert np.array_equal(cloud.origin, full.origin)
+    assert np.array_equal(cloud.points, full.points)
+    return cloud
+
+
+def test_lidar_culling_matches_full_cast_in_default_world():
+    rng = np.random.default_rng(14)
+    world = default_world()
+    segs = world.segments()
+    cfg = LidarConfig(beams=360)
+    dropped = 0
+    for i in range(30):
+        pose = (rng.uniform(-40.0, 500.0), rng.uniform(-35.0, 35.0), rng.uniform(-4.0, 4.0))
+        _cast_equals_full_cast(world, pose, cfg, i)
+        rel = segs[:, :2] - np.array(pose[:2])
+        dropped += np.count_nonzero(~_segments_in_range(rel, segs[:, 2:] - segs[:, :2], 100.0))
+    assert dropped > 0
+
+
+def test_lidar_culling_matches_full_cast_near_max_range():
+    # Segments whose nearest point lies within 2 m of max_range, tangent to
+    # the range circle or pointing away from the sensor, up to 150 m long,
+    # and zero-length ones; one lies exactly at max_range.
+    rng = np.random.default_rng(15)
+    reach = 50.0
+    walls = [(reach, -10.0, reach, 10.0), (0.0, reach, 0.0, reach), (70.0, 0.0, 70.0, 0.0)]
+    for theta, gap, length, radial, share in zip(
+        rng.uniform(-np.pi, np.pi, 60),
+        rng.uniform(-2.0, 2.0, 60),
+        rng.choice([0.0, 1e-9, 3.0, 40.0, 150.0], 60),
+        rng.random(60) < 0.3,
+        rng.random(60),
+    ):
+        radius = np.array([math.cos(theta), math.sin(theta)])
+        near = (reach + gap) * radius
+        if radial:
+            a, b = near, near + length * radius
+        else:
+            tangent = np.array([-radius[1], radius[0]])
+            a, b = near - share * length * tangent, near + (1.0 - share) * length * tangent
+        walls.append((*a, *b))
+    world = WorldModel(walls=walls)
+    for i, heading in enumerate(rng.uniform(-np.pi, np.pi, 8)):
+        for noise in (0.0, 0.02):
+            cfg = LidarConfig(beams=720, max_range=reach, noise_sigma=noise)
+            _cast_equals_full_cast(world, (0.0, 0.0, heading), cfg, i)
+    cloud = _cast_equals_full_cast(
+        world, (0.0, 0.0, 0.0), LidarConfig(beams=8, max_range=reach, noise_sigma=0.0), 0
+    )
+    assert [reach, 0.0] in cloud.points.tolist()
 
 
 # -- camera simulation --------------------------------------------------------------
