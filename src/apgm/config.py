@@ -143,7 +143,7 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
 
     defaults = ScenarioConfig()
     datum = reader.pair("grid", "datum", defaults.grid.datum)
-    grid = reader.fields("grid", defaults.grid, ("edge_length", "max_step"), datum=datum)
+    grid = reader.fields("grid", defaults.grid, ("edge_length",), datum=datum)
 
     preset = reader.get("world", "preset", str, "default")
     if preset not in WORLD_PRESETS:

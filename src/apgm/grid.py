@@ -56,14 +56,12 @@ class GridConfig:
             "semantic": SEMANTIC_FRAME,
         }
     )
-    max_step: int = 10
 
     def __post_init__(self):
         require(
             (0.0 < self.edge_length < math.inf, "edge_length must be finite and positive"),
             (all(math.isfinite(v) for v in self.datum), "datum must be finite"),
             (bool(self.types), "type table must not be empty"),
-            (0 <= self.max_step <= MAX_STEP, f"max_step must be in [0, {MAX_STEP}]"),
         )
 
     def cell_width(self, step: int) -> float:
@@ -177,10 +175,8 @@ class GridMap:
         An existing layer's step is never changed implicitly; request a
         resample instead (raises :class:`ResolutionConflictError`).
         """
-        if not 0 <= step <= self.config.max_step:
-            raise ValueError(
-                f"step {step} outside configured bounds [0, {self.config.max_step}]"
-            )
+        if not 0 <= step <= MAX_STEP:
+            raise ValueError(f"step {step} outside [0, {MAX_STEP}]")
         frame = self.config.frame_of(type_name)
         patch = self.patches.get(index)
         if patch is None:
@@ -223,16 +219,14 @@ class GridMap:
     def check(self) -> None:
         """Raise :class:`InvariantError` unless every layer is well formed.
 
-        Each layer's step lies in [0, max_step], its masses have shape
+        Each layer's step lies in [0, ``MAX_STEP``], its masses have shape
         (2^step, 2^step, len(frame)), are finite and in [0, 1], and each
         cell's singleton masses sum to at most 1 + 1e-5.
         """
         for index, layer in self.iter_layers():
             where = f"{layer.type_name} layer at {index}"
-            if not 0 <= layer.step <= self.config.max_step:
-                raise InvariantError(
-                    f"{where} has step {layer.step} outside [0, {self.config.max_step}]"
-                )
+            if not 0 <= layer.step <= MAX_STEP:
+                raise InvariantError(f"{where} has step {layer.step} outside [0, {MAX_STEP}]")
             m = 1 << layer.step
             masses = layer.masses
             if masses.shape != (m, m, len(layer.frame)):

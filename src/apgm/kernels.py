@@ -28,8 +28,9 @@ for bit.
 
 Traversal coordinates are pre-scaled so cells are unit squares:
 u = (x - datum) / w. Cell binning is floor(u), matching the half-open
-cell convention used by the container module. A non-finite coordinate
-raises :class:`~apgm.errors.NonFiniteInputError`.
+cell convention used by the container module. A cell outside
+[-2^31, 2^31) (``CELL_RANGE``) raises :class:`~apgm.errors.CellOutOfBoundsError`
+and a non-finite coordinate :class:`~apgm.errors.NonFiniteInputError`.
 """
 
 from __future__ import annotations
@@ -43,17 +44,16 @@ from .errors import CellOutOfBoundsError, NonFiniteInputError
 # No kernel is compiled; kept so run records can state the kernel path.
 USING_NUMBA = False
 
-# Rays beyond this many cells from the datum take the reference walk: the
-# lattice arithmetic below relies on float64 holding cell indices plus
-# crossing counts exactly.
-_LATTICE_LIMIT = 2.0**50
+# Cell coordinates lie in [-CELL_RANGE, CELL_RANGE) at every step, where
+# float64 holds cell indices plus crossing counts exactly.
+CELL_RANGE = 1 << 31
 _ULP = 2.0**-52
 # A minor crossing at least this far, in major-crossing units, from every
 # major one skips the exact ordering check on rays of under this many
 # cells per axis (see traverse_rays for the proof).
 _CLEAR_MARGIN = 2.0**-20
 _CLEAR_CELLS = 2**15
-# Box numbers and corners are int64; larger boxes are refused, not wrapped.
+# Box numbers are int64; larger boxes are refused, not wrapped.
 _BOX_LIMIT = 2**62
 # Conflict at or above this leaves at most 1e-12 mass to renormalize.
 _TOTAL_CONFLICT = 1.0 - 1e-12
@@ -127,27 +127,23 @@ def _traverse_rays_impl(u0, v0, u1, v1, cap):
     return np.array(out_x, dtype=np.int64), np.array(out_y, dtype=np.int64)
 
 
-def _end_cell_bounds(u0, v0, u1, v1):
-    """Lowest and highest (x, y) over every ray's origin and end cell."""
+def _cell_box(u0, v0, u1, v1):
+    """``[x0, y0, nx, ny]`` (int64), the cell rectangle of every ray's origin
+    and end cell, refused outside the cell range or where int64 box numbers
+    could wrap."""
     if len(u0) == 0:
-        return [0, 0], [-1, -1]
+        return np.zeros(4, dtype=np.int64)
     lo = [np.minimum(a.min(), b.min()) for a, b in ((u0, u1), (v0, v1))]
     hi = [np.maximum(a.max(), b.max()) for a, b in ((u0, u1), (v0, v1))]
     if not np.isfinite(lo + hi).all():
         raise NonFiniteInputError("a ray holds a NaN or inf coordinate")
-    return [math.floor(v) for v in lo], [math.floor(v) for v in hi]
-
-
-def _cell_box(lo, hi):
-    """``[x0, y0, nx, ny]`` (int64) from inclusive cell bounds, refused where
-    int64 box numbers or corners could wrap."""
-    (x0, y0), (x1, y1) = lo, hi
+    (x0, y0), (x1, y1) = ([math.floor(v) for v in w] for w in (lo, hi))
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    if nx * ny > _BOX_LIMIT or min(x0, y0) < -_BOX_LIMIT or max(x1, y1) >= _BOX_LIMIT:
-        raise CellOutOfBoundsError(
-            f"rays span cells ({x0}, {y0}) to ({x1}, {y1}); a box of over "
-            f"2^62 cells or beyond +-2^62 cannot be numbered in int64"
-        )
+    span = f"rays span cells ({x0}, {y0}) to ({x1}, {y1})"
+    if min(x0, y0) < -CELL_RANGE or max(x1, y1) >= CELL_RANGE:
+        raise CellOutOfBoundsError(f"{span}, outside the +-2^31 cell range")
+    if nx * ny > _BOX_LIMIT:
+        raise CellOutOfBoundsError(f"{span}: over 2^62 cells, too many for int64")
     return np.array([x0, y0, nx, ny], dtype=np.int64)
 
 
@@ -165,9 +161,10 @@ def traverse_rays(u0, v0, u1, v1, cap):
     cell rectangle holding every ray's origin and end cell; ``cells``
     holds ``(x - x0) * ny + (y - y0)`` for exactly the cells, in the
     order, that the reference walk emits, cut at ``cap``
-    (:func:`box_cells` decodes them). A box of more than 2**62 cells
-    raises :class:`CellOutOfBoundsError` and a non-finite ray
-    :class:`NonFiniteInputError`.
+    (:func:`box_cells` decodes them). A box reaching outside
+    [-``CELL_RANGE``, ``CELL_RANGE``) or of more than 2**62 cells raises
+    :class:`CellOutOfBoundsError` before any cell is walked, and a
+    non-finite ray :class:`NonFiniteInputError`.
 
     Memory stays O(emitted cells + rays): a batch that could emit more
     than ``cap`` cells (:func:`ray_cell_cap`) takes the reference walk,
@@ -223,26 +220,20 @@ def traverse_rays(u0, v0, u1, v1, cap):
     ray before it emitted, which is that ray's end cell less its last
     step (a fallback ray's last walked cell).
     """
-    u0 = np.asarray(u0, dtype=np.float64)
-    v0 = np.asarray(v0, dtype=np.float64)
-    u1 = np.asarray(u1, dtype=np.float64)
-    v1 = np.asarray(v1, dtype=np.float64)
+    u0, v0, u1, v1 = (np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1))
     # Refuse an oversized box before walking anything.
-    box = _cell_box(*_end_cell_bounds(u0, v0, u1, v1))
+    box = _cell_box(u0, v0, u1, v1)
     x0, y0, _, stride = (int(v) for v in box)
     if ray_cell_cap(u0, v0, u1, v1) > cap:
         xs, ys = _traverse_rays_impl(u0, v0, u1, v1, cap)
         return (xs - x0) * stride + (ys - y0), box
-    span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
-    flag = span >= _LATTICE_LIMIT
-    a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
-    cx, cy, ex, ey = np.floor(a0), np.floor(b0), np.floor(a1), np.floor(b1)
-    dx = a1 - a0
-    dy = b1 - b0
+    cx, cy, ex, ey = np.floor(u0), np.floor(v0), np.floor(u1), np.floor(v1)
+    dx = u1 - u0
+    dy = v1 - v0
     step_x = np.where(dx > 0.0, stride, -stride)
     step_y = np.where(dy > 0.0, 1, -1)
-    qx = np.where(dx > 0.0, (cx + 1.0) - a0, a0 - cx)
-    qy = np.where(dy > 0.0, (cy + 1.0) - b0, b0 - cy)
+    qx = np.where(dx > 0.0, (cx + 1.0) - u0, u0 - cx)
+    qy = np.where(dy > 0.0, (cy + 1.0) - v0, v0 - cy)
     adx = np.abs(dx)
     ady = np.abs(dy)
     nx = np.abs(ex - cx).astype(np.int64)
@@ -257,6 +248,7 @@ def traverse_rays(u0, v0, u1, v1, cap):
     step_m = np.where(minor_y, step_y, step_x)
     step_M = np.where(minor_y, step_x, step_y)
 
+    flag = np.zeros(len(u0), dtype=bool)
     with np.errstate(all="ignore"):
         tie = (n_m > 0) & (q_m / ad_m == q_M / ad_M)
         # Every crossing up to the end cell must lie safely below t = 1.

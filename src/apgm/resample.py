@@ -125,8 +125,8 @@ def resample_layer(layer: Layer, r_target: int) -> Layer:
 
     Upsampling by d steps splits every cell into a 2^d x 2^d block;
     downsampling merges aligned blocks. The result holds 4^(r_target)
-    cells whatever the distance from ``layer.step``; bounding that is the
-    job of the grid's ``max_step``. Equal steps return the same layer
+    cells whatever the distance from ``layer.step``; ``validate_scenario``
+    bounds the steps a scenario demands. Equal steps return the same layer
     object (no copy), so callers that need a private result must copy.
     """
     if not 0 <= r_target <= MAX_STEP:

@@ -21,6 +21,7 @@ from .errors import ConfigError, require
 from .evidence import ConflictCounter
 from .fusion import FusionPolicy, temporal_update
 from .grid import GridConfig, GridMap
+from .kernels import CELL_RANGE
 from .requirements import (
     STEP_TOL,
     RequirementProfile,
@@ -65,11 +66,11 @@ CSV_HEADER = "time_s,mode,horizon_m,src,type,cells,bytes,fuse_ms"
 # The defaults are 720 beams and 6,100 samples.
 MAX_LIDAR_BEAMS = 1 << 14
 MAX_CAMERA_SAMPLES = 1 << 20
-# Work bounds per demand: cells in one layer at the demanded step (2^24
-# cells is step 12; the defaults ask for steps 6 and 7), and patches the
-# horizon disc may reach (the default 100 m horizon on 12.8 m patches
-# reaches at most 267).
-MAX_LAYER_CELLS = 1 << 24
+# Work bounds per demand: the patches its horizon disc may reach, and those
+# patches' cells at the demanded step. The default 100 m road horizon on
+# 12.8 m patches reaches at most 267 patches, 1.1M cells at step 6. Any
+# disc reaches over 2 pi patches, so 2^24 cells caps the step at 10.
+MAX_DEMAND_CELLS = 1 << 24
 MAX_HORIZON_PATCHES = 1 << 16
 # A beam meets a segment only where |dir x (B - A)| exceeds this.
 _PARALLEL = 1e-12
@@ -152,7 +153,8 @@ def simulate_lidar(
     Only the segments :func:`_segments_in_range` keeps are cast against. A
     dropped segment cannot return a range up to ``max_range``, and a
     beam's range is the least over the segments it meets, so the cloud is
-    the one the whole world gives, bit for bit.
+    the one the whole world gives, bit for bit. A return that noise
+    carries to a non-finite point is dropped.
     """
     origin = _mounted(pose, config.mount)
     angles = pose[2] + np.arange(config.beams) * (2.0 * np.pi / config.beams)
@@ -182,9 +184,11 @@ def simulate_lidar(
     valid &= s <= 1.0
     ranges = np.min(t, axis=0, where=valid, initial=np.inf)
     hit = ranges <= config.max_range
-    ranges = np.maximum(ranges[hit] + noise[hit], 1e-3)
-    points = origin + dirs[hit] * ranges[:, None]
-    return PointCloud(origin, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = np.maximum(ranges[hit] + noise[hit], 1e-3)
+        points = origin + dirs[hit] * ranges[:, None]
+    finite = np.isfinite(points).all(axis=1)
+    return PointCloud(origin, points if finite.all() else points[finite])
 
 
 def _segments_in_range(rel, vec, max_range) -> np.ndarray:
@@ -373,7 +377,13 @@ def validate_scenario(
         for _, label in script.mode_times
         if label not in config.modes
     ]
-    edge, max_step = config.grid.edge_length, config.grid.max_step
+    edge, datum = config.grid.edge_length, config.grid.datum
+    # The drive stays in the keyframes' box; a lidar origin lies within its
+    # mount offset of the pose, every other cell within the horizon.
+    xs, ys = zip(*(k[1:3] for k in script.keyframes))
+    low = min(min(xs) - datum[0], min(ys) - datum[1])
+    high = max(max(xs) - datum[0], max(ys) - datum[1])
+    mount = max((math.hypot(*lidar.mount) for lidar in config.lidars), default=0.0)
     for label, profile in config.modes.items():
         for name, demand in profile.demands.items():
             where = f"mode {label!r}: type {name!r}:"
@@ -389,23 +399,31 @@ def validate_scenario(
                 problems.append(
                     f"{where} edge {edge} / cell size {cell} is not a power of two"
                 )
-            elif step > max_step:
-                problems.append(
-                    f"{where} cell size {cell} m needs step {step}, "
-                    f"above the grid's max_step {max_step}"
-                )
-            elif 4**step > MAX_LAYER_CELLS:
-                problems.append(
-                    f"{where} cell size {cell} m needs step {step}: {4**step} "
-                    f"cells per layer, above {MAX_LAYER_CELLS}"
-                )
+                continue
             # Every patch the horizon disc reaches lies within edge * sqrt(2)
             # of the disc, so the disc reaches at most this many patches.
-            reach = math.pi * (demand.horizon_m / edge + math.sqrt(2.0)) ** 2
-            if reach > MAX_HORIZON_PATCHES:
+            # Sizes are floats: an overflow reads inf and is refused.
+            reach = demand.horizon_m / edge + math.sqrt(2.0)
+            patches = math.pi * reach * reach
+            cells = patches * 4.0**step
+            width = config.grid.cell_width(step)
+            margin = demand.horizon_m + mount
+            lo, hi = (low - margin) / width, (high + margin) / width
+            if patches > MAX_HORIZON_PATCHES:
                 problems.append(
-                    f"{where} horizon {demand.horizon_m} m may reach {reach:.3g} "
+                    f"{where} horizon {demand.horizon_m} m may reach {patches:.3g} "
                     f"patches of edge {edge} m, above {MAX_HORIZON_PATCHES}"
+                )
+            elif cells > MAX_DEMAND_CELLS:
+                problems.append(
+                    f"{where} cell size {cell} m needs step {step}: its "
+                    f"{demand.horizon_m} m horizon may hold {cells:.3g} cells, "
+                    f"above {MAX_DEMAND_CELLS}"
+                )
+            elif not (-CELL_RANGE <= lo and hi < CELL_RANGE):  # NaN is refused
+                problems.append(
+                    f"{where} the drive reaches cells {lo:.3g} to {hi:.3g} of "
+                    f"{width} m from datum {datum}, outside the +-2^31 cell range"
                 )
     if not 0.0 <= config.temporal_alpha <= 1.0:
         problems.append("temporal alpha must be in [0, 1]")

@@ -47,7 +47,7 @@ from .grid import (
     global_cells_of,
     split_global_cells,
 )
-from .kernels import box_cells, ray_cell_cap, total_conflict, traverse_rays
+from .kernels import CELL_RANGE, box_cells, ray_cell_cap, total_conflict, traverse_rays
 from .requirements import RequirementProfile, required_step
 
 
@@ -115,7 +115,7 @@ class _Window:
 
     def __init__(self, lo, hi, step: int):
         lo, hi = [int(v) for v in lo], [int(v) for v in hi]
-        if min(lo) < -(2**31) or max(hi) >= 2**31:
+        if min(lo) < -CELL_RANGE or max(hi) >= CELL_RANGE:
             raise CellOutOfBoundsError(
                 f"cells span {lo} to {hi}, outside the +-2^31 cell range"
             )

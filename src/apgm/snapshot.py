@@ -3,7 +3,7 @@
 Self-describing little-endian container:
 
     magic  "APGM\\x01"
-    header datum (2 x f64), edge length (f64), max step (u32)
+    header datum (2 x f64), edge length (f64), max step (u32, ``MAX_STEP``)
     types  count (u32); per type: name, then label count + labels
            (strings are u32 length + utf-8 bytes)
     body   patch count (u32); per patch (sorted by index for determinism):
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SnapshotError
 from .evidence import Frame
-from .grid import GridConfig, GridMap, Layer
+from .grid import MAX_STEP, GridConfig, GridMap, Layer
 
 MAGIC = b"APGM\x01"
 
@@ -69,15 +69,7 @@ def save_grid(grid: GridMap, path) -> Path:
     type_ids = {name: i for i, name in enumerate(type_names)}
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(
-            struct.pack(
-                "<dddI",
-                cfg.datum[0],
-                cfg.datum[1],
-                cfg.edge_length,
-                cfg.max_step,
-            )
-        )
+        fh.write(struct.pack("<dddI", *cfg.datum, cfg.edge_length, MAX_STEP))
         fh.write(struct.pack("<I", len(type_names)))
         for name in type_names:
             fh.write(_pack_str(name))
@@ -117,6 +109,8 @@ def load_grid(path) -> GridMap:
     dx, dy, edge, max_step = rd.unpack("<dddI")
     if not all(math.isfinite(v) for v in (dx, dy, edge)):
         raise SnapshotError(f"non-finite geometry: datum {(dx, dy)}, edge {edge}")
+    if max_step > MAX_STEP:
+        raise SnapshotError(f"invalid snapshot header: max_step must be in [0, {MAX_STEP}]")
     (n_types,) = rd.unpack("<I")
     table = []
     for _ in range(n_types):
@@ -127,7 +121,7 @@ def load_grid(path) -> GridMap:
         types = {name: Frame(labels) for name, labels in table}
         if len(types) != len(table):
             raise ValueError("a type is listed twice")
-        grid = GridMap(GridConfig((dx, dy), edge, types, max_step))
+        grid = GridMap(GridConfig((dx, dy), edge, types))
     except ValueError as exc:
         raise SnapshotError(f"invalid snapshot header: {exc}") from None
     type_names = list(types)

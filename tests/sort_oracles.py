@@ -249,14 +249,12 @@ def traverse_rays_fallback(u0, v0, u1, v1):
     """Indices of the rays ``traverse_rays`` hands to the reference walk,
     with the exact ordering check run over every minor-axis crossing."""
     u0, v0, u1, v1 = (np.asarray(w, dtype=np.float64) for w in (u0, v0, u1, v1))
-    span = np.maximum.reduce([np.abs(u0), np.abs(v0), np.abs(u1), np.abs(v1)])
-    flag = span >= 2.0**50
-    a0, b0, a1, b1 = (np.where(flag, 0.0, w) for w in (u0, v0, u1, v1))
-    cx, cy, ex, ey = np.floor(a0), np.floor(b0), np.floor(a1), np.floor(b1)
-    dx = a1 - a0
-    dy = b1 - b0
-    qx = np.where(dx > 0.0, (cx + 1.0) - a0, a0 - cx)
-    qy = np.where(dy > 0.0, (cy + 1.0) - b0, b0 - cy)
+    flag = np.zeros(len(u0), dtype=bool)
+    cx, cy, ex, ey = np.floor(u0), np.floor(v0), np.floor(u1), np.floor(v1)
+    dx = u1 - u0
+    dy = v1 - v0
+    qx = np.where(dx > 0.0, (cx + 1.0) - u0, u0 - cx)
+    qy = np.where(dy > 0.0, (cy + 1.0) - v0, v0 - cy)
     adx = np.abs(dx)
     ady = np.abs(dy)
     nx = np.abs(ex - cx).astype(np.int64)

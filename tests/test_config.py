@@ -1,9 +1,19 @@
 """Scenario files: built-in defaults come from the dataclasses and profiles."""
 
+import configparser
+import contextlib
 import dataclasses
+import io
+import math
+import re
+import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apgm.cli import main as cli_main
 from apgm.config import load_scenario, validate_file
@@ -94,7 +104,7 @@ BAD_VALUES = [
         "nan",
         "[mode.parking] occupancy: max_cell_size_m",
     ),
-    ("grid", "max_step", "40", "[grid] max_step must be in [0, 31]"),
+    ("grid", "max_step", "10", "[grid] max_step: unknown key"),
     (
         "mode.parking",
         "semantic_fov_half_angle_deg",
@@ -122,8 +132,18 @@ BAD_VALUES = [
         "mode 'parking': type 'occupancy': cell size 1e-310 m unreachable",
     ),
     ("grid", "edge_length", "1e308", "unreachable from edge length 1e+308 m"),
-    # Demands whose work has no bound: a 1e12 m horizon, and a step-20
-    # layer (2^40 cells) once max_step allows it (see WITH_KEYS).
+    # Sizes that overflow a float product: refused, not a crash.
+    ("grid", "edge_length", "1e-300", "mode 'parking': type 'occupancy': edge 1e-300"),
+    (
+        "mode.parking",
+        "occupancy_horizon_m",
+        "1e200",
+        "mode 'parking': type 'occupancy': horizon 1e+200 m may reach inf patches",
+    ),
+    # Demands whose work has no bound: a 1e12 m horizon, and horizons that
+    # may hold more than 2^24 cells at the demanded step: 29M cells for a
+    # 20 m horizon at step 10, over 26M at step 11 for any horizon, and a
+    # 2^40-cell layer at step 20.
     (
         "mode.parking",
         "occupancy_horizon_m",
@@ -133,16 +153,27 @@ BAD_VALUES = [
     (
         "mode.parking",
         "occupancy_cell_size_m",
+        "0.0125",
+        "mode 'parking': type 'occupancy': cell size 0.0125 m needs step 10: its "
+        "20.0 m horizon may hold 2.92e+07 cells, above 16777216",
+    ),
+    (
+        "mode.parking",
+        "occupancy_cell_size_m",
+        repr(12.8 / 2**11),
+        "mode 'parking': type 'occupancy': cell size 0.00625 m needs step 11",
+    ),
+    (
+        "mode.parking",
+        "occupancy_cell_size_m",
         repr(12.8 / 2**20),
         "mode 'parking': type 'occupancy': cell size 1.220703125e-05 m needs step 20",
     ),
+    # A drive whose cells leave the +-2^31 range: 1e12 m is 10^13 cells of
+    # 0.1 m from the datum, and 1e308 m overflows to inf.
+    ("grid", "datum_x", "1e12", "mode 'parking': type 'occupancy': the drive reaches"),
+    ("grid", "datum_x", "1e308", "mode 'parking': type 'occupancy': the drive reaches"),
 ]
-# Keys a BAD_VALUES case sets alongside its own, by (section, key, value).
-WITH_KEYS = {
-    ("mode.parking", "occupancy_cell_size_m", repr(12.8 / 2**20)): {
-        "grid": {"max_step": "31"}
-    },
-}
 
 
 @pytest.mark.parametrize("section,key,raw,message", BAD_VALUES)
@@ -154,8 +185,6 @@ def test_cli_validate_reports_bad_value(tmp_path, capsys, section, key, raw, mes
         "timeline": {"keyframes": "0:0:0:0 1:2:0:0", "modes": "0:parking"},
     }
     sections[section][key] = raw
-    for name, keys in WITH_KEYS.get((section, key, raw), {}).items():
-        sections[name].update(keys)
     path = _write_ini(tmp_path / "bad.ini", sections)
     assert cli_main(["validate-config", str(path)]) == 2
     assert message in capsys.readouterr().err
@@ -284,3 +313,88 @@ def test_run_realizes_far_step_switches():
 
     run_scenario(script, world, config, on_cycle=on_cycle)
     assert steps == [4, 4, 9, 9, 4, 4]
+
+
+def _default_with(path, changes):
+    """``configs/default.ini`` on a 2-cycle drive, with ``changes``
+    ({section: {key: value}}) applied."""
+    parser = configparser.ConfigParser()
+    parser.read(DEFAULT_INI, encoding="utf-8")
+    parser["run"].update(duration_s="0.2", timing="false")
+    for section, keys in changes.items():
+        parser[section].update(keys)
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
+def test_cli_validate_refuses_10_to_the_12_cells_per_scan(tmp_path, capsys):
+    # 0.003125 m cells (step 12) to 1,800 m: under 2^16 patches, but each
+    # holds 2^24 cells, about 10^12 cells in all.
+    changes = {"mode.parking": {"occupancy_cell_size_m": "0.003125",
+                                "occupancy_horizon_m": "1800"}}
+    path = _default_with(tmp_path / "huge.ini", changes)
+    assert cli_main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "mode 'parking': type 'occupancy': cell size 0.003125 m needs step 12" in err
+
+
+# -- whatever validate-config accepts runs in bounded time and memory ---------
+
+# The keys the demand, cell-range and noise rules bound, each set alone.
+GATE_KEYS = [
+    ("grid", "edge_length"),
+    ("grid", "datum_x"),
+    ("grid", "datum_y"),
+    *(("mode.parking", f"{t}_{k}") for t in ("occupancy", "semantic")
+      for k in ("horizon_m", "cell_size_m")),
+    ("lidar.front", "noise_sigma"),
+]
+GATE_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-300, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# A 2-cycle run of an accepted file stays under these. The costliest
+# accepted values known, 0.025 m parking cells (step 9: 7.3M cells within
+# the 20 m horizon) and 102.4 m patches (step 10), take under 1 s and peak
+# near 180 MB under tracemalloc on a 2-core x86-64 VM.
+GATE_SECONDS = 30.0
+GATE_PEAK_BYTES = 512 << 20
+# Problems name the section, or the mode and type of a cross-part rule.
+_NAMED = re.compile(r"(\[[\w.]+\] |mode '\w+': type '\w+': )")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GATE_KEYS), GATE_VALUES)
+@example(("grid", "edge_length"), 1e-300)
+@example(("mode.parking", "occupancy_horizon_m"), 1e200)
+@example(("mode.parking", "occupancy_horizon_m"), 1e12)
+@example(("mode.parking", "occupancy_cell_size_m"), 0.0125)  # step 10
+@example(("mode.parking", "occupancy_cell_size_m"), 12.8 / 2**11)  # step 11
+@example(("mode.parking", "occupancy_cell_size_m"), 0.025)  # step 9
+@example(("grid", "edge_length"), 102.4)  # step 10
+@example(("grid", "datum_x"), 1e12)
+@example(("grid", "datum_x"), 1e308)
+@example(("lidar.front", "noise_sigma"), 1e308)
+def test_accepted_files_run_in_bounded_time_and_memory(key, value):
+    section, name = key
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _default_with(Path(tmp) / "gate.ini", {section: {name: repr(value)}})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(["validate-config", str(path)])
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert lines and all(_NAMED.match(line) for line in lines), lines
+            return
+        assert code == 0, err.getvalue()
+        script, world, config = load_scenario(path)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        run_scenario(script, world, config)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < GATE_SECONDS and peak < GATE_PEAK_BYTES, (seconds, peak)

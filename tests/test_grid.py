@@ -23,6 +23,7 @@ from apgm import (
     load_grid,
     save_grid,
 )
+from apgm.grid import MAX_STEP
 
 
 @pytest.fixture
@@ -144,8 +145,9 @@ def test_get_or_create_is_idempotent(grid):
 
 
 def test_step_bounds(grid):
-    with pytest.raises(ValueError):
-        grid.get_or_create_layer((0, 0), "occupancy", 11)
+    for step in (-1, MAX_STEP + 1):
+        with pytest.raises(ValueError, match="outside"):
+            grid.get_or_create_layer((0, 0), "occupancy", step)
 
 
 def test_unknown_type(grid):
@@ -263,7 +265,7 @@ def test_snapshot_is_deterministic(tmp_path, grid):
 
 def _small_grid(layers) -> GridMap:
     """A map from (patch x, patch y, type, step, seed) tuples."""
-    grid = GridMap(GridConfig(datum=(3.5, -1.25), edge_length=6.4, max_step=3))
+    grid = GridMap(GridConfig(datum=(3.5, -1.25), edge_length=6.4))
     for ix, iy, tname, step, seed in layers:
         layer = grid.get_or_create_layer((ix, iy), tname, step)
         k = layer.masses.shape[-1]
@@ -360,6 +362,15 @@ def test_snapshot_step_above_max_step_raises():
         _load_bytes(bytes(data))
 
 
+def test_snapshot_header_max_step_bounds_layer_steps():
+    # save_grid writes grid.MAX_STEP; load_grid holds layers to the slot.
+    data, _ = _one_layer_snapshot()
+    assert struct.unpack("<I", data[5 + 24 : 5 + 28]) == (MAX_STEP,)
+    data[5 + 24 : 5 + 28] = struct.pack("<I", 0)
+    with pytest.raises(SnapshotError, match="step 1 > max step 0"):
+        _load_bytes(bytes(data))
+
+
 def test_snapshot_huge_step_under_huge_max_step_raises_before_allocating():
     data, at = _one_layer_snapshot()
     data[at + 4 : at + 8] = struct.pack("<I", 2**31)
@@ -430,7 +441,8 @@ def test_check_rejects_wrong_shape_and_step():
     layer.masses = np.zeros((2, 4, 2), dtype=np.float32)
     with pytest.raises(InvariantError, match="shape"):
         grid.check()
-    big = Layer("occupancy", layer.frame, 4)  # max_step is 3
+    big = Layer("occupancy", layer.frame, 1)
+    big.step = MAX_STEP + 1  # a layer this deep would hold 2^64 cells
     grid.set_layer((0, 0), big)
-    with pytest.raises(InvariantError, match="step 4"):
+    with pytest.raises(InvariantError, match="step 32 outside"):
         grid.check()

@@ -12,6 +12,7 @@ that its ordering check, run over every crossing
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -26,6 +27,7 @@ import apgm.sensors
 from apgm import Frame, GridConfig, make_bba, run_scenario
 from apgm.errors import CellOutOfBoundsError, NonFiniteInputError
 from apgm.kernels import (
+    CELL_RANGE,
     _traverse_rays_impl,
     box_cells,
     combine_masses,
@@ -180,16 +182,37 @@ def test_walk_stops_at_its_end_cell():
 
 
 def test_box_area_guard():
-    # Boxes of 2^32 x 2^31 cells, or with a corner beyond 2^62, would wrap
-    # int64 box numbers: refused before any walking.
-    half = np.array([0.5, 0.5])
+    # A box reaching outside the +-2^31 cell range, or of 2^64 cells inside
+    # it (which would wrap int64 box numbers), is refused before any cell
+    # is walked.
+    r = float(CELL_RANGE)
+    one = np.array([0.5])
     batches = [
-        (half, half, np.array([2.0**32 - 0.5, 0.5]), np.array([0.5, 2.0**31 - 0.5])),
-        (half + 2.0**62, half, half + 2.0**62, half),
+        (one + r, one, one + r + 2.0, one),
+        (one, one - r - 1.0, one, one),
+        (one - r - 1.0, one, one, one),
+        (one, one, one, one + r),
+        tuple(np.array(w) for w in ([-r, 0.5], [0.5, -r], [r - 0.5, 0.5], [0.5, r - 0.5])),
     ]
-    for u0, v0, u1, v1 in batches:
-        with pytest.raises(CellOutOfBoundsError):
-            traverse_rays(u0, v0, u1, v1, 8)
+    messages = ["outside the +-2^31 cell range"] * 4 + ["over 2^62 cells"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(apgm.kernels, "_traverse_rays_impl", None)  # no walk may run
+        for (u0, v0, u1, v1), message in zip(batches, messages):
+            with pytest.raises(CellOutOfBoundsError, match=re.escape(message)):
+                traverse_rays(u0, v0, u1, v1, 8)
+
+
+def test_walk_at_the_cell_range_edges():
+    # Cells of magnitude near 2^31 take the batch walk, exactly.
+    r = float(CELL_RANGE)
+    starts = np.array([[0.25, 40.125, 3.0], [0.75, 2.5, 33.3]])
+    ends = np.array([[30.5, 0.0, 17.75], [12.2, 39.9, 0.1]])
+    for sx, sy in ((-1, 1), (1, -1), (-1, -1), (1, 1)):
+        # Offsets into the range from its corner cell (x, y) = (sx, sy) * (r - 0.5).
+        u0, v0 = (s * (r - 0.5) - s * o for s, o in zip((sx, sy), starts))
+        u1, v1 = (s * (r - 0.5) - s * o for s, o in zip((sx, sy), ends))
+        assert_same_walk(u0, v0, u1, v1)
+        assert len(traverse_rays(u0, v0, u1, v1, ray_cell_cap(u0, v0, u1, v1))[0]) > 50
 
 
 def test_reference_walk_subnormal_direction_is_warning_clean():

@@ -1,9 +1,13 @@
 """The README's code examples run against the library as documented."""
 
+import configparser
 import re
 from pathlib import Path
 
+from apgm import GridConfig
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEFAULT_INI = README.with_name("configs") / "default.ini"
 
 
 def _python_block(heading: str) -> str:
@@ -16,3 +20,34 @@ def test_library_use_block_runs(capsys):
     exec(compile(_python_block("Library use"), "README.md", "exec"), {})
     cells, nbytes = map(int, capsys.readouterr().out.split())
     assert cells > 0 and nbytes == 8 * cells
+
+
+def _documented_keys() -> dict[str, set[str]]:
+    """{section: keys} from the README's configuration key table; text in
+    parentheses (a key's values or form) is not a key."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| section | keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        _, sections, keys, _ = row.split("|")
+        names = set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys)))
+        for section in re.findall(r"`\[([^\]]+)\]`", sections):
+            documented[section] = names
+    return documented
+
+
+def test_config_table_lists_the_default_file_keys():
+    # The loader refuses a key it does not read, and configs/default.ini
+    # loads, so the table matches the loader too. A mode's keys are listed
+    # once, per type.
+    parser = configparser.ConfigParser()
+    parser.read(DEFAULT_INI, encoding="utf-8")
+    types = "|".join(GridConfig().types)
+    spelled = {}
+    for section in parser.sections():
+        keys = set(parser.options(section))
+        if section.startswith("mode."):
+            section = "mode.<label>"
+            keys = {re.sub(rf"^({types})_", "<type>_", key) for key in keys}
+        spelled.setdefault(section, set()).update(keys)
+    assert _documented_keys() == spelled

@@ -40,28 +40,26 @@ def test_step_whole_patch():
     assert required_step(profile(cell=12.8), "occupancy", 12.8) == 0
 
 
-# (cell size, max_step, diagnostic or None) on a 12.8 m edge: a cell size
-# must be the edge over a power of two whose step fits max_step. The
+# (cell size, diagnostic or None) on a 12.8 m edge and a 20 m horizon: a
+# cell size must be the edge over a power of two, and the horizon may hold
+# at most 2^24 cells at its step (7.3M at step 9, 29M at step 10). The
 # coarser sizes and the overflowing ones are pinned in test_config.py.
 CELL_SIZES = [
-    pytest.param(0.1, 10, None, id="step_7"),
-    pytest.param(0.3, 10, "is not a power of two", id="power_of_two_0.3"),
-    pytest.param(12.8 / 2**11, 11, None, id="step_11_within_max_step_11"),
+    pytest.param(0.1, None, id="step_7"),
+    pytest.param(0.3, "is not a power of two", id="power_of_two_0.3"),
+    pytest.param(12.8 / 2**9, None, id="step_9_within_demand_bound"),
     pytest.param(
-        12.8 / 2**11,
-        10,
-        "needs step 11, above the grid's max_step 10",
-        id="step_11_above_max_step_10",
+        12.8 / 2**10,
+        "needs step 10: its 20.0 m horizon may hold 2.92e+07 cells, above 16777216",
+        id="step_10_above_demand_bound",
     ),
 ]
 
 
-@pytest.mark.parametrize("cell,max_step,message", CELL_SIZES)
-def test_validate_scenario_cell_size(cell, max_step, message):
+@pytest.mark.parametrize("cell,message", CELL_SIZES)
+def test_validate_scenario_cell_size(cell, message):
     script = dataclasses.replace(default_script(), mode_times=[(0.0, "parking")])
-    config = ScenarioConfig(
-        grid=GridConfig(max_step=max_step), modes={"parking": profile(cell=cell)}
-    )
+    config = ScenarioConfig(modes={"parking": profile(cell=cell)})
     problems = validate_scenario(script, config)
     if message is None:
         assert problems == []
@@ -69,6 +67,15 @@ def test_validate_scenario_cell_size(cell, max_step, message):
         assert len(problems) == 1
         assert problems[0].startswith("mode 'parking': type 'occupancy':")
         assert message in problems[0]
+
+
+@pytest.mark.parametrize("horizon", [5e-324, 1e-3, 20.0, 1000.0])
+def test_validate_scenario_refuses_step_11_at_any_horizon(horizon):
+    # Every horizon disc may reach over 2 pi patches of 4^11 cells each.
+    script = dataclasses.replace(default_script(), mode_times=[(0.0, "parking")])
+    demand = profile(horizon=horizon, cell=12.8 / 2**11)
+    problems = validate_scenario(script, ScenarioConfig(modes={"parking": demand}))
+    assert len(problems) == 1 and "needs step 11" in problems[0]
 
 
 # -- horizon / frustum --------------------------------------------------------------
