@@ -94,6 +94,8 @@ class LidarConfig:
             (0.0 <= self.noise_sigma < math.inf, "noise_sigma must be finite and nonnegative"),
             (all(math.isfinite(v) for v in self.mount), "mount must be finite"),
         )
+        # -0.0 is a nonnegative sigma, but numpy refuses any scale whose sign bit is set.
+        object.__setattr__(self, "noise_sigma", self.noise_sigma + 0.0)
 
     def sensor_params(self) -> SensorModelParams:
         return SensorModelParams(self.mu_hit, self.mu_free, self.max_range)

@@ -376,6 +376,7 @@ _NAMED = re.compile(r"(\[[\w.]+\] |mode '\w+': type '\w+': )")
 @example(("grid", "datum_x"), 1e12)
 @example(("grid", "datum_x"), 1e308)
 @example(("lidar.front", "noise_sigma"), 1e308)
+@example(("lidar.front", "noise_sigma"), -0.0)
 def test_accepted_files_run_in_bounded_time_and_memory(key, value):
     section, name = key
     with tempfile.TemporaryDirectory() as tmp:
