@@ -21,11 +21,10 @@ from .errors import ConfigError
 from .grid import GridConfig, GridMap
 from .raster import compare_resampling_demo, export_raster, write_pgm
 from .requirements import RequirementProfile, TypeRequirement
-from .scenario import run_scenario, summarize, write_metrics
-from .sensors import SensorModelParams, measurement_grid_occupancy
+from .scenario import LidarConfig, run_scenario, simulate_lidar, summarize, write_metrics
+from .sensors import measurement_grid_occupancy
 from .snapshot import save_grid
 from .world import Rect, WorldModel
-from . import scenario as scenario_mod
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,19 +99,12 @@ def demo_scene_grid() -> GridMap:
     world = WorldModel(
         obstacles=[Rect(4.0, -1.5, 5.0, 1.5), Rect(-2.0, 3.0, 2.0, 4.0)],
         walls=list(Rect(-6.0, -6.0, 6.0, 6.0).segments()),
-        bounds=Rect(-10.0, -10.0, 10.0, 10.0),
     )
-    lidar = scenario_mod.LidarConfig(beams=720, max_range=30.0, noise_sigma=0.0)
-    cloud = scenario_mod.simulate_lidar(
-        world, (0.0, 0.0, 0.0), lidar, np.random.default_rng(0)
-    )
-    profile = RequirementProfile(
-        {"occupancy": TypeRequirement(True, 30.0, 0.1)}
-    )
+    lidar = LidarConfig(mu_hit=0.8, mu_free=0.4, max_range=30.0, noise_sigma=0.0)
+    cloud = simulate_lidar(world, (0.0, 0.0, 0.0), lidar, np.random.default_rng(0))
+    profile = RequirementProfile({"occupancy": TypeRequirement(True, 30.0, 0.1)})
     config = GridConfig(datum=(-6.4, -6.4))
-    return measurement_grid_occupancy(
-        cloud, SensorModelParams(0.8, 0.4, 30.0), profile, config
-    )
+    return measurement_grid_occupancy(cloud, lidar, profile, config)
 
 
 def _cmd_demo(args) -> int:

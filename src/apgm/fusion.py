@@ -325,7 +325,7 @@ def discount_grid(grid: GridMap, alpha: float) -> GridMap:
 
 
 def temporal_update(
-    previous: GridMap | None,
+    previous: GridMap,
     current,
     policy: FusionPolicy,
     counter: ConflictCounter | None = None,
@@ -339,6 +339,6 @@ def temporal_update(
     At least one grid must remain to fold; the result is not culled.
     """
     grids = list(current)
-    if previous is not None and policy.alpha_age > 0.0:
+    if policy.alpha_age > 0.0:
         grids.insert(0, discount_grid(previous, policy.alpha_age))
     return fuse_grids(grids, policy, counter)  # perfbench reads arg 3

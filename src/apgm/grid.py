@@ -296,6 +296,12 @@ def cell_index_of(
     return out[0], out[1]
 
 
+def cell_units(points, datum, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of world points (..., 2) in cells of ``width`` from ``datum``."""
+    pts = np.asarray(points, dtype=np.float64)
+    return (pts[..., 0] - datum[0]) / width, (pts[..., 1] - datum[1]) / width
+
+
 def global_cells_of(points: np.ndarray, datum, width: float) -> np.ndarray:
     """Absolute cell coordinates (floor binning) for an (N, 2) point array."""
     pts = np.asarray(points, dtype=np.float64)

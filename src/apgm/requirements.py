@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, require
-from .grid import GridConfig, GridMap
+from .grid import MAX_STEP, GridConfig, GridMap
 from .resample import resample_layer
 
 STEP_TOL = 1e-9  # relative tolerance for cell size / edge length ratios
@@ -64,14 +64,16 @@ class RequirementProfile:
 def required_step(
     profile: RequirementProfile, type_name: str, edge_length: float
 ) -> int:
-    """Smallest resolution step whose cell size meets the demand."""
+    """Smallest resolution step, at most ``grid.MAX_STEP``, whose cell size
+    meets the demand."""
     demand = profile.demands[type_name]
     target = demand.max_cell_size_m
-    for r in range(64):
+    for r in range(MAX_STEP + 1):
         if edge_length / (1 << r) <= target * (1.0 + STEP_TOL):
             return r
     raise ConfigError(
-        f"cell size {target} m unreachable from edge length {edge_length} m"
+        f"cell size {target} m unreachable from edge length {edge_length} m "
+        f"within step {MAX_STEP} (grid.MAX_STEP)"
     )
 
 
@@ -84,7 +86,8 @@ def _rect_min_distance(px: float, py: float, x0, y0, x1, y1) -> float:
     return math.hypot(dx, dy)
 
 
-def _wrap_angle(a: float) -> float:
+def wrap_angle(a):
+    """Angle (float or array) wrapped to [-pi, pi)."""
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
@@ -115,7 +118,7 @@ def _wedge_intersects_rect(px, py, heading, half_angle, x0, y0, x1, y1) -> bool:
     if x0 <= px <= x1 and y0 <= py <= y1:
         return True
     for cx, cy in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
-        if abs(_wrap_angle(math.atan2(cy - py, cx - px) - heading)) <= half_angle:
+        if abs(wrap_angle(math.atan2(cy - py, cx - px) - heading)) <= half_angle:
             return True
     for boundary in (heading - half_angle, heading + half_angle):
         if _ray_hits_rect(px, py, boundary, x0, y0, x1, y1):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, require
 from .evidence import ConflictCounter
 from .fusion import FusionPolicy, temporal_update
-from .grid import GridConfig, GridMap
+from .grid import BYTES_PER_MASS, OCCUPANCY_FRAME, GridConfig, GridMap
 from .kernels import CELL_RANGE
 from .requirements import (
     STEP_TOL,
@@ -42,10 +42,10 @@ from .world import WorldModel, default_world
 # (three range rings, finest cells 10 cm). Nominal round figure for the
 # baseline; it is a layout property, not something this library computes.
 REFERENCE_STATIC_CELLS = 640_000
-# Both references are costed at an occupancy payload of two float32 masses
-# per cell, the same as ours; real implementations of the baselines store
-# more per cell, so factors reported against this are conservative.
-REFERENCE_BYTES_PER_CELL = 8
+# Both references are costed at our occupancy payload, one float32 mass per
+# hypothesis; real implementations of the baselines store more per cell,
+# so factors reported against this are conservative.
+REFERENCE_BYTES_PER_CELL = len(OCCUPANCY_FRAME) * BYTES_PER_MASS
 
 FUSED_SRC = "fused"
 REF_STATIC_SRC = "ref_static"
@@ -76,29 +76,24 @@ MAX_HORIZON_PATCHES = 1 << 16
 _PARALLEL = 1e-12
 
 
-@dataclass(frozen=True)
-class LidarConfig:
+@dataclass(frozen=True, kw_only=True)
+class LidarConfig(SensorModelParams):
+    """A lidar and its sensor model, which the occupancy builder reads."""
+
     name: str = "lidar"
     beams: int = 720
-    max_range: float = 100.0
     noise_sigma: float = 0.02
     mount: tuple[float, float] = (0.0, 0.0)
-    mu_hit: float = 0.6
-    mu_free: float = 0.3
 
     def __post_init__(self):
-        require(
+        super().__post_init__(
             (self.beams >= 1, "beam count must be positive"),
             (self.beams <= MAX_LIDAR_BEAMS, f"beams must be at most {MAX_LIDAR_BEAMS}"),
-            *SensorModelParams.checks(self.mu_hit, self.mu_free, self.max_range),
             (0.0 <= self.noise_sigma < math.inf, "noise_sigma must be finite and nonnegative"),
             (all(math.isfinite(v) for v in self.mount), "mount must be finite"),
         )
         # -0.0 is a nonnegative sigma, but numpy refuses any scale whose sign bit is set.
         object.__setattr__(self, "noise_sigma", self.noise_sigma + 0.0)
-
-    def sensor_params(self) -> SensorModelParams:
-        return SensorModelParams(self.mu_hit, self.mu_free, self.max_range)
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,12 @@ class CameraConfig:
 
     def polar_shape(self) -> tuple[float, float]:
         """(angles, ranges) of the polar grid :func:`simulate_camera` samples,
-        as floats, so that a tiny step reads inf instead of overflowing."""
+        as floats, so that a tiny step reads inf instead of overflowing. No
+        range lies beyond ``max_range``, so one below ``range_step`` gives
+        none."""
         angles = np.rint(2.0 * self.fov_half_angle_rad / self.angle_step_rad)
         ranges = np.floor(self.max_range / self.range_step)
-        return max(1.0, angles + 1.0), max(1.0, ranges)
+        return float(angles) + 1.0, float(ranges)
 
 
 def _mounted(pose, mount) -> np.ndarray:
@@ -155,8 +152,9 @@ def simulate_lidar(
     Only the segments :func:`_segments_in_range` keeps are cast against. A
     dropped segment cannot return a range up to ``max_range``, and a
     beam's range is the least over the segments it meets, so the cloud is
-    the one the whole world gives, bit for bit. A return that noise
-    carries to a non-finite point is dropped.
+    the one the whole world gives, bit for bit. A return whose noisy
+    range is not positive, or that noise carries to a non-finite point, is
+    dropped.
     """
     origin = _mounted(pose, config.mount)
     angles = pose[2] + np.arange(config.beams) * (2.0 * np.pi / config.beams)
@@ -187,10 +185,10 @@ def simulate_lidar(
     ranges = np.min(t, axis=0, where=valid, initial=np.inf)
     hit = ranges <= config.max_range
     with np.errstate(over="ignore", invalid="ignore"):
-        ranges = np.maximum(ranges[hit] + noise[hit], 1e-3)
+        ranges = ranges[hit] + noise[hit]
         points = origin + dirs[hit] * ranges[:, None]
-    finite = np.isfinite(points).all(axis=1)
-    return PointCloud(origin, points if finite.all() else points[finite])
+    keep = (ranges > 0.0) & np.isfinite(points).all(axis=1)
+    return PointCloud(origin, points if keep.all() else points[keep])
 
 
 def _segments_in_range(rel, vec, max_range) -> np.ndarray:
@@ -351,11 +349,11 @@ class ScenarioConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     lidars: list[LidarConfig] = field(
         default_factory=lambda: [
-            LidarConfig("lidar_front", mount=(1.0, 0.0)),
-            LidarConfig("lidar_rear", mount=(-1.0, 0.0)),
+            LidarConfig(name="lidar_front", mount=(1.0, 0.0)),
+            LidarConfig(name="lidar_rear", mount=(-1.0, 0.0)),
         ]
     )
-    camera: CameraConfig | None = field(default_factory=CameraConfig)
+    camera: CameraConfig = field(default_factory=CameraConfig)
     modes: dict[str, RequirementProfile] = field(
         default_factory=lambda: {"parking": parking_profile(), "road": road_profile()}
     )
@@ -428,9 +426,9 @@ def validate_scenario(
                     f"{width} m from datum {datum}, outside the +-2^31 cell range"
                 )
     if not 0.0 <= config.temporal_alpha <= 1.0:
-        problems.append("temporal alpha must be in [0, 1]")
+        problems.append("[run] temporal_alpha must be in [0, 1]")
     if not (isinstance(config.seed, int) and config.seed >= 0):
-        problems.append(f"seed must be a nonnegative integer, not {config.seed!r}")
+        problems.append(f"[run] seed must be a nonnegative integer, not {config.seed!r}")
     return problems
 
 
@@ -453,11 +451,15 @@ class MetricsRecord:
     stats: list[SourceStat]
     fuse_ms: float
 
-    def fused_cells(self, type_name: str) -> int:
+    def cells(self, src: str, type_name: str) -> int:
+        """Cells ``src`` reported for ``type_name`` this cycle; 0 if none."""
         for st in self.stats:
-            if st.src == FUSED_SRC and st.type_name == type_name:
+            if st.src == src and st.type_name == type_name:
                 return st.cells
         return 0
+
+    def fused_cells(self, type_name: str) -> int:
+        return self.cells(FUSED_SRC, type_name)
 
 
 def uniform_patched_cell_count(
@@ -491,20 +493,20 @@ def occupancy_horizon(profile: RequirementProfile) -> float:
 
 
 def uniform_reference_cells(
-    profile: RequirementProfile, center, edge_length: float
+    profile: RequirementProfile, center, grid: GridConfig
 ) -> int:
     """Cells of the uniform-patched layout a profile is compared against.
 
     The layout covers the occupancy horizon disc around ``center`` at the
-    profile's finest active resolution step.
+    profile's finest active resolution step, on the map's own patches.
     """
+    edge = grid.edge_length
     finest = max(
-        (required_step(profile, t, edge_length) for t in profile.active_types()),
+        (required_step(profile, t, edge) for t in profile.active_types()),
         default=0,
     )
-    return uniform_patched_cell_count(
-        center, occupancy_horizon(profile), edge_length, finest
-    )
+    offset = (center[0] - grid.datum[0], center[1] - grid.datum[1])
+    return uniform_patched_cell_count(offset, occupancy_horizon(profile), edge, finest)
 
 
 # -- runner -------------------------------------------------------------------
@@ -535,7 +537,7 @@ def run_scenario(
     gc = config.grid
     counter = ConflictCounter()
     records: list[MetricsRecord] = []
-    live: GridMap | None = None
+    live = GridMap(gc)
 
     for i in range(script.n_cycles()):
         t = script.cycle_time(i)
@@ -551,15 +553,13 @@ def run_scenario(
         for si, lidar in enumerate(config.lidars):
             rng = np.random.default_rng((config.seed, i, si))
             cloud = simulate_lidar(world, pose, lidar, rng)
-            g = measurement_grid_occupancy(
-                cloud, lidar.sensor_params(), profile, gc
-            )
+            g = measurement_grid_occupancy(cloud, lidar, profile, gc)
             grids.append(g)
             stats.append(
                 SourceStat(lidar.name, "occupancy", g.cell_count(), g.memory_bytes())
             )
         sem = profile.demands.get("semantic")
-        if config.camera is not None and sem is not None and sem.active:
+        if sem is not None and sem.active:
             obs = simulate_camera(world, pose, config.camera)
             g = measurement_grid_semantic(obs, profile, gc, counter)
             grids.append(g)
@@ -581,7 +581,7 @@ def run_scenario(
         for name in profile.active_types():
             cells, nbytes = live.cell_count(name), live.memory_bytes(name)
             stats.append(SourceStat(FUSED_SRC, name, cells, nbytes))
-        uniform = uniform_reference_cells(profile, pose[:2], gc.edge_length)
+        uniform = uniform_reference_cells(profile, pose, gc)
         for src, cells in (
             (REF_STATIC_SRC, REFERENCE_STATIC_CELLS),
             (REF_UNIFORM_SRC, uniform),
@@ -597,8 +597,6 @@ def run_scenario(
         if on_cycle is not None:
             on_cycle(record, live, profile)
 
-    if live is None:
-        live = GridMap(gc)
     return RunResult(records, live, counter)
 
 
@@ -623,17 +621,7 @@ def summarize(records: list[MetricsRecord]) -> str:
     if not records:
         return "no cycles recorded"
     fused = np.array([r.fused_cells("occupancy") for r in records], dtype=float)
-    uniform = np.array(
-        [
-            next(
-                st.cells
-                for st in r.stats
-                if st.src == REF_UNIFORM_SRC
-            )
-            for r in records
-        ],
-        dtype=float,
-    )
+    uniform = np.array([r.cells(REF_UNIFORM_SRC, "occupancy") for r in records], dtype=float)
     fuse_ms = np.array([r.fuse_ms for r in records])
     mean_fused = fused.mean()
     factor_static = REFERENCE_STATIC_CELLS / max(mean_fused, 1.0)

@@ -44,11 +44,12 @@ from .grid import (
     GridConfig,
     GridMap,
     Layer,
+    cell_units,
     global_cells_of,
     split_global_cells,
 )
 from .kernels import CELL_RANGE, box_cells, ray_cell_cap, total_conflict, traverse_rays
-from .requirements import RequirementProfile, required_step
+from .requirements import RequirementProfile, required_step, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -59,16 +60,14 @@ class SensorModelParams:
     mu_free: float = 0.3
     max_range: float = 100.0
 
-    def __post_init__(self):
-        require(*self.checks(self.mu_hit, self.mu_free, self.max_range))
-
-    @staticmethod
-    def checks(mu_hit, mu_free, max_range) -> tuple[tuple[bool, str], ...]:
-        """The model's limits as ``(ok, message)`` pairs for :func:`require`."""
-        return (
-            (0.0 < mu_hit <= 1.0, "mu_hit must be in (0, 1]"),
-            (0.0 < mu_free < 1.0, "mu_free must be in (0, 1)"),
-            (max_range > 0.0, "max_range must be positive"),
+    def __post_init__(self, *checks: tuple[bool, str]):
+        """Refuse bad model fields, and a subclass's own ``checks``, in one
+        :class:`ConfigError`."""
+        require(
+            (0.0 < self.mu_hit <= 1.0, "mu_hit must be in (0, 1]"),
+            (0.0 < self.mu_free < 1.0, "mu_free must be in (0, 1)"),
+            (self.max_range > 0.0, "max_range must be positive"),
+            *checks,
         )
 
 
@@ -203,10 +202,8 @@ def measurement_grid_occupancy(
     # Returns inside the horizon carry occupancy evidence; every ray marks
     # the cells between its origin cell and endpoint cell.
     hit_cells = global_cells_of(ends[hit_mask], config.datum, width)
-    su = np.full(len(ends), (origin[0] - config.datum[0]) / width)
-    sv = np.full(len(ends), (origin[1] - config.datum[1]) / width)
-    eu = (ends[:, 0] - config.datum[0]) / width
-    ev = (ends[:, 1] - config.datum[1]) / width
+    su, sv = (np.full(len(ends), c) for c in cell_units(origin, config.datum, width))
+    eu, ev = cell_units(ends, config.datum, width)
     crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
 
     # A cell's mass depends only on its counts, so it is read from tables
@@ -252,8 +249,7 @@ def measurement_grid_semantic(
     rel = obs.points - np.array([px, py])
     keep = np.hypot(rel[:, 0], rel[:, 1]) <= demand.horizon_m
     if demand.fov_half_angle_rad is not None:
-        ang = np.arctan2(rel[:, 1], rel[:, 0]) - heading
-        ang = (ang + np.pi) % (2.0 * np.pi) - np.pi
+        ang = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - heading)
         keep &= np.abs(ang) <= demand.fov_half_angle_rad
     pts = obs.points[keep]
     if len(pts) == 0:
@@ -310,10 +306,8 @@ def ray_traverse(origin, endpoint, config: GridConfig, step: int):
     end cells are excluded, and exact corner crossings step diagonally.
     """
     width = config.cell_width(step)
-    su = np.array([(origin[0] - config.datum[0]) / width])
-    sv = np.array([(origin[1] - config.datum[1]) / width])
-    eu = np.array([(endpoint[0] - config.datum[0]) / width])
-    ev = np.array([(endpoint[1] - config.datum[1]) / width])
+    su, sv = cell_units(np.reshape(origin, (1, 2)), config.datum, width)
+    eu, ev = cell_units(np.reshape(endpoint, (1, 2)), config.datum, width)
     crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
     cells = np.stack(box_cells(crossed, box), axis=1)
     patch_idx, local = split_global_cells(cells, step)

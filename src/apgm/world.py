@@ -65,7 +65,6 @@ class WorldModel:
     obstacles: list[Rect] = field(default_factory=list)
     walls: list[tuple[float, float, float, float]] = field(default_factory=list)
     regions: list[SemanticRegion] = field(default_factory=list)
-    bounds: Rect = Rect(-50.0, -50.0, 520.0, 50.0)
 
     def segments(self) -> np.ndarray:
         """All obstacle edges as an (M, 4) array of x0 y0 x1 y1 rows."""

@@ -1,4 +1,4 @@
-"""Per-cycle digests of the live map over three fixed drives.
+"""Per-cycle digests of the live map over four fixed drives.
 
 Each drive runs 36 cycles at lidar seed 3 with the timing column off and
 records a SHA-256 of every cycle's live map (patches in sorted order;
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from apgm import (
+    GridConfig,
     ScenarioConfig,
     ScenarioScript,
     default_world,
@@ -43,14 +44,20 @@ _ROUTE = [
     (45.0, 430.0, 0.0, 0.0),
     (60.0, 460.0, 0.0, 0.0),
 ]
+_TOGGLING = [(round(3 * j * CYCLE_S, 9), ("parking", "road")[j % 2]) for j in range(12)]
+# name: (keyframes, mode times, grid datum)
 DRIVES = {
-    "parking": (_ROUTE[:2], [(0.0, "parking")]),
-    "road": ([(0.0, 30.0, 0.0, 0.0), (30.0, 430.0, 0.0, 0.0)], [(0.0, "road")]),
-    # Parking and road alternate every 3 cycles: cull, resample, re-allocate.
-    "toggling": (
-        _ROUTE,
-        [(round(3 * j * CYCLE_S, 9), ("parking", "road")[j % 2]) for j in range(12)],
+    "parking": (_ROUTE[:2], [(0.0, "parking")], (0.0, 0.0)),
+    "road": (
+        [(0.0, 30.0, 0.0, 0.0), (30.0, 430.0, 0.0, 0.0)],
+        [(0.0, "road")],
+        (0.0, 0.0),
     ),
+    # Parking and road alternate every 3 cycles: cull, resample, re-allocate.
+    "toggling": (_ROUTE, _TOGGLING, (0.0, 0.0)),
+    # The same on patches anchored away from the origin: builder windows,
+    # patch indices, culling and the uniform reference at a datum.
+    "toggling_datum": (_ROUTE, _TOGGLING, (6.4, -3.2)),
 }
 
 
@@ -68,9 +75,9 @@ def map_digest(grid) -> str:
 
 def drive_digests(name: str) -> dict:
     """{"maps": [one digest per cycle], "csv_sha256": digest} for a drive."""
-    keyframes, mode_times = DRIVES[name]
+    keyframes, mode_times, datum = DRIVES[name]
     script = ScenarioScript(list(keyframes), list(mode_times), CYCLES * CYCLE_S, CYCLE_S)
-    config = ScenarioConfig(seed=SEED, measure_timing=False)
+    config = ScenarioConfig(GridConfig(datum=datum), seed=SEED, measure_timing=False)
     maps: list[str] = []
 
     def on_cycle(record, grid, profile):

@@ -303,6 +303,7 @@ def simulate_lidar_all_segments(world, pose, config, rng):
     t = np.where(valid, t, np.inf)
     ranges = t.min(axis=1)
     hit = ranges <= config.max_range
-    ranges = np.maximum(ranges[hit] + noise[hit], 1e-3)
-    points = origin + dirs[hit] * ranges[:, None]
+    ranges = ranges[hit] + noise[hit]
+    keep = ranges > 0.0
+    points = origin + dirs[hit][keep] * ranges[keep, None]
     return PointCloud(origin, points)

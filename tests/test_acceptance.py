@@ -247,9 +247,7 @@ def test_c09_fusion_time_budget():
         for si, lidar in enumerate(config.lidars):
             cloud = simulate_lidar(world, pose, lidar, np.random.default_rng(si))
             grids.append(
-                measurement_grid_occupancy(
-                    cloud, lidar.sensor_params(), profile, config.grid
-                )
+                measurement_grid_occupancy(cloud, lidar, profile, config.grid)
             )
         obs = simulate_camera(world, pose, config.camera)
         grids.append(measurement_grid_semantic(obs, profile, config.grid))

@@ -341,23 +341,41 @@ def test_cli_validate_refuses_10_to_the_12_cells_per_scan(tmp_path, capsys):
 
 # -- whatever validate-config accepts runs in bounded time and memory ---------
 
-# The keys the demand, cell-range and noise rules bound, each set alone.
+def _numeric_keys(path):
+    parser = configparser.ConfigParser()
+    parser.read(path, encoding="utf-8")
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            with contextlib.suppress(ValueError):
+                float(raw)
+                yield section, key
+
+
+# Every numeric key of configs/default.ini, each set alone, except the two
+# that set the run's length; and the [mode.parking] semantic demand, which
+# the file leaves at its default.
 GATE_KEYS = [
-    ("grid", "edge_length"),
-    ("grid", "datum_x"),
-    ("grid", "datum_y"),
-    *(("mode.parking", f"{t}_{k}") for t in ("occupancy", "semantic")
-      for k in ("horizon_m", "cell_size_m")),
-    ("lidar.front", "noise_sigma"),
-]
-GATE_VALUES = st.one_of(
+    key
+    for key in _numeric_keys(DEFAULT_INI)
+    if key not in {("run", "duration_s"), ("run", "cycle_s")}
+] + [("mode.parking", f"semantic_{k}") for k in ("horizon_m", "cell_size_m")]
+INT_KEYS = {"beams", "seed"}
+FLOAT_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-300, 1e300]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-# A 2-cycle run of an accepted file stays under these. The costliest
-# accepted values known, 0.025 m parking cells (step 9: 7.3M cells within
-# the 20 m horizon) and 102.4 m patches (step 10), take under 1 s and peak
-# near 180 MB under tracemalloc on a 2-core x86-64 VM.
+INT_VALUES = st.one_of(
+    st.sampled_from([-1, 0, 1, 1 << 14, (1 << 14) + 1, 1 << 64]), st.integers()
+)
+GATE_CASES = st.sampled_from(GATE_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), INT_VALUES if key[1] in INT_KEYS else FLOAT_VALUES)
+)
+# The gate drives one parking and one road cycle, so both modes' demands
+# and the camera run. A run of an accepted file stays under these. The
+# costliest accepted values known, 0.025 m parking cells (step 9: 7.3M
+# cells within the 20 m horizon) and 102.4 m patches (step 10), take under
+# 1 s and peak near 110 and 150 MB under tracemalloc on a 2-core x86-64 VM.
+GATE_TIMELINE = {"modes": "0:parking 0.1:road"}
 GATE_SECONDS = 30.0
 GATE_PEAK_BYTES = 512 << 20
 # Problems name the section, or the mode and type of a cross-part rule.
@@ -365,22 +383,26 @@ _NAMED = re.compile(r"(\[[\w.]+\] |mode '\w+': type '\w+': )")
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(GATE_KEYS), GATE_VALUES)
-@example(("grid", "edge_length"), 1e-300)
-@example(("mode.parking", "occupancy_horizon_m"), 1e200)
-@example(("mode.parking", "occupancy_horizon_m"), 1e12)
-@example(("mode.parking", "occupancy_cell_size_m"), 0.0125)  # step 10
-@example(("mode.parking", "occupancy_cell_size_m"), 12.8 / 2**11)  # step 11
-@example(("mode.parking", "occupancy_cell_size_m"), 0.025)  # step 9
-@example(("grid", "edge_length"), 102.4)  # step 10
-@example(("grid", "datum_x"), 1e12)
-@example(("grid", "datum_x"), 1e308)
-@example(("lidar.front", "noise_sigma"), 1e308)
-@example(("lidar.front", "noise_sigma"), -0.0)
-def test_accepted_files_run_in_bounded_time_and_memory(key, value):
-    section, name = key
+@given(GATE_CASES)
+@example((("grid", "edge_length"), 1e-300))
+@example((("mode.parking", "occupancy_horizon_m"), 1e200))
+@example((("mode.parking", "occupancy_horizon_m"), 1e12))
+@example((("mode.parking", "occupancy_cell_size_m"), 0.0125))  # step 10
+@example((("mode.parking", "occupancy_cell_size_m"), 12.8 / 2**11))  # step 11
+@example((("mode.parking", "occupancy_cell_size_m"), 0.025))  # step 9
+@example((("grid", "edge_length"), 102.4))  # step 10
+@example((("grid", "datum_x"), 1e12))
+@example((("grid", "datum_x"), 1e308))
+@example((("lidar.front", "noise_sigma"), 1e308))
+@example((("lidar.front", "noise_sigma"), -0.0))
+@example((("run", "seed"), -1))
+@example((("run", "temporal_alpha"), 1.5))
+@example((("camera", "max_range"), 5e-324))
+def test_accepted_files_run_in_bounded_time_and_memory(case):
+    (section, name), value = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = _default_with(Path(tmp) / "gate.ini", {section: {name: repr(value)}})
+        changes = {"timeline": GATE_TIMELINE, section: {name: repr(value)}}
+        path = _default_with(Path(tmp) / "gate.ini", changes)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli_main(["validate-config", str(path)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from apgm import (
+    ConfigError,
     GridConfig,
     GridMap,
     RequirementProfile,
@@ -15,6 +16,7 @@ from apgm import (
     patch_in_horizon,
     required_step,
 )
+from apgm.grid import MAX_STEP
 from apgm.scenario import ScenarioConfig, default_script, validate_scenario
 
 
@@ -38,6 +40,12 @@ def test_step_twenty_centimeters():
 
 def test_step_whole_patch():
     assert required_step(profile(cell=12.8), "occupancy", 12.8) == 0
+
+
+def test_required_step_refuses_steps_above_grid_max_step():
+    assert required_step(profile(cell=12.8 / 2**31), "occupancy", 12.8) == MAX_STEP
+    with pytest.raises(ConfigError, match=f"within step {MAX_STEP}"):
+        required_step(profile(cell=12.8 / 2**32), "occupancy", 12.8)
 
 
 # (cell size, diagnostic or None) on a 12.8 m edge and a 20 m horizon: a

@@ -33,6 +33,7 @@ from apgm.scenario import (
     uniform_reference_cells,
 )
 from apgm.errors import NonFiniteInputError
+from apgm.requirements import patch_in_horizon
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 from sort_oracles import simulate_lidar_all_segments
 
@@ -133,7 +134,40 @@ def test_lidar_culling_matches_full_cast_near_max_range():
     assert [reach, 0.0] in cloud.points.tolist()
 
 
+def test_lidar_drops_returns_noise_pushes_onto_or_behind_the_sensor():
+    # With 1 km noise about half the default-world returns from the start
+    # pose get a range <= 0; kept, each would be a hit in the lidar's own
+    # cell. The cloud holds exactly the positive ranges, unclamped.
+    world = default_world()
+    exact = LidarConfig(noise_sigma=0.0, mount=(1.0, 0.0))
+    noisy = dataclasses.replace(exact, noise_sigma=1000.0)
+    base = simulate_lidar(world, (0.0, 0.0, 0.0), exact, np.random.default_rng(0))
+    cloud = _cast_equals_full_cast(world, (0.0, 0.0, 0.0), noisy, 5)
+    angles = np.arange(noisy.beams) * (2.0 * np.pi / noisy.beams)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    noise = np.random.default_rng(5).normal(0.0, 1000.0, size=noisy.beams)
+    rel = base.points - base.origin
+    beam = np.rint(np.arctan2(rel[:, 1], rel[:, 0]) / (2.0 * np.pi / noisy.beams))
+    beam = beam.astype(np.int64) % noisy.beams
+    ranges = np.hypot(rel[:, 0], rel[:, 1]) + noise[beam]
+    keep = ranges > 0.0
+    assert 0 < np.count_nonzero(~keep) < len(keep)
+    want = base.origin + dirs[beam[keep]] * ranges[keep, None]
+    assert cloud.points.shape == want.shape
+    np.testing.assert_allclose(cloud.points, want, atol=1e-6)
+
+
 # -- camera simulation --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_range", [0.3, 5e-324])
+def test_camera_samples_nothing_beyond_its_max_range(max_range):
+    # A ring at the 0.4 m range step would lie beyond max_range, its
+    # confidence extrapolated past confidence_far (to -inf at 5e-324).
+    camera = CameraConfig(max_range=max_range)
+    assert camera.polar_shape() == (61.0, 0.0)
+    obs = simulate_camera(default_world(), (0.0, 0.0, 0.0), camera)
+    assert len(obs.points) == len(obs.labels) == len(obs.confidences) == 0
 
 
 def test_camera_labels_and_confidence():
@@ -207,11 +241,41 @@ def test_uniform_reference_minimum_is_vehicle_patch():
 def test_reference_layouts_per_mode():
     center = (6.4, 6.4)
     assert uniform_reference_cells(
-        parking_profile(), center, 12.8
+        parking_profile(), center, GridConfig()
     ) == uniform_patched_cell_count(center, 20.0, 12.8, 7)
     assert uniform_reference_cells(
-        road_profile(), center, 12.8
+        road_profile(), center, GridConfig()
     ) == uniform_patched_cell_count(center, 100.0, 12.8, 6)
+
+
+@pytest.mark.parametrize(
+    "datum,center,horizon",
+    [
+        ((3.0, 5.0), (0.0, 0.0), 20.0),
+        ((6.4, -3.2), (0.0, 0.0), 20.0),
+        ((-1.7, 2.3), (31.13, -4.87), 20.0),
+        ((6.4, -3.2), (130.0, 0.0), 100.0),
+        ((1e6, -2.5e5), (1e6 + 3.3, -2.5e5 + 40.2), 33.0),
+        ((0.0, 0.0), (5.5, 7.25), 20.0),
+    ],
+)
+def test_uniform_reference_counts_the_maps_own_patches(datum, center, horizon):
+    # The uniform layout covers the patches patch_in_horizon keeps around
+    # the pose, on the lattice anchored at the map's datum. No patch lies
+    # within float rounding of a horizon here, where the two distance
+    # computations may round to opposite sides.
+    grid = GridConfig(datum=datum)
+    profile = RequirementProfile(
+        {"occupancy": TypeRequirement(True, horizon, 0.1)}
+    ).with_pose((*center, 0.0))
+    span = int(math.ceil(horizon / grid.edge_length)) + 2
+    base = GridMap(grid).patch_index_of(center)
+    patches = sum(
+        patch_in_horizon((base[0] + i, base[1] + j), grid, profile, "occupancy")
+        for i in range(-span, span + 1)
+        for j in range(-span, span + 1)
+    )
+    assert uniform_reference_cells(profile, center, grid) == patches * 4**7
 
 
 # -- runner ---------------------------------------------------------------------------
