@@ -14,6 +14,7 @@ from .errors import (
     EdgeMismatchError,
     FrameMismatchError,
     GridMapError,
+    InputShapeError,
     InvariantError,
     MassOverflowError,
     NegativeMassError,
@@ -39,7 +40,6 @@ from .evidence import (
     vacuous,
 )
 from .fusion import (
-    FusionPolicy,
     discount_grid,
     fuse_cells,
     fuse_grids,
@@ -65,6 +65,7 @@ from .requirements import (
     apply_requirements,
     patch_in_horizon,
     required_step,
+    required_steps,
 )
 from .resample import (
     merge_occ,

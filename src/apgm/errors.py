@@ -60,6 +60,10 @@ class NonFiniteInputError(GridMapError, ValueError):
     """A sensor input holds a NaN or an infinite coordinate or value."""
 
 
+class InputShapeError(GridMapError, ValueError):
+    """A sensor input's arrays have the wrong shape or do not align."""
+
+
 class InvariantError(GridMapError):
     """A grid map breaks a mass or structure invariant (``GridMap.check``)."""
 

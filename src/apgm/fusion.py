@@ -30,45 +30,13 @@ index, say) and gives each call its own counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
 from .evidence import BBA, ConflictCounter, combine_dst, vacuous
 from .grid import GridMap, Layer, Patch
 from .kernels import combine_masses, total_conflict
-from .requirements import RequirementProfile, required_step
 from .resample import resample_layer
-
-
-@dataclass
-class FusionPolicy:
-    """Per-type fusion parameters.
-
-    ``r_req`` caps the fused resolution step per type; types missing from
-    it keep their best available resolution. ``alpha_age`` discounts the
-    previous map per temporal update (1 = no aging, 0 = per-cycle mode);
-    its default here is the one the scenario runner also uses.
-    """
-
-    r_req: dict[str, int] = field(default_factory=dict)
-    alpha_age: float = 0.95
-
-    @classmethod
-    def from_profile(
-        cls,
-        profile: RequirementProfile,
-        edge_length: float,
-        alpha_age: float | None = None,
-    ) -> "FusionPolicy":
-        steps = {
-            t: required_step(profile, t, edge_length)
-            for t in profile.active_types()
-        }
-        if alpha_age is None:
-            return cls(r_req=steps)
-        return cls(r_req=steps, alpha_age=alpha_age)
 
 
 def fuse_cells(cells, counter: ConflictCounter | None = None) -> BBA:
@@ -248,10 +216,12 @@ def _row_any(words):
 
 def fuse_patches(
     patches,
-    policy: FusionPolicy,
+    r_req: dict[str, int],
     counter: ConflictCounter | None = None,
 ) -> Patch:
-    """Fuse same-index patches; the type set is the union of the inputs'."""
+    """Fuse same-index patches; the type set is the union of the inputs'.
+    ``r_req`` caps each type's step (as ``required_steps`` gives it); a
+    type missing from it keeps its best available step."""
     patches = list(patches)
     if not patches:
         raise ValueError("need at least one patch to fuse")
@@ -259,27 +229,29 @@ def fuse_patches(
     if any(p.index != index for p in patches):
         raise ValueError("patch indices differ")
     fold = _HeldRowFold(counter)
-    out = _or_patches(patches, policy, fold)
+    out = _or_patches(patches, r_req, fold)
     fold.flush()
     return out
 
 
-def _or_patches(patches, policy: FusionPolicy, fold: _HeldRowFold) -> Patch:
+def _or_patches(patches, r_req: dict[str, int], fold: _HeldRowFold) -> Patch:
     out = Patch(patches[0].index)
     type_names = sorted({t for p in patches for t in p.layers})
     for type_name in type_names:
         stack = [p.layers[type_name] for p in patches if type_name in p.layers]
-        r_req = policy.r_req.get(type_name, max(l.step for l in stack))
-        out.layers[type_name] = _or_layers(stack, r_req, fold)
+        step = r_req.get(type_name, max(l.step for l in stack))
+        out.layers[type_name] = _or_layers(stack, step, fold)
     return out
 
 
 def fuse_grids(
     grids,
-    policy: FusionPolicy,
+    r_req: dict[str, int],
     counter: ConflictCounter | None = None,
 ) -> GridMap:
     """Fuse grid maps sharing datum and edge length; indices take the union.
+
+    ``r_req`` caps each type's fused step as in :func:`fuse_patches`.
 
     Every patch's held rows share the folds of :class:`_HeldRowFold`, so
     the rule runs over slices of up to FOLD_SLICE rows, not once per patch.
@@ -302,7 +274,7 @@ def fuse_grids(
     indices = sorted({i for g in grids for i in g.patches})
     for index in indices:
         stack = [g.patches[index] for g in grids if index in g.patches]
-        out.patches[index] = _or_patches(stack, policy, fold)
+        out.patches[index] = _or_patches(stack, r_req, fold)
     fold.flush()
     return out
 
@@ -327,18 +299,20 @@ def discount_grid(grid: GridMap, alpha: float) -> GridMap:
 def temporal_update(
     previous: GridMap,
     current,
-    policy: FusionPolicy,
+    r_req: dict[str, int],
+    alpha_age: float,
     counter: ConflictCounter | None = None,
 ) -> GridMap:
     """Age the previous map and fuse in the cycle's grids.
 
     ``current`` lists the cycle's measurement grids. The previous map,
-    discounted by ``policy.alpha_age``, is folded first, then the grids in
-    their order. With ``alpha_age`` 0 the history is fully vacuous and is
-    dropped entirely, so the result equals the current measurement fusion.
-    At least one grid must remain to fold; the result is not culled.
+    discounted by ``alpha_age`` (the runner passes its ``temporal_alpha``),
+    is folded first, then the grids in their order. With ``alpha_age`` 0
+    the history is fully vacuous and is dropped entirely, so the result
+    equals the current measurement fusion. At least one grid must remain
+    to fold; the result is not culled.
     """
     grids = list(current)
-    if policy.alpha_age > 0.0:
-        grids.insert(0, discount_grid(previous, policy.alpha_age))
-    return fuse_grids(grids, policy, counter)  # perfbench reads arg 3
+    if alpha_age > 0.0:
+        grids.insert(0, discount_grid(previous, alpha_age))
+    return fuse_grids(grids, r_req, counter)  # perfbench reads arg 3

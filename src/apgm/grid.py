@@ -60,6 +60,7 @@ class GridConfig:
     def __post_init__(self):
         require(
             (0.0 < self.edge_length < math.inf, "edge_length must be finite and positive"),
+            (len(self.datum) == 2, "datum must hold two values (x, y)"),
             (all(math.isfinite(v) for v in self.datum), "datum must be finite"),
             (bool(self.types), "type table must not be empty"),
         )

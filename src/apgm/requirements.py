@@ -77,6 +77,12 @@ def required_step(
     )
 
 
+def required_steps(profile: RequirementProfile, edge_length: float) -> dict[str, int]:
+    """The demanded step of every active type: what fusion caps each type
+    at and what :func:`apply_requirements` resamples it to."""
+    return {t: required_step(profile, t, edge_length) for t in profile.active_types()}
+
+
 # -- horizon / frustum geometry ---------------------------------------------
 
 
@@ -174,33 +180,22 @@ class MutationReport:
         )
 
 
-def cull_outside_horizon(grid: GridMap, profile: RequirementProfile) -> MutationReport:
-    """Drop layers (and then empty patches) no longer demanded anywhere."""
+def apply_requirements(grid: GridMap, profile: RequirementProfile) -> MutationReport:
+    """Realize a profile on the grid in one pass: drop each layer no longer
+    demanded (:func:`patch_in_horizon`) and each patch left empty, and
+    resample every other layer to its type's demanded step."""
     report = MutationReport()
+    steps = required_steps(profile, grid.config.edge_length)
     for index in list(grid.patches):
         patch = grid.patches[index]
-        for type_name in list(patch.layers):
+        for type_name, layer in list(patch.layers.items()):
             if not patch_in_horizon(index, grid.config, profile, type_name):
                 del patch.layers[type_name]
                 report.layers_deleted += 1
+            elif layer.step != steps[type_name]:
+                patch.layers[type_name] = resample_layer(layer, steps[type_name])
+                report.layers_resampled += 1
         if not patch.layers:
             grid.delete_patch(index)
             report.patches_deleted += 1
-    return report
-
-
-def apply_requirements(grid: GridMap, profile: RequirementProfile) -> MutationReport:
-    """Realize a profile on the grid: cull, then resample surviving layers."""
-    report = cull_outside_horizon(grid, profile)
-    steps = {
-        t: required_step(profile, t, grid.config.edge_length)
-        for t in profile.active_types()
-        if t in grid.config.types
-    }
-    for index, patch in grid.patches.items():
-        for type_name, layer in list(patch.layers.items()):
-            r_req = steps[type_name]
-            if layer.step != r_req:
-                patch.layers[type_name] = resample_layer(layer, r_req)
-                report.layers_resampled += 1
     return report

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, require
 from .evidence import ConflictCounter
-from .fusion import FusionPolicy, temporal_update
+from .fusion import temporal_update
 from .grid import BYTES_PER_MASS, OCCUPANCY_FRAME, GridConfig, GridMap
 from .kernels import CELL_RANGE
 from .requirements import (
@@ -28,6 +28,7 @@ from .requirements import (
     TypeRequirement,
     apply_requirements,
     required_step,
+    required_steps,
 )
 from .sensors import (
     PointCloud,
@@ -90,6 +91,7 @@ class LidarConfig(SensorModelParams):
             (self.beams >= 1, "beam count must be positive"),
             (self.beams <= MAX_LIDAR_BEAMS, f"beams must be at most {MAX_LIDAR_BEAMS}"),
             (0.0 <= self.noise_sigma < math.inf, "noise_sigma must be finite and nonnegative"),
+            (len(self.mount) == 2, "mount must hold two values (x, y)"),
             (all(math.isfinite(v) for v in self.mount), "mount must be finite"),
         )
         # -0.0 is a nonnegative sigma, but numpy refuses any scale whose sign bit is set.
@@ -219,7 +221,9 @@ def _segments_in_range(rel, vec, max_range) -> np.ndarray:
     near = rel + np.clip(along, 0.0, 1.0)[:, None] * vec
     dist = np.hypot(near[:, 0], near[:, 1])
     a = (4.0 * 2.0**-53 / _PARALLEL) * length
-    reach = max_range + 3.0 * a * (dist + length) + 2.0**-40 * (max_range + dist + length)
+    # Near the float limit the margin overflows to inf: every segment is kept.
+    with np.errstate(over="ignore"):
+        reach = max_range + 3.0 * a * (dist + length) + 2.0**-40 * (max_range + dist + length)
     return (a > 0.125) | (dist <= reach)
 
 
@@ -358,7 +362,7 @@ class ScenarioConfig:
         default_factory=lambda: {"parking": parking_profile(), "road": road_profile()}
     )
     seed: int = 7
-    temporal_alpha: float = FusionPolicy.alpha_age
+    temporal_alpha: float = 0.95  # per-cycle discount of the live map
     measure_timing: bool = True
 
 
@@ -463,23 +467,25 @@ class MetricsRecord:
 
 
 def uniform_patched_cell_count(
-    center, horizon_m: float, edge_length: float, step: int
+    center, datum, horizon_m: float, edge_length: float, step: int
 ) -> int:
     """Cells of a uniform-resolution patched layout covering the horizon disc.
 
-    A patch counts when its nearest point is within the horizon. With the
-    center's gaps to the patch rows sorted, a column holds a prefix of the
-    rows that shrinks as its own gap grows: O(reach) distance tests.
+    A patch of the lattice at ``datum`` counts where its gap to ``center``,
+    computed as :func:`~apgm.requirements.patch_in_horizon` does, is within
+    the horizon. With the gaps to the patch rows sorted, a column holds a
+    prefix of the rows that shrinks as its own gap grows: O(reach) tests.
     """
     reach = int(math.ceil(horizon_m / edge_length)) + 1
 
-    def gaps(c: float) -> list[float]:
-        lo = (np.arange(-reach, reach + 1) + math.floor(c / edge_length)) * edge_length
+    def gaps(c: float, d: float) -> list[float]:
+        index = np.arange(-reach, reach + 1) + math.floor((c - d) / edge_length)
+        lo = d + edge_length * index
         return np.sort(np.maximum(np.maximum(lo - c, 0.0), c - (lo + edge_length))).tolist()
 
-    rows = gaps(float(center[1]))
+    rows = gaps(float(center[1]), float(datum[1]))
     patches, n = 0, len(rows)
-    for dx in gaps(float(center[0])):
+    for dx in gaps(float(center[0]), float(datum[0])):
         while n and math.hypot(dx, rows[n - 1]) > horizon_m:
             n -= 1
         patches += n
@@ -501,12 +507,10 @@ def uniform_reference_cells(
     profile's finest active resolution step, on the map's own patches.
     """
     edge = grid.edge_length
-    finest = max(
-        (required_step(profile, t, edge) for t in profile.active_types()),
-        default=0,
+    finest = max(required_steps(profile, edge).values(), default=0)
+    return uniform_patched_cell_count(
+        center, grid.datum, occupancy_horizon(profile), edge, finest
     )
-    offset = (center[0] - grid.datum[0], center[1] - grid.datum[1])
-    return uniform_patched_cell_count(offset, occupancy_horizon(profile), edge, finest)
 
 
 # -- runner -------------------------------------------------------------------
@@ -544,9 +548,7 @@ def run_scenario(
         pose = script.pose_at(t)
         mode = script.mode_at(t)
         profile = config.modes[mode].with_pose(pose)
-        policy = FusionPolicy.from_profile(
-            profile, gc.edge_length, config.temporal_alpha
-        )
+        steps = required_steps(profile, gc.edge_length)
 
         stats: list[SourceStat] = []
         grids: list[GridMap] = []
@@ -573,7 +575,7 @@ def run_scenario(
         # empty map stands in when no sensor delivered a grid.
         t0 = time.perf_counter()
         live = temporal_update(
-            live, grids or [GridMap(gc)], policy, counter=counter
+            live, grids or [GridMap(gc)], steps, config.temporal_alpha, counter
         )
         fuse_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
         apply_requirements(live, profile)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     CellOutOfBoundsError,
+    InputShapeError,
     NonFiniteInputError,
     UnknownHypothesisError,
     require,
@@ -71,16 +72,32 @@ class SensorModelParams:
         )
 
 
+def _as_shape(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as a float64 array of ``shape``, in which -1 is any length
+    N and an empty input has N = 0. Any other shape raises
+    :class:`InputShapeError`: a flat reshape would pair values silently."""
+    want = str(tuple("N" if n < 0 else str(n) for n in shape)).replace("'", "")
+    try:
+        a = np.asarray(values, dtype=np.float64)
+    except ValueError:  # ragged nesting, or a value that is not a number
+        raise InputShapeError(f"{what} must be numbers of shape {want}") from None
+    if a.size == 0 and -1 in shape:
+        a = a.reshape([max(n, 0) for n in shape])
+    if a.ndim != len(shape) or any(n not in (-1, m) for m, n in zip(a.shape, shape)):
+        raise InputShapeError(f"{what} must have shape {want}, not {a.shape}")
+    return a
+
+
 @dataclass
 class PointCloud:
     """Ground-projected returns of one scan."""
 
-    origin: np.ndarray
+    origin: np.ndarray  # (2,)
     points: np.ndarray  # (N, 2)
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(2)
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
+        self.origin = _as_shape(self.origin, (2,), "cloud origin")
+        self.points = _as_shape(self.points, (-1, 2), "cloud points")
         if not (np.isfinite(self.origin).all() and np.isfinite(self.points).all()):
             raise NonFiniteInputError("cloud origin or points hold a NaN or inf")
 
@@ -94,11 +111,14 @@ class SemanticObservation:
     confidences: np.ndarray  # (N,)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
-        self.confidences = np.asarray(self.confidences, dtype=np.float64).reshape(-1)
+        self.points = _as_shape(self.points, (-1, 2), "observation points")
+        self.confidences = _as_shape(self.confidences, (-1,), "confidences")
         self.labels = list(self.labels)
         if not (len(self.points) == len(self.labels) == len(self.confidences)):
-            raise ValueError("points, labels and confidences must align")
+            raise InputShapeError(
+                f"{len(self.points)} points, {len(self.labels)} labels and "
+                f"{len(self.confidences)} confidences must align"
+            )
         if not (np.isfinite(self.points).all() and np.isfinite(self.confidences).all()):
             raise NonFiniteInputError("points or confidences hold a NaN or inf")
 

@@ -7,8 +7,10 @@ the metrics CSV. ``test_golden.py`` compares a fresh run against the
 recorded file, so a change that should keep every output bit for bit can
 be checked without running the previous code.
 
-Record (from the repository root, with the code whose outputs are the
-reference on the path):
+Recording adds only the drives the file does not hold yet and leaves every
+entry it holds as it is; to re-record a drive whose outputs are meant to
+change, delete its entry first. Record (from the repository root, with the
+code whose outputs are the reference on the path):
 
     PYTHONPATH=src python3 tests/record_golden.py tests/golden_digests.json
 """
@@ -90,9 +92,22 @@ def drive_digests(name: str) -> dict:
 
 
 def main(out: str) -> None:
-    drives = {name: drive_digests(name) for name in DRIVES}
-    record = {"seed": SEED, "cycles": CYCLES, "drives": drives}
-    Path(out).write_text(json.dumps(record, indent=1) + "\n")
+    """Add the drives missing from ``out``; never rewrite an entry in it."""
+    path = Path(out)
+    record = {"seed": SEED, "cycles": CYCLES, "drives": {}}
+    if path.exists():
+        record = json.loads(path.read_text())
+        if (record["seed"], record["cycles"]) != (SEED, CYCLES):
+            raise SystemExit(
+                f"{out} holds seed {record['seed']}, {record['cycles']} cycles; "
+                f"this recorder runs seed {SEED}, {CYCLES} cycles"
+            )
+    missing = [name for name in DRIVES if name not in record["drives"]]
+    if not missing:
+        return
+    for name in missing:
+        record["drives"][name] = drive_digests(name)
+    path.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":

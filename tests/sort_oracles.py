@@ -229,16 +229,18 @@ def fuse_layers_dense(layers, r_req, counter=None):
     return Layer(first.type_name, first.frame, r_fused, acc.astype(np.float32))
 
 
-def uniform_patched_cell_count_scan(center, horizon_m, edge_length, step):
+def uniform_patched_cell_count_scan(center, datum, horizon_m, edge_length, step):
+    """Patches anchored at ``datum`` that ``patch_in_horizon``'s distance
+    rule keeps around ``center``, each tested on its own corner."""
     cx, cy = float(center[0]), float(center[1])
-    reach = int(math.ceil(horizon_m / edge_length)) + 1
-    base_x = math.floor(cx / edge_length)
-    base_y = math.floor(cy / edge_length)
+    reach = int(math.ceil(horizon_m / edge_length)) + 2
+    base_x = math.floor((cx - datum[0]) / edge_length)
+    base_y = math.floor((cy - datum[1]) / edge_length)
     patches = 0
     for ix in range(base_x - reach, base_x + reach + 1):
         for iy in range(base_y - reach, base_y + reach + 1):
-            x0 = ix * edge_length
-            y0 = iy * edge_length
+            x0 = datum[0] + edge_length * ix
+            y0 = datum[1] + edge_length * iy
             d = _rect_min_distance(cx, cy, x0, y0, x0 + edge_length, y0 + edge_length)
             if d <= horizon_m:
                 patches += 1

@@ -15,7 +15,6 @@ import pytest
 
 from apgm import (
     Frame,
-    FusionPolicy,
     GridConfig,
     GridMap,
     belief,
@@ -31,7 +30,7 @@ from apgm import (
     vacuous,
 )
 from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME
-from apgm.requirements import patch_in_horizon, required_step
+from apgm.requirements import patch_in_horizon, required_step, required_steps
 from apgm.resample import occ_block_merge, occ_cell_split
 from apgm.scenario import (
     REFERENCE_STATIC_CELLS,
@@ -171,7 +170,7 @@ def test_c05_fusion_framework_algebra():
     with criterion(5, "500 random grid sets: exact union and fused-step algebra"):
         rng = np.random.default_rng(505)
         config = GridConfig()
-        policy = FusionPolicy({"occupancy": 3, "semantic": 2})
+        r_req = {"occupancy": 3, "semantic": 2}
         for _ in range(500):
             grids = []
             for _ in range(int(rng.integers(1, 4))):
@@ -181,7 +180,7 @@ def test_c05_fusion_framework_algebra():
                     tname = "occupancy" if rng.random() < 0.6 else "semantic"
                     entries[(index, tname)] = (index, tname, int(rng.integers(0, 4)))
                 grids.append(small_grid(rng, config, list(entries.values())))
-            fused = fuse_grids(grids, policy)
+            fused = fuse_grids(grids, r_req)
             assert set(fused.patches) == set().union(*[set(g.patches) for g in grids])
             for index, patch in fused.patches.items():
                 sources = [g.patches[index] for g in grids if index in g.patches]
@@ -190,7 +189,7 @@ def test_c05_fusion_framework_algebra():
                     steps = [
                         p.layers[tname].step for p in sources if tname in p.layers
                     ]
-                    assert layer.step == min(policy.r_req[tname], max(steps))
+                    assert layer.step == min(r_req[tname], max(steps))
 
 
 def test_c06_requirement_realization(full_run):
@@ -242,7 +241,7 @@ def test_c09_fusion_time_budget():
         live = run_scenario(script, world, config).grid
 
         profile = config.modes["road"].with_pose(pose)
-        policy = FusionPolicy.from_profile(profile, config.grid.edge_length)
+        steps = required_steps(profile, config.grid.edge_length)
         grids = []
         for si, lidar in enumerate(config.lidars):
             cloud = simulate_lidar(world, pose, lidar, np.random.default_rng(si))
@@ -254,9 +253,9 @@ def test_c09_fusion_time_budget():
 
         samples = []
         for _ in range(5):
-            stack = [discount_grid(live, policy.alpha_age)] + grids
+            stack = [discount_grid(live, config.temporal_alpha)] + grids
             t0 = time.perf_counter()
-            fuse_grids(stack, policy)
+            fuse_grids(stack, steps)
             samples.append(time.perf_counter() - t0)
         best = min(samples)
         print(f"      road fusion cycle: {best * 1e3:.1f} ms (soft budget 250 ms)")

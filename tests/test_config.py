@@ -394,6 +394,7 @@ _NAMED = re.compile(r"(\[[\w.]+\] |mode '\w+': type '\w+': )")
 @example((("grid", "datum_x"), 1e12))
 @example((("grid", "datum_x"), 1e308))
 @example((("lidar.front", "noise_sigma"), 1e308))
+@example((("lidar.front", "max_range"), 1.797693134860681e308))
 @example((("lidar.front", "noise_sigma"), -0.0))
 @example((("run", "seed"), -1))
 @example((("run", "temporal_alpha"), 1.5))

@@ -7,12 +7,11 @@ per-patch predecessors (``sort_oracles.py``) bit for bit.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apgm import (
     Frame,
-    FusionPolicy,
     GridConfig,
     GridMap,
     PointCloud,
@@ -208,7 +207,7 @@ def _place(grids, index, layers, holders):
 
 @st.composite
 def grid_stacks(draw):
-    """(grids, policy): four grids whose patches hold layer_stacks draws.
+    """(grids, r_req): four grids whose patches hold layer_stacks draws.
 
     Each small patch index gets an occupancy stack, a semantic stack or
     both, every input in a drawn grid, so every holder pattern occurs.
@@ -230,15 +229,15 @@ def grid_stacks(draw):
         )
         _place(grids, (column, 1), layers, draw(st.permutations(range(_GRIDS))))
     r_req = draw(st.one_of(st.just({}), st.builds(lambda r: {"semantic": r}, st.integers(0, 3))))
-    return grids, FusionPolicy(r_req)
+    return grids, r_req
 
 
 @settings(max_examples=30, deadline=None)
 @given(grid_stacks())
 def test_fuse_grids_equals_dense_fold_per_layer(case):
-    grids, policy = case
+    grids, r_req = case
     got_counter, want_counter = ConflictCounter(), ConflictCounter()
-    got = fuse_grids(grids, policy, got_counter)
+    got = fuse_grids(grids, r_req, got_counter)
     indices = sorted({i for g in grids for i in g.patches})
     assert sorted(got.patches) == indices
     for index in indices:
@@ -247,8 +246,8 @@ def test_fuse_grids_equals_dense_fold_per_layer(case):
         assert sorted(got.patches[index].layers) == names
         for name in names:
             stack = [p.layers[name] for p in patches if name in p.layers]
-            r_req = policy.r_req.get(name, max(l.step for l in stack))
-            want = fuse_layers_dense(stack, r_req, want_counter)
+            step = r_req.get(name, max(l.step for l in stack))
+            want = fuse_layers_dense(stack, step, want_counter)
             layer = got.patches[index].layers[name]
             assert layer.step == want.step
             assert np.array_equal(
@@ -449,26 +448,34 @@ def test_label_points_on_default_world_frustums():
 
 @st.composite
 def reference_discs(draw):
-    """(center, horizon, edge, step); a third of the horizons equal a
-    patch's exact distance, so boundary rows sit on the horizon."""
+    """(center, datum, horizon, edge, step); a third of the horizons equal
+    a patch's exact distance, so boundary rows sit on the horizon."""
     edge = draw(st.sampled_from([12.8, 3.2, 1.0, 0.7, 25.0]))
-    coord = st.one_of(
-        st.floats(-1e4, 1e4, allow_nan=False),
-        st.integers(-800, 800).map(lambda i: i * edge),  # on patch borders
+    datum = draw(
+        st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 2),
+        )
     )
-    cx, cy = draw(coord), draw(coord)
+    def coord(d):
+        return st.one_of(
+            st.floats(-1e4, 1e4, allow_nan=False),
+            st.integers(-800, 800).map(lambda i: d + i * edge),  # on patch borders
+        )
+
+    cx, cy = draw(coord(datum[0])), draw(coord(datum[1]))
     horizon = draw(st.floats(0.0, 60.0, allow_nan=False))
     if draw(st.integers(0, 2)) == 0:
-        ix = math.floor(cx / edge) + draw(st.integers(-6, 6))
-        iy = math.floor(cy / edge) + draw(st.integers(-6, 6))
-        x0, y0 = ix * edge, iy * edge
+        ix = math.floor((cx - datum[0]) / edge) + draw(st.integers(-6, 6))
+        iy = math.floor((cy - datum[1]) / edge) + draw(st.integers(-6, 6))
+        x0, y0 = datum[0] + edge * ix, datum[1] + edge * iy
         horizon = _rect_min_distance(cx, cy, x0, y0, x0 + edge, y0 + edge)
-    return (cx, cy), horizon, edge, draw(st.integers(0, 10))
+    return (cx, cy), datum, horizon, edge, draw(st.integers(0, 10))
 
 
 @settings(max_examples=400, deadline=None)
+@example(((31.1, -4.9), (-1.7, 2.3), 20.0, 12.8, 0))  # a patch exactly on the horizon
 @given(reference_discs())
 def test_uniform_count_equals_per_patch_scan(disc):
-    center, horizon, edge, step = disc
-    got = uniform_patched_cell_count(center, horizon, edge, step)
-    assert got == uniform_patched_cell_count_scan(center, horizon, edge, step)
+    got = uniform_patched_cell_count(*disc)
+    assert got == uniform_patched_cell_count_scan(*disc)

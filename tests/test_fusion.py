@@ -8,7 +8,6 @@ from apgm import (
     DatumMismatchError,
     EdgeMismatchError,
     Frame,
-    FusionPolicy,
     GridConfig,
     GridMap,
     discount_grid,
@@ -24,7 +23,6 @@ from apgm.evidence import ConflictCounter
 from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer, Patch
 from apgm.kernels import combine_masses
 from apgm.requirements import RequirementProfile, TypeRequirement, apply_requirements
-from apgm.scenario import ScenarioConfig
 from conftest import bf_combine
 
 
@@ -65,14 +63,6 @@ def test_fuse_cells_total_conflict_fallback():
     fused = fuse_cells([occ(1.0), occ(0.0, 1.0)], counter=counter)
     assert fused.omega == 1.0
     assert counter.cells == 1
-
-
-def test_temporal_discount_default_has_one_source():
-    profile = RequirementProfile({"occupancy": TypeRequirement(True, 20.0, 0.1)})
-    policy = FusionPolicy.from_profile(profile, 12.8)
-    assert policy.alpha_age == FusionPolicy().alpha_age == 0.95
-    assert ScenarioConfig().temporal_alpha == FusionPolicy().alpha_age
-    assert FusionPolicy.from_profile(profile, 12.8, 0.5).alpha_age == 0.5
 
 
 # -- layers --------------------------------------------------------------------
@@ -139,12 +129,12 @@ def test_patch_union_of_types():
         (0, 0),
         {"semantic": random_layer(rng, "semantic", config.types["semantic"], 6)},
     )
-    fused = fuse_patches([pa, pb], FusionPolicy({"occupancy": 6, "semantic": 6}))
+    fused = fuse_patches([pa, pb], {"occupancy": 6, "semantic": 6})
     assert set(fused.layers) == {"occupancy", "semantic"}
 
 
 def test_patch_empty():
-    fused = fuse_patches([Patch((2, 3))], FusionPolicy())
+    fused = fuse_patches([Patch((2, 3))], {})
     assert fused.index == (2, 3)
     assert fused.layers == {}
 
@@ -153,13 +143,13 @@ def test_patch_mixed_steps_upsampled():
     rng = np.random.default_rng(5)
     pa = Patch((0, 0), {"occupancy": random_layer(rng, "occupancy", OCCUPANCY_FRAME, 7)})
     pb = Patch((0, 0), {"occupancy": random_layer(rng, "occupancy", OCCUPANCY_FRAME, 6)})
-    fused = fuse_patches([pa, pb], FusionPolicy({"occupancy": 7}))
+    fused = fuse_patches([pa, pb], {"occupancy": 7})
     assert fused.layers["occupancy"].step == 7
 
 
 def test_patch_index_mismatch():
     with pytest.raises(ValueError):
-        fuse_patches([Patch((0, 0)), Patch((1, 0))], FusionPolicy())
+        fuse_patches([Patch((0, 0)), Patch((1, 0))], {})
 
 
 # -- grids ---------------------------------------------------------------------
@@ -175,7 +165,7 @@ def small_grid(rng, config, entries):
 def test_grid_union_semantics():
     rng = np.random.default_rng(6)
     config = GridConfig()
-    policy = FusionPolicy({"occupancy": 3, "semantic": 3})
+    r_req = {"occupancy": 3, "semantic": 3}
     for _ in range(100):
         grids = []
         for _ in range(int(rng.integers(1, 4))):
@@ -187,7 +177,7 @@ def test_grid_union_semantics():
             # one layer per (index, type): keep last
             unique = {(i, t): (i, t, s) for i, t, s in entries}
             grids.append(small_grid(rng, config, list(unique.values())))
-        fused = fuse_grids(grids, policy)
+        fused = fuse_grids(grids, r_req)
         # set-algebra oracle
         want_indices = set().union(*[set(g.patches) for g in grids])
         assert set(fused.patches) == want_indices
@@ -202,7 +192,7 @@ def test_grid_union_semantics():
                     for g in grids
                     if index in g.patches and tname in g.patches[index].layers
                 ]
-                want_step = min(policy.r_req[tname], max(steps))
+                want_step = min(r_req[tname], max(steps))
                 assert fused.patches[index].layers[tname].step == want_step
 
 
@@ -211,7 +201,7 @@ def test_grid_disjoint_union_copies_values():
     config = GridConfig()
     a = small_grid(rng, config, [((0, 0), "occupancy", 4)])
     b = small_grid(rng, config, [((5, 5), "occupancy", 4)])
-    fused = fuse_grids([a, b], FusionPolicy({"occupancy": 4}))
+    fused = fuse_grids([a, b], {"occupancy": 4})
     np.testing.assert_array_equal(
         fused.patches[(0, 0)].layers["occupancy"].masses,
         a.patches[(0, 0)].layers["occupancy"].masses,
@@ -227,7 +217,7 @@ def test_grid_overlap_is_cellwise_combination():
     config = GridConfig()
     a = small_grid(rng, config, [((0, 0), "occupancy", 3), ((1, 0), "occupancy", 3)])
     b = small_grid(rng, config, [((1, 0), "occupancy", 3), ((2, 0), "occupancy", 3)])
-    fused = fuse_grids([a, b], FusionPolicy({"occupancy": 3}))
+    fused = fuse_grids([a, b], {"occupancy": 3})
     assert fused.cell_count() >= max(a.cell_count(), b.cell_count())
     assert fused.cell_count() <= a.cell_count() + b.cell_count()
     la = a.patches[(1, 0)].layers["occupancy"]
@@ -249,9 +239,8 @@ def test_grid_order_invariance():
         small_grid(rng, config, [((0, 0), "occupancy", 3)]),
         small_grid(rng, config, [((0, 0), "occupancy", 2), ((1, 1), "occupancy", 2)]),
     ]
-    policy = FusionPolicy({"occupancy": 3})
-    forward = fuse_grids(grids, policy)
-    backward = fuse_grids(list(reversed(grids)), policy)
+    forward = fuse_grids(grids, {"occupancy": 3})
+    backward = fuse_grids(list(reversed(grids)), {"occupancy": 3})
     assert set(forward.patches) == set(backward.patches)
     for index in forward.patches:
         lf = forward.patches[index].layers["occupancy"]
@@ -265,7 +254,7 @@ def test_grid_inputs_not_mutated():
     a = small_grid(rng, config, [((0, 0), "occupancy", 3)])
     b = small_grid(rng, config, [((0, 0), "occupancy", 3)])
     snap_a = a.patches[(0, 0)].layers["occupancy"].masses.copy()
-    fuse_grids([a, b], FusionPolicy({"occupancy": 3}))
+    fuse_grids([a, b], {"occupancy": 3})
     np.testing.assert_array_equal(
         a.patches[(0, 0)].layers["occupancy"].masses, snap_a
     )
@@ -324,7 +313,7 @@ def test_temporal_update_output_is_fresh_and_inputs_untouched():
     silent.set_layer((1, 0), Layer("occupancy", OCCUPANCY_FRAME, 3))
     inputs = [l for g in (previous, lidar, silent) for _, l in g.iter_layers()]
     before = [l.masses.tobytes() for l in inputs]
-    out = temporal_update(previous, [lidar, silent], FusionPolicy({"occupancy": 3}))
+    out = temporal_update(previous, [lidar, silent], {"occupancy": 3}, 0.95)
     assert set(out.patches) == {(0, 0), (1, 0), (2, 0)}
     _assert_fresh_and_inputs_intact([l for _, l in out.iter_layers()], inputs, before)
 
@@ -348,13 +337,12 @@ def test_grid_fold_shares_bounded_slices_across_patches(monkeypatch):
         return combine_masses(a, b, out, conflict)
 
     monkeypatch.setattr(fusion, "combine_masses", spy)
-    policy = FusionPolicy()
-    fused = fuse_grids(grids, policy)
+    fused = fuse_grids(grids, {})
     assert max(rows) <= 8192
     assert sorted(rows) == [4096] * 3 + [8192] * 3
     monkeypatch.undo()
     for index, patch in fused.patches.items():
-        alone = fuse_patches([g.patches[index] for g in grids], policy)
+        alone = fuse_patches([g.patches[index] for g in grids], {})
         for name, layer in patch.layers.items():
             assert layer.masses.tobytes() == alone.layers[name].masses.tobytes()
 
@@ -363,14 +351,14 @@ def test_grid_datum_mismatch():
     a = GridMap(GridConfig(datum=(0.0, 0.0)))
     b = GridMap(GridConfig(datum=(1.0, 0.0)))
     with pytest.raises(DatumMismatchError):
-        fuse_grids([a, b], FusionPolicy())
+        fuse_grids([a, b], {})
 
 
 def test_grid_edge_mismatch():
     a = GridMap(GridConfig(edge_length=12.8))
     b = GridMap(GridConfig(edge_length=6.4))
     with pytest.raises(EdgeMismatchError):
-        fuse_grids([a, b], FusionPolicy())
+        fuse_grids([a, b], {})
 
 
 # -- temporal accumulation -------------------------------------------------------
@@ -381,8 +369,7 @@ def test_temporal_alpha_zero_equals_current():
     config = GridConfig()
     previous = small_grid(rng, config, [((4, 4), "occupancy", 3)])
     current = small_grid(rng, config, [((0, 0), "occupancy", 3)])
-    policy = FusionPolicy({"occupancy": 3}, alpha_age=0.0)
-    out = temporal_update(previous, [current], policy)
+    out = temporal_update(previous, [current], {"occupancy": 3}, 0.0)
     assert set(out.patches) == {(0, 0)}
     np.testing.assert_allclose(
         out.patches[(0, 0)].layers["occupancy"].masses,
@@ -396,8 +383,7 @@ def test_temporal_alpha_one_keeps_previous():
     config = GridConfig()
     previous = small_grid(rng, config, [((0, 0), "occupancy", 3)])
     current = GridMap(config)
-    policy = FusionPolicy({"occupancy": 3}, alpha_age=1.0)
-    out = temporal_update(previous, [current], policy)
+    out = temporal_update(previous, [current], {"occupancy": 3}, 1.0)
     np.testing.assert_allclose(
         out.patches[(0, 0)].layers["occupancy"].masses,
         previous.patches[(0, 0)].layers["occupancy"].masses,
@@ -410,9 +396,8 @@ def test_temporal_decay_over_empty_cycles():
     grid = GridMap(config)
     layer = grid.get_or_create_layer((0, 0), "occupancy", 3)
     layer.masses[2, 2, 0] = 0.9
-    policy = FusionPolicy({"occupancy": 3}, alpha_age=0.95)
     for _ in range(10):
-        grid = temporal_update(grid, [GridMap(config)], policy)
+        grid = temporal_update(grid, [GridMap(config)], {"occupancy": 3}, 0.95)
     got = grid.patches[(0, 0)].layers["occupancy"].masses[2, 2, 0]
     assert got == pytest.approx(0.9 * 0.95**10, abs=1e-5)
 
@@ -426,8 +411,7 @@ def test_temporal_horizon_culling():
     profile = RequirementProfile(
         {"occupancy": TypeRequirement(True, 20.0, 1.6)}, vehicle_pose=(0.0, 0.0, 0.0)
     )
-    policy = FusionPolicy({"occupancy": 3}, alpha_age=1.0)
-    out = temporal_update(previous, [GridMap(config)], policy)
+    out = temporal_update(previous, [GridMap(config)], {"occupancy": 3}, 1.0)
     apply_requirements(out, profile)
     assert set(out.patches) == {(0, 0)}
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgm import (
     ConfigError,
@@ -13,10 +15,13 @@ from apgm import (
     RequirementProfile,
     TypeRequirement,
     apply_requirements,
+    fuse_grids,
     patch_in_horizon,
     required_step,
+    required_steps,
+    resample_layer,
 )
-from apgm.grid import MAX_STEP
+from apgm.grid import MAX_STEP, Layer
 from apgm.scenario import ScenarioConfig, default_script, validate_scenario
 
 
@@ -257,3 +262,77 @@ def test_soundness_and_monotone_memory():
         mid = grid.memory_bytes()
         apply_requirements(grid, tighter)
         assert grid.memory_bytes() <= mid <= max(before, mid)
+
+
+# -- fusion, then realization, on random inputs -------------------------------------
+
+_TYPES = ("occupancy", "semantic")
+
+
+@st.composite
+def fusion_cycles(draw):
+    """(grids, profile): one to three small grids whose layers (both types,
+    steps 0-4, random masses, some rows vacuous) lie around the origin,
+    and a random profile: demands that may be missing or inactive, any
+    horizon, a power-of-two cell size, an optional view and a pose."""
+    config = GridConfig()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        grid = GridMap(config)
+        for _ in range(draw(st.integers(0, 6))):
+            index = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+            name = draw(st.sampled_from(_TYPES))
+            frame = config.types[name]
+            layer = Layer(name, frame, draw(st.integers(0, 4)))
+            rows = rng.dirichlet(np.ones(len(frame) + 1), size=layer.cells)[:, :-1]
+            rows[rng.random(layer.cells) < 0.3] = 0.0
+            layer.masses[:] = rows.reshape(layer.masses.shape).astype(np.float32)
+            grid.set_layer(index, layer)
+        grids.append(grid)
+    demands = {}
+    for name in _TYPES:
+        if draw(st.booleans()) or name == "occupancy":
+            demands[name] = TypeRequirement(
+                draw(st.integers(0, 3)) > 0,  # active three times in four
+                draw(st.floats(0.5, 80.0)),
+                config.edge_length * 2.0 ** draw(st.integers(-5, 1)),
+                draw(st.one_of(st.none(), st.floats(0.0, math.pi))),
+            )
+    pose = (
+        draw(st.floats(-30.0, 30.0)),
+        draw(st.floats(-30.0, 30.0)),
+        draw(st.floats(-math.pi, math.pi)),
+    )
+    return grids, RequirementProfile(demands, vehicle_pose=pose)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fusion_cycles())
+def test_fusion_then_realization_meets_the_profile(case):
+    grids, prof = case
+    config = grids[0].config
+    steps = required_steps(prof, config.edge_length)
+    fused = fuse_grids(grids, steps)
+    before = {(index, layer.type_name): layer for index, layer in fused.iter_layers()}
+    patches_before = set(fused.patches)
+    report = apply_requirements(fused, prof)
+    fused.check()
+    after = {(index, layer.type_name): layer for index, layer in fused.iter_layers()}
+    # A layer survives exactly where its type is demanded, at its step.
+    assert set(after) == {
+        (index, name)
+        for index, name in before
+        if patch_in_horizon(index, config, prof, name)
+    }
+    for (index, name), layer in after.items():
+        assert prof.demands[name].active
+        assert layer.step == steps[name]
+        want = resample_layer(before[(index, name)], steps[name])
+        assert layer.masses.tobytes() == want.masses.tobytes()
+    assert all(fused.patches[index].layers for index in fused.patches)
+    assert report.layers_deleted == len(before) - len(after)
+    assert report.patches_deleted == len(patches_before - set(fused.patches))
+    assert report.layers_resampled == sum(
+        before[key].step != layer.step for key, layer in after.items()
+    )

@@ -221,7 +221,7 @@ def test_semantic_region_rejects_bad_polygon(polygon, error):
 def test_uniform_reference_matches_enumeration_oracle():
     e = 12.8
     for horizon, step in ((20.0, 7), (100.0, 6)):
-        got = uniform_patched_cell_count((e / 2, e / 2), horizon, e, step)
+        got = uniform_patched_cell_count((e / 2, e / 2), (0.0, 0.0), horizon, e, step)
         count = 0
         span = int(math.ceil(horizon / e)) + 2
         for ix in range(-span, span + 1):
@@ -235,17 +235,17 @@ def test_uniform_reference_matches_enumeration_oracle():
 
 
 def test_uniform_reference_minimum_is_vehicle_patch():
-    assert uniform_patched_cell_count((6.0, 6.0), 0.0, 12.8, 7) == 16384
+    assert uniform_patched_cell_count((6.0, 6.0), (0.0, 0.0), 0.0, 12.8, 7) == 16384
 
 
 def test_reference_layouts_per_mode():
     center = (6.4, 6.4)
     assert uniform_reference_cells(
         parking_profile(), center, GridConfig()
-    ) == uniform_patched_cell_count(center, 20.0, 12.8, 7)
+    ) == uniform_patched_cell_count(center, (0.0, 0.0), 20.0, 12.8, 7)
     assert uniform_reference_cells(
         road_profile(), center, GridConfig()
-    ) == uniform_patched_cell_count(center, 100.0, 12.8, 6)
+    ) == uniform_patched_cell_count(center, (0.0, 0.0), 100.0, 12.8, 6)
 
 
 @pytest.mark.parametrize(
@@ -257,13 +257,15 @@ def test_reference_layouts_per_mode():
         ((6.4, -3.2), (130.0, 0.0), 100.0),
         ((1e6, -2.5e5), (1e6 + 3.3, -2.5e5 + 40.2), 33.0),
         ((0.0, 0.0), (5.5, 7.25), 20.0),
+        # Patch (0, -1) lies 20 m away measured from its corner, as the
+        # cull measures it, and just beyond measured from the pose offset.
+        ((-1.7, 2.3), (31.1, -4.9), 20.0),
     ],
 )
 def test_uniform_reference_counts_the_maps_own_patches(datum, center, horizon):
     # The uniform layout covers the patches patch_in_horizon keeps around
-    # the pose, on the lattice anchored at the map's datum. No patch lies
-    # within float rounding of a horizon here, where the two distance
-    # computations may round to opposite sides.
+    # the pose, on the lattice anchored at the map's datum, also where a
+    # patch lies exactly on the horizon.
     grid = GridConfig(datum=datum)
     profile = RequirementProfile(
         {"occupancy": TypeRequirement(True, horizon, 0.1)}
@@ -354,6 +356,14 @@ def test_bad_sensor_field_raises_config_error(sensor, field, value, key, raw, me
     part = CameraConfig() if sensor == "camera" else LidarConfig()
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(part, **{field: value})
+
+
+@pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0)])
+def test_offsets_refuse_other_than_two_values(value):
+    with pytest.raises(ConfigError, match="mount must hold two values"):
+        LidarConfig(mount=value)
+    with pytest.raises(ConfigError, match="datum must hold two values"):
+        GridConfig(datum=value)
 
 
 @pytest.mark.parametrize("sensor,field,value,key,raw,message", BAD_SENSOR_FIELDS)

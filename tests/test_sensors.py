@@ -21,6 +21,7 @@ from apgm import (
 from apgm.errors import (
     CellOutOfBoundsError,
     GridMapError,
+    InputShapeError,
     NonFiniteInputError,
     UnknownHypothesisError,
 )
@@ -390,6 +391,48 @@ def test_semantic_observation_rejects_non_finite(bad):
         SemanticObservation([(5.0, bad)], ["road"], [0.8])
     with pytest.raises(NonFiniteInputError, match="points or confidences"):
         SemanticObservation([(5.0, 0.0)], ["road"], [bad])
+
+
+# -- input shapes -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "origin,points,match",
+    [
+        # x/y/z returns, which a flat reshape would pair into six points.
+        ((0.0, 0.0), np.zeros((4, 3)), r"cloud points must have shape \(N, 2\), not \(4, 3\)"),
+        ((0.0, 0.0), [1.0, 2.0], r"cloud points .* not \(2,\)"),
+        ((0.0, 0.0, 0.0), [(1.0, 2.0)], r"cloud origin must have shape \(2,\), not \(3,\)"),
+        ((), [(1.0, 2.0)], r"cloud origin .* not \(0,\)"),
+        ((0.0, 0.0), [(1.0, 2.0), (3.0,)], r"cloud points must be numbers of shape \(N, 2\)"),
+    ],
+)
+def test_point_cloud_refuses_wrong_shapes(origin, points, match):
+    assert issubclass(InputShapeError, GridMapError)
+    assert issubclass(InputShapeError, ValueError)
+    with pytest.raises(InputShapeError, match=match):
+        PointCloud(origin, points)
+
+
+@pytest.mark.parametrize(
+    "points,labels,confidences,match",
+    [
+        # (N, 4) points, which a flat reshape would make 2N points, with 2N labels.
+        (np.zeros((3, 4)), ["road"] * 6, np.full(6, 0.8), r"points must have shape"),
+        (np.zeros((3, 2)), ["road"] * 3, np.full((3, 1), 0.8), r"confidences must have"),
+        (np.zeros((3, 2)), ["road"] * 2, np.full(3, 0.8), "3 points, 2 labels and 3 conf"),
+        (np.zeros((3, 2)), ["road"] * 3, np.full(4, 0.8), "3 labels and 4 confidences"),
+    ],
+)
+def test_semantic_observation_refuses_wrong_shapes(points, labels, confidences, match):
+    with pytest.raises(InputShapeError, match=match):
+        SemanticObservation(points, labels, confidences)
+
+
+def test_empty_point_arrays_hold_no_points():
+    assert PointCloud((0.0, 0.0), np.array([])).points.shape == (0, 2)
+    obs = SemanticObservation(np.array([]), [], np.array([]))
+    assert obs.points.shape == (0, 2) and obs.confidences.shape == (0,)
 
 
 # -- fixture loader ---------------------------------------------------------------
