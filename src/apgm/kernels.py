@@ -401,6 +401,11 @@ def combine_masses(a, b, out, conflict):
     under half a spacing of 1). A -0.0 entry comes back +0.0 where s <= 1.
     The held-row fold of :mod:`apgm.fusion` relies on this to skip such
     rows.
+
+    A row summing above 1 (float32 rounding allows up to
+    ``grid.MASS_SUM_TOL``) has a negative weight 1 - s, which can leave a
+    fused mass a rounding error below zero; such entries come back +0.0, so
+    masses stay in [0, 1]. Only strictly negative entries are touched.
     """
     k = a.shape[1]
     ac = [a[:, j] for j in range(k)]
@@ -428,6 +433,8 @@ def combine_masses(a, b, out, conflict):
     for j, f in enumerate(fused):
         np.divide(f, scale, out=out[:, j])
     out[dead] = 0.0
+    if out.min(initial=0.0) < 0.0:
+        out[out < 0.0] = 0.0
     return out, conflict
 
 

@@ -12,6 +12,16 @@ Free-space mass is merged by median and split by value copy, clipped
 against the occupancy mass so cells stay normalized; occupancy wins the
 clip because it is the safety-critical quantity.
 
+A 2x2 block (every one-step merge) is merged without ``np.prod`` or
+``np.median`` and reproduces both bit for bit. The product of misses is
+the left-to-right chain ``((m0 * m1) * m2) * m3``, the order ``np.prod``
+multiplies in. The two middle values of four are
+``max(min(a, b), min(c, d))`` and ``min(max(a, b), max(c, d))``, and
+their sum starts from ``0.0`` as ``np.mean``'s does inside ``np.median``,
+so two zero middles give +0.0 and never -0.0; NaN propagates through
+``np.minimum``/``np.maximum`` as ``np.median`` returns it. Larger blocks,
+which only multi-step merges make, use ``np.prod`` and ``np.median``.
+
 Semantic layers use a pragmatic mean/copy pair; a principled operator for
 arbitrary hypothesis counts is an open problem.
 
@@ -37,10 +47,30 @@ from .grid import MAX_STEP, Layer
 
 def occ_block_merge(children: np.ndarray) -> np.ndarray:
     children = np.asarray(children, dtype=np.float64)
+    if children.shape[-2] == 4:
+        return _occ_merge_2x2(*(children[..., j, :] for j in range(4)))
     occ = 1.0 - np.prod(1.0 - children[..., 0], axis=-1)
     free = np.median(children[..., 1], axis=-1)
     free = np.minimum(free, 1.0 - occ)
     return np.stack([occ, free], axis=-1)
+
+
+def _occ_merge_2x2(c0, c1, c2, c3) -> np.ndarray:
+    """``occ_block_merge`` of four (..., 2) float64 children given in
+    row-major order, without ``np.prod``, ``np.median`` or a stacked copy."""
+    out = np.empty(c0.shape, dtype=np.float64)
+    occ, free = out[..., 0], out[..., 1]
+    miss = 1.0 - c0[..., 0]
+    for c in (c1, c2, c3):
+        miss *= 1.0 - c[..., 0]
+    np.subtract(1.0, miss, out=occ)
+    a, b, c, d = c0[..., 1], c1[..., 1], c2[..., 1], c3[..., 1]
+    np.maximum(np.minimum(a, b), np.minimum(c, d), out=free)
+    free += 0.0  # np.mean sums from +0.0, so two zero middles give +0.0
+    free += np.minimum(np.maximum(a, b), np.maximum(c, d))
+    free /= 2
+    np.minimum(free, 1.0 - occ, out=free)
+    return out
 
 
 def occ_cell_split(parent: np.ndarray, n: int) -> np.ndarray:
@@ -144,6 +174,8 @@ def resample_layer(layer: Layer, r_target: int) -> Layer:
         factor = 1 << delta
         child = split(src, factor * factor)
         out = np.repeat(np.repeat(child, factor, axis=0), factor, axis=1)
+    elif delta == -1 and layer.type_name == "occupancy":
+        out = _occ_merge_2x2(*(src[a::2, b::2] for a in (0, 1) for b in (0, 1)))
     else:
         out = merge(block_view(src, 1 << (-delta)))
     return Layer(layer.type_name, layer.frame, r_target, out.astype(np.float32))

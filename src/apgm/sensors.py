@@ -113,6 +113,12 @@ class SemanticObservation:
     def __post_init__(self):
         self.points = _as_shape(self.points, (-1, 2), "observation points")
         self.confidences = _as_shape(self.confidences, (-1,), "confidences")
+        if isinstance(self.labels, (str, bytes)):
+            # list() would split one label into its characters.
+            raise InputShapeError(
+                f"labels must be one label per point, not a single "
+                f"{type(self.labels).__name__} {self.labels!r}"
+            )
         self.labels = list(self.labels)
         if not (len(self.points) == len(self.labels) == len(self.confidences)):
             raise InputShapeError(

@@ -3,11 +3,13 @@
 These are the earlier bodies of ``kernels.combine_masses`` (row
 reductions), of the sort-based measurement-grid builders (uint64 cell
 keys, ``np.unique`` and a per-patch scatter), of
-``WorldModel.label_points`` (every region tested against every point) and
-of ``fusion.fuse_layers`` (Dempster's rule over every cell of every input)
-and of ``scenario.uniform_patched_cell_count`` (a distance test per patch).
-``test_equivalence.py`` compares the library against them with
-``np.array_equal`` or list equality. ``traverse_rays_fallback`` is the
+``WorldModel.label_points`` (every region tested against every point), of
+``fusion.fuse_layers`` (Dempster's rule over every cell of every input),
+of ``scenario.uniform_patched_cell_count`` (a distance test per patch)
+and of ``resample.occ_block_merge`` (``np.prod`` and ``np.median`` over a
+transposed block copy, for blocks of any size). ``test_equivalence.py``
+compares the library against them with ``np.array_equal``, on bit
+patterns or with list equality. ``traverse_rays_fallback`` is the
 ordering check of ``kernels.traverse_rays`` run over every minor-axis
 crossing, and ``simulate_lidar_all_segments`` casts every beam against
 every world segment; ``test_kernels.py`` and ``test_scenario.py`` use them.
@@ -23,7 +25,7 @@ from apgm.grid import UNKNOWN, GridMap, Layer, global_cells_of, split_global_cel
 from apgm.kernels import _traverse_rays_impl, ray_cell_cap, total_conflict
 from apgm.scenario import _mounted
 from apgm.requirements import _rect_min_distance, required_step
-from apgm.resample import resample_layer
+from apgm.resample import block_view, resample_layer
 from apgm.sensors import PointCloud, _clip_to_horizon, occupancy_evidence
 
 _KEY_BIAS = 1 << 31
@@ -47,6 +49,7 @@ def combine_masses_rows(a, b, out, conflict):
     scale = np.where(scale <= 0.0, 1.0, scale)
     fused /= scale[:, None]
     fused[dead] = 0.0
+    fused[fused < 0.0] = 0.0  # a row summing over 1 can round below zero
     np.copyto(out, fused)
     return out, conflict
 
@@ -309,3 +312,17 @@ def simulate_lidar_all_segments(world, pose, config, rng):
     keep = ranges > 0.0
     points = origin + dirs[hit][keep] * ranges[keep, None]
     return PointCloud(origin, points)
+
+
+def occ_block_merge_median(children):
+    children = np.asarray(children, dtype=np.float64)
+    occ = 1.0 - np.prod(1.0 - children[..., 0], axis=-1)
+    free = np.median(children[..., 1], axis=-1)
+    free = np.minimum(free, 1.0 - occ)
+    return np.stack([occ, free], axis=-1)
+
+
+def resample_occupancy_merged(layer, r_target):
+    """Masses of an occupancy layer merged from its step down to ``r_target``."""
+    blocks = block_view(layer.masses.astype(np.float64), 1 << (layer.step - r_target))
+    return occ_block_merge_median(blocks).astype(np.float32)

@@ -1,9 +1,11 @@
 """The column combine kernel, the window-count builders, the region
-labelling, the held-row layer and grid folds and the per-column reference
-count equal their row-reducing, sort-based, every-region, dense and
-per-patch predecessors (``sort_oracles.py``) bit for bit.
+labelling, the held-row layer and grid folds, the per-column reference
+count and the 2x2 occupancy merge equal their row-reducing, sort-based,
+every-region, dense, per-patch and median predecessors
+(``sort_oracles.py``) bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,18 +25,22 @@ from apgm import (
     fuse_layers,
     measurement_grid_occupancy,
     measurement_grid_semantic,
+    resample_layer,
 )
 from apgm.evidence import ConflictCounter
 from apgm.grid import MASS_SUM_TOL, OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
 from apgm.kernels import combine_masses
 from apgm.requirements import _rect_min_distance
+from apgm.resample import occ_block_merge
 from apgm.scenario import CameraConfig, simulate_camera, uniform_patched_cell_count
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 from sort_oracles import (
     combine_masses_rows,
     fuse_layers_dense,
     label_points_every_region,
+    occ_block_merge_median,
     occupancy_sorted,
+    resample_occupancy_merged,
     semantic_sorted,
     uniform_patched_cell_count_scan,
 )
@@ -479,3 +485,78 @@ def reference_discs(draw):
 def test_uniform_count_equals_per_patch_scan(disc):
     got = uniform_patched_cell_count(*disc)
     assert got == uniform_patched_cell_count_scan(*disc)
+
+
+# -- occupancy merge --------------------------------------------------------------
+
+# Row kinds: -0.0 entries, the smallest subnormal, exact 0 and 1, rows whose
+# masses sum to 1 within float32 rounding (possibly one ulp over) and NaN.
+_MERGE_KINDS = ("random", "vacuous", "negative_zero", "subnormal", "certain",
+                "sums_to_one", "nan")
+
+
+def _occ_rows(rng, kinds, n, dtype):
+    kind = rng.choice(list(kinds), size=n)
+    rows = rng.dirichlet(np.ones(3), size=n)[:, :2].astype(dtype)
+    coin = rng.random((n, 2)) < 0.5
+    rows[kind == "vacuous"] = 0.0
+    sel = kind == "negative_zero"
+    rows[sel] = np.where(coin[sel], dtype(-0.0), rows[sel])
+    sel = kind == "subnormal"
+    rows[sel] = np.where(coin[sel], np.finfo(dtype).smallest_subnormal, rows[sel])
+    sel = kind == "certain"
+    rows[sel] = np.eye(2, dtype=dtype)[coin[sel, 0].astype(int)]
+    sel = kind == "sums_to_one"
+    occ = rng.random(sel.sum()).astype(np.float32)
+    free = np.float32(1.0) - occ
+    free = np.where(coin[sel, 0], np.nextafter(free, np.float32(2.0)), free)
+    rows[sel] = np.stack([occ, free], axis=-1)
+    sel = kind == "nan"
+    rows[sel] = np.where(coin[sel], np.nan, rows[sel])
+    return rows
+
+
+def _same_bits(got, want):
+    bits = np.uint64 if want.dtype == np.float64 else np.uint32
+    return got.dtype == want.dtype and np.array_equal(got.view(bits), want.view(bits))
+
+
+def test_occ_merge_equals_median_on_every_four_tuple():
+    values = np.array([-0.0, 0.0, 1e-300, 0.1, 0.2, 0.5, 1.0, np.float32(0.3), np.nan])
+    tuples = np.array(list(itertools.product(values, repeat=4)))  # 6,561 blocks
+    children = np.stack([tuples[:, ::-1], tuples], axis=-1)  # (6561, 4, 2)
+    want = occ_block_merge_median(children)
+    assert not np.signbit(want[..., 1]).any()
+    assert _same_bits(occ_block_merge(children), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 9), max_size=2),
+    st.sets(st.sampled_from(_MERGE_KINDS), min_size=1),
+)
+def test_occ_block_merge_equals_median_merge(seed, lead, kinds):
+    rng = np.random.default_rng(seed)
+    n = math.prod(lead)
+    children = _occ_rows(rng, sorted(kinds), 4 * n, np.float64)
+    children = children.reshape(*lead, 4, 2)
+    assert _same_bits(occ_block_merge(children), occ_block_merge_median(children))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 3),
+    st.sets(st.sampled_from([k for k in _MERGE_KINDS if k != "nan"]), min_size=1),
+)
+def test_resample_layer_merge_equals_median_merge(seed, step, steps_down, kinds):
+    target = max(step - steps_down, 0)
+    rng = np.random.default_rng(seed)
+    layer = Layer("occupancy", OCCUPANCY_FRAME, step)
+    rows = _occ_rows(rng, sorted(kinds), layer.cells, np.float32)
+    layer.masses[:] = rows.reshape(layer.masses.shape)
+    got = resample_layer(layer, target)
+    assert got.step == target
+    assert _same_bits(got.masses, resample_occupancy_merged(layer, target))

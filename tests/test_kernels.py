@@ -249,6 +249,18 @@ def test_combine_kernel_total_conflict_row():
     assert conflict[1] < 1.0 and out[1].sum() > 0.0
 
 
+def test_combine_kernel_keeps_masses_nonnegative_for_a_row_over_one():
+    # float32 rows; the second sums to 1 + 8.8e-12, within MASS_SUM_TOL, as a
+    # merged cell whose occupancy rounded to 1.0 does. Its weight 1 - s is
+    # negative, and the fused free mass came out -1.6e-18.
+    a = np.array([[0.9841293692588806, 0.015870606526732445]])
+    b = np.array([[1.0, 8.759548641990023e-12]])
+    for x, y in ((a, b), (b, a)):
+        out, _ = combine_masses(x, y, np.empty_like(x), np.empty(1))
+        assert out[0, 0] == 1.0
+        assert out[0, 1] == 0.0 and not np.signbit(out[0, 1])
+
+
 # -- batch traversal == reference walk: property tests -----------------------------
 
 # Coordinates in cell units: generic floats, lattice points, half cells.

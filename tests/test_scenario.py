@@ -1,6 +1,7 @@
 """Simulators, references, metrics files, rasters, and the CLI surface."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -601,17 +602,25 @@ def test_cli_validate_broken_config(tmp_path):
     assert cli_main(["validate-config", str(bad)]) == 2
 
 
+# SHA-256 of each image, recorded with the np.prod/np.median merge for every
+# block size: the 2x2 merge network must leave the one-step images (2x2)
+# and the three-step images (8x8) byte-identical.
+DEMO_DIGESTS = {
+    "merge2x2_dstrc.pgm": "6669602eb434d21c9babfb59127660f8249ef7ae00250b71cb3af6e6bbebbed9",
+    "merge2x2_resampled.pgm": "a1880c5322e4354337b8b3c3601b435402689c2b9770acd1e3f34cf5171dd89a",
+    "merge8x8_dstrc.pgm": "6d87e0bca280d566e4d5bfd92526ab40e880c9834e2182a1d2455b1001c52624",
+    "merge8x8_resampled.pgm": "fc749cecd736d4c0d24e1e4ab8809595896d968343b21b018a13db97525b7517",
+    "original.pgm": "9ca7216041599a3a8316bcb2c1369acc3de7d86258b4682f9849dd1b27fbf436",
+}
+
+
 def test_cli_demo_resample(tmp_path):
     out = tmp_path / "demo"
     assert cli_main(["demo-resample", "--out", str(out)]) == 0
-    names = sorted(p.name for p in out.glob("*.pgm"))
-    assert names == [
-        "merge2x2_dstrc.pgm",
-        "merge2x2_resampled.pgm",
-        "merge8x8_dstrc.pgm",
-        "merge8x8_resampled.pgm",
-        "original.pgm",
-    ]
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.pgm")
+    }
+    assert digests == DEMO_DIGESTS
 
 
 def test_cli_run_round_trip(tmp_path):

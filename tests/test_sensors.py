@@ -429,6 +429,13 @@ def test_semantic_observation_refuses_wrong_shapes(points, labels, confidences, 
         SemanticObservation(points, labels, confidences)
 
 
+@pytest.mark.parametrize("labels", ["road", b"road"], ids=["str", "bytes"])
+def test_semantic_observation_refuses_one_string_as_labels(labels):
+    # Four points, so list(labels) would align one character with each.
+    with pytest.raises(InputShapeError, match="one label per point, not a single"):
+        SemanticObservation(np.zeros((4, 2)), labels, np.full(4, 0.8))
+
+
 def test_empty_point_arrays_hold_no_points():
     assert PointCloud((0.0, 0.0), np.array([])).points.shape == (0, 2)
     obs = SemanticObservation(np.array([]), [], np.array([]))
