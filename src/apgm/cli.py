@@ -37,13 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and write metrics")
     run_p.add_argument("--config", required=True, help="scenario file (INI)")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    run_p.add_argument(
-        "--temporal-alpha",
-        type=float,
-        default=None,
-        help="override temporal discount (0 disables accumulation)",
-    )
     run_p.add_argument(
         "--dump-rasters",
         action="store_true",
@@ -62,11 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     script, world, config = load_scenario(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.temporal_alpha is not None:
-        config.temporal_alpha = args.temporal_alpha
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run_scenario(script, world, config)
@@ -130,14 +118,9 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "demo-resample": _cmd_demo, "validate-config": _cmd_validate}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "demo-resample":
-            return _cmd_demo(args)
-        if args.command == "validate-config":
-            return _cmd_validate(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,13 @@ Dempster's rule: a cell with one holder takes that holder's masses and a
 cell with none stays vacuous, which is what the rule returns for them, bit
 for bit (:func:`fuse_layers` states the precondition). Patch and grid
 fusion take unions over types and patch indices. The held cells of every
-patch in one call are folded together, in slices of at most
-``FOLD_SLICE`` rows shared by the layers with as many inputs and
-hypotheses; the rule treats each cell on its own, so the result does not
-depend on which cells share a slice. A cell in total conflict is reset to
-vacuous and counted; there is no other policy. :func:`temporal_update`
-folds the aged previous map and the cycle's grids in one grid fusion; the
-scenario runner fuses through it.
+patch in one call are gathered per input count and hypothesis count and
+folded together by :func:`~apgm.kernels.fold_masses`, in slices of at
+most ``kernels.FOLD_SLICE`` rows; the rule treats each cell on its own,
+so the result does not depend on which cells share a slice. A cell in
+total conflict is reset to vacuous and counted; there is no other policy.
+:func:`temporal_update` folds the aged previous map and the cycle's grids
+in one grid fusion; the scenario runner fuses through it.
 
 Concurrency contract: all inputs are read-only; the fused grid is a fresh
 value. One call's fold writes rows of many output patches, so a driver
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
 from .evidence import BBA, ConflictCounter, combine_dst, vacuous
 from .grid import GridMap, Layer, Patch
-from .kernels import combine_masses, total_conflict
+from .kernels import FOLD_SLICE, fold_masses
 from .resample import resample_layer
 
 
@@ -111,14 +111,6 @@ def _or_layers(layers, r_req: int, fold: _HeldRowFold) -> Layer:
     )
 
 
-# Held rows go through Dempster's rule in slices of at most FOLD_SLICE
-# rows: a float64 column temporary of 8192 rows is 64 KiB, under glibc's
-# default 128 KiB mmap threshold (so combine_masses's temporaries reuse
-# heap memory instead of mapping fresh pages) and well inside a 4 MiB L2.
-# Slices of 16k rows and more measured slower on parking (BENCH_13.json).
-FOLD_SLICE = 8192
-
-
 class _HeldRowFold:
     """Held rows of many output layers, folded together in shared slices.
 
@@ -162,25 +154,9 @@ class _HeldRowFold:
                 # by construction, so "clip" changes nothing.
                 np.take(w, rows, axis=0, out=block[start:stop], mode="clip")
             start = stop
-        masses = gathered.view(np.float32).reshape(depth, n, k)
-        size = min(n, FOLD_SLICE)
-        # Three distinct buffers serve every slice; each step writes the
-        # spare accumulator, which then becomes the current one.
-        buffers = [np.empty((size, k)) for _ in range(3)]
-        conflict_buffer = np.empty(size)
-        for lo in range(0, n, FOLD_SLICE):
-            part = masses[:, lo:lo + FOLD_SLICE]
-            m = part.shape[1]
-            acc, nxt, spare = (b[:m] for b in buffers)
-            conflict = conflict_buffer[:m]
-            acc[...] = part[0]
-            for x in part[1:]:
-                nxt[...] = x
-                combine_masses(acc, nxt, spare, conflict)
-                acc, spare = spare, acc
-                if self.counter is not None:
-                    self.counter.add(np.count_nonzero(total_conflict(conflict)))
-            part[0] = acc
+        dead = fold_masses(gathered.view(np.float32).reshape(depth, n, k))
+        if self.counter is not None:
+            self.counter.add(dead)
         # Scattered as one void element per row: a 2-D fancy assignment
         # copies a two-word row several times slower.
         row = np.dtype((np.void, gathered.itemsize * width))

@@ -21,7 +21,7 @@ each fallback ray costs only the cells it emits. ``combine_masses``
 works on one column view per hypothesis: numpy reduces a short last axis
 far slower than it adds columns, and a left-to-right chain of column
 adds is the order ``sum(axis=-1)`` uses, so the results are the same bit
-for bit.
+for bit; ``fold_masses`` is the one left fold of it over a stack.
 ``python3 perfbench/run.py --workload parking --seed 1 --seconds 36
 --trace 1`` times both kernels per emitted cell
 (``kernels.*.ns_per_cell``) on inputs captured from a real cycle.
@@ -436,6 +436,40 @@ def combine_masses(a, b, out, conflict):
     if out.min(initial=0.0) < 0.0:
         out[out < 0.0] = 0.0
     return out, conflict
+
+
+# Folds run in slices of at most FOLD_SLICE rows: a float64 column
+# temporary of 8192 rows is 64 KiB, under glibc's default 128 KiB mmap
+# threshold (so combine_masses's temporaries reuse heap memory instead of
+# mapping fresh pages) and well inside a 4 MiB L2. Slices of 16k rows and
+# more measured slower on parking (BENCH_13.json).
+FOLD_SLICE = 8192
+
+
+def fold_masses(masses) -> int:
+    """Left Dempster fold of a (depth, n, k) stack into ``masses[0]``, in
+    float64; returns the number of total-conflict results, which come back
+    vacuous and are folded on. Slices of at most ``FOLD_SLICE`` rows share
+    three float64 buffers; each step writes the spare one, never the
+    accumulator, which then takes its place."""
+    _, n, k = masses.shape
+    size = min(n, FOLD_SLICE)
+    buffers = [np.empty((size, k)) for _ in range(3)]
+    conflict_buffer = np.empty(size)
+    dead = 0
+    for lo in range(0, n, FOLD_SLICE):
+        part = masses[:, lo : lo + FOLD_SLICE]
+        m = part.shape[1]
+        acc, nxt, spare = (b[:m] for b in buffers)
+        conflict = conflict_buffer[:m]
+        acc[...] = part[0]
+        for x in part[1:]:
+            nxt[...] = x
+            combine_masses(acc, nxt, spare, conflict)
+            acc, spare = spare, acc
+            dead += int(np.count_nonzero(total_conflict(conflict)))
+        part[0] = acc
+    return dead
 
 
 def ray_cell_cap(u0, v0, u1, v1) -> int:

@@ -1,7 +1,8 @@
 """Raster export of grid maps and the resampling comparison demo.
 
 Rasters are binary PGM (P5) images sampling the pignistic probability of
-one hypothesis at the finest resolution allocated inside the region.
+a type's first hypothesis at the finest resolution allocated inside the
+region.
 Unallocated area renders as 127, the maximum-uncertainty grey. Row 0 is
 the region's top edge (largest y), columns run along +x.
 """
@@ -13,51 +14,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .evidence import combine_mass_arrays
 from .grid import GridMap, Layer
+from .kernels import fold_masses
 from .resample import block_view, resample_layer
 
 UNKNOWN_GREY = 127
 
 
-def _layer_betp(layer: Layer, hyp_index: int) -> np.ndarray:
-    return layer.masses[..., hyp_index] + layer.omega() / len(layer.frame)
+def _layer_betp(layer: Layer) -> np.ndarray:
+    return layer.masses[..., 0] + layer.omega() / len(layer.frame)
 
 
-def render_betp(
-    grid: GridMap,
-    type_name: str = "occupancy",
-    region=None,
-    hypothesis: str | None = None,
-) -> np.ndarray:
-    """Sample BetP(hypothesis) over a world region into a uint8 image."""
-    frame = grid.config.frame_of(type_name)
-    hyp_index = frame.index(hypothesis) if hypothesis is not None else 0
+def render_betp(grid: GridMap, type_name: str, region) -> np.ndarray:
+    """Sample BetP of the type's first hypothesis (occupied, for occupancy)
+    over the world region (x0, y0, x1, y1) into a uint8 image."""
+    grid.config.frame_of(type_name)  # refuses an unknown type
     e = grid.config.edge_length
-
-    layers = [
-        (index, layer)
-        for index, layer in grid.iter_layers()
-        if layer.type_name == type_name
-    ]
-    if region is None:
-        if layers:
-            xs = [grid.patch_datum(i) for i, _ in layers]
-            x0 = min(p[0] for p in xs)
-            y0 = min(p[1] for p in xs)
-            x1 = max(p[0] for p in xs) + e
-            y1 = max(p[1] for p in xs) + e
-            region = (x0, y0, x1, y1)
-        else:
-            region = (0.0, 0.0, e, e)
     x0, y0, x1, y1 = map(float, region)
     if x1 <= x0 or y1 <= y0:
         raise ValueError("region must have positive extent")
 
     in_region = [
         (index, layer)
-        for index, layer in layers
-        if not (
+        for index, layer in grid.iter_layers()
+        if layer.type_name == type_name
+        and not (
             grid.patch_datum(index)[0] >= x1
             or grid.patch_datum(index)[0] + e <= x0
             or grid.patch_datum(index)[1] >= y1
@@ -89,7 +70,7 @@ def render_betp(
             0,
             (1 << layer.step) - 1,
         )
-        betp = _layer_betp(layer, hyp_index)
+        betp = _layer_betp(layer)
         values = np.floor(betp[a[None, :], b[:, None]] * 255.0)
         canvas[np.ix_(rows, cols)] = np.clip(values, 0, 255).astype(np.uint8)
     return canvas
@@ -106,14 +87,8 @@ def write_pgm(image: np.ndarray, path) -> Path:
     return path
 
 
-def export_raster(
-    grid: GridMap,
-    type_name: str,
-    region,
-    path,
-    hypothesis: str | None = None,
-) -> Path:
-    return write_pgm(render_betp(grid, type_name, region, hypothesis), path)
+def export_raster(grid: GridMap, type_name: str, region, path) -> Path:
+    return write_pgm(render_betp(grid, type_name, region), path)
 
 
 # -- resampling comparison ------------------------------------------------------
@@ -129,22 +104,21 @@ def dstrc_merge_layer(layer: Layer, factor: int) -> Layer:
     if m % factor:
         raise ValueError(f"block factor {factor} does not divide lattice {m}")
     blocks = block_view(layer.masses.astype(np.float64), factor)
-    acc = blocks[:, :, 0, :]
-    for j in range(1, factor * factor):
-        acc, conflict = combine_mass_arrays(acc, blocks[:, :, j, :])
-        # Total conflict falls back to vacuous inside combine_mass_arrays.
+    n, k = m // factor, len(layer.frame)
+    stack = np.moveaxis(blocks, 2, 0).reshape(factor * factor, n * n, k)
+    fold_masses(stack)  # total conflict falls back to vacuous
     step = layer.step - int(round(math.log2(factor)))
-    return Layer(layer.type_name, layer.frame, step, acc.astype(np.float32))
+    return Layer(
+        layer.type_name, layer.frame, step, stack[0].reshape(n, n, k).astype(np.float32)
+    )
 
 
 def compare_resampling_demo(
-    grid: GridMap,
-    region=None,
-    block_sizes=(2, 8),
-    type_name: str = "occupancy",
+    grid: GridMap, region, block_sizes=(2, 8)
 ) -> dict[str, np.ndarray]:
-    """Render block merges under the measurement-space rule and under
-    cell-wise Dempster combination, for each requested block size."""
+    """Render occupancy block merges under the measurement-space rule and
+    under cell-wise Dempster combination, for each requested block size."""
+    type_name = "occupancy"
     out = {"original": render_betp(grid, type_name, region)}
     for factor in block_sizes:
         delta = int(round(math.log2(factor)))

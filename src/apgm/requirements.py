@@ -14,6 +14,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, require
 from .grid import MAX_STEP, GridConfig, GridMap
 from .resample import resample_layer
@@ -95,6 +97,18 @@ def _rect_min_distance(px: float, py: float, x0, y0, x1, y1) -> float:
 def wrap_angle(a):
     """Angle (float or array) wrapped to [-pi, pi)."""
     return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def in_view(demand: TypeRequirement, vehicle_pose, points) -> np.ndarray:
+    """Mask of the (N, 2) ``points`` inside the demand's field of view: at
+    most ``fov_half_angle_rad`` off the heading, seen from the vehicle.
+    Every point is inside when the demand gives no view."""
+    if demand.fov_half_angle_rad is None:
+        return np.ones(len(points), dtype=bool)
+    px, py, heading = vehicle_pose
+    rel = points - np.array([px, py])
+    ang = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - heading)
+    return np.abs(ang) <= demand.fov_half_angle_rad
 
 
 def _ray_hits_rect(px, py, angle, x0, y0, x1, y1) -> bool:

@@ -4,7 +4,8 @@ Occupancy evidence follows the grid measurement model: a cell holding k
 returns gets m(occupied) = 1 - (1 - mu_hit)^k, and every ray marks the
 cells it crosses with free evidence, but never cells that hold a return
 (free space is only considered in non-occupied cells). Rays are clipped at
-the requirement horizon so nothing is allocated beyond it.
+the requirement horizon so nothing is allocated beyond it; a ray counts
+only if its clipped end lies in the demand's view (``in_view``).
 
 Semantic evidence rasterizes labeled ground points into the camera
 frustum; each point is a simple support assignment (its confidence on the
@@ -40,7 +41,7 @@ from .errors import (
     UnknownHypothesisError,
     require,
 )
-from .evidence import ConflictCounter, combine_mass_arrays
+from .evidence import ConflictCounter
 from .grid import (
     GridConfig,
     GridMap,
@@ -49,8 +50,8 @@ from .grid import (
     global_cells_of,
     split_global_cells,
 )
-from .kernels import CELL_RANGE, box_cells, ray_cell_cap, total_conflict, traverse_rays
-from .requirements import RequirementProfile, required_step, wrap_angle
+from .kernels import CELL_RANGE, box_cells, fold_masses, ray_cell_cap, traverse_rays
+from .requirements import RequirementProfile, in_view, required_step
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,8 @@ def measurement_grid_occupancy(
     rng = np.hypot(pts[:, 0] - origin[0], pts[:, 1] - origin[1])
     pts = pts[rng <= params.max_range + 1e-9]
     hit_mask, ends = _clip_to_horizon(origin, pts, vehicle, demand.horizon_m)
+    view = in_view(demand, profile.vehicle_pose, ends)
+    hit_mask, ends = hit_mask[view], ends[view]
     if len(ends) == 0:
         return grid
 
@@ -271,12 +274,9 @@ def measurement_grid_semantic(
     step = required_step(profile, "semantic", config.edge_length)
     width = config.cell_width(step)
 
-    px, py, heading = profile.vehicle_pose
-    rel = obs.points - np.array([px, py])
+    rel = obs.points - np.array(profile.vehicle_pose[:2])
     keep = np.hypot(rel[:, 0], rel[:, 1]) <= demand.horizon_m
-    if demand.fov_half_angle_rad is not None:
-        ang = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - heading)
-        keep &= np.abs(ang) <= demand.fov_half_angle_rad
+    keep &= in_view(demand, profile.vehicle_pose, obs.points)
     pts = obs.points[keep]
     if len(pts) == 0:
         return grid
@@ -298,27 +298,26 @@ def measurement_grid_semantic(
     uniq, inverse = np.unique(window.flat(*cells.T), return_inverse=True)
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in
-    # log space, then combine the per-label aggregates with Dempster's rule.
-    # The fold starts from the first label's masses: combining them with a
-    # vacuous start returns them bit for bit and meets no conflict.
+    # log space, then fold the per-label aggregates (block j holds label j
+    # in column j) with Dempster's rule. The fold starts from the first
+    # label's masses: combining them with a vacuous start returns them bit
+    # for bit and meets no conflict.
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-conf)
     agg = np.zeros((len(uniq), len(frame)))
     np.add.at(agg, (inverse, label_idx), log_miss)
     label_mass = 1.0 - np.exp(agg)
 
-    acc = np.zeros_like(label_mass)
-    acc[:, 0] = label_mass[:, 0]
-    for j in range(1, len(frame)):
-        single = np.zeros_like(label_mass)
-        single[:, j] = label_mass[:, j]
-        acc, conflict = combine_mass_arrays(acc, single)
-        dead = total_conflict(conflict)
-        if counter is not None and np.any(dead):
-            counter.add(int(dead.sum()))
+    k = len(frame)
+    singles = np.zeros((k, len(uniq), k))
+    for j in range(k):
+        singles[j, :, j] = label_mass[:, j]
+    dead = fold_masses(singles)
+    if counter is not None:
+        counter.add(dead)
 
-    masses = np.zeros((window.size, len(frame)), dtype=np.float32)
-    masses[uniq] = acc
+    masses = np.zeros((window.size, k), dtype=np.float32)
+    masses[uniq] = singles[0]
     touched = np.zeros(window.size, dtype=bool)
     touched[uniq] = True
     window.to_layers(grid, "semantic", touched, masses)

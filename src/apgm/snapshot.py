@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SnapshotError
+from .errors import InvariantError, SnapshotError
 from .evidence import Frame
 from .grid import MAX_STEP, GridConfig, GridMap, Layer
 
@@ -98,7 +98,9 @@ def load_grid(path) -> GridMap:
     not a snapshot, is truncated, has bytes after the last patch, or holds
     non-finite geometry or masses, a max step above ``grid.MAX_STEP``, an
     invalid type table, an unknown type id, a layer step above the
-    header's max step, or a repeated patch or layer.
+    header's max step, a repeated patch or layer, or a map that
+    :meth:`GridMap.check` refuses (a mass outside [0, 1], or a cell's
+    singleton masses summing above 1).
     """
     path = Path(path)
     data = path.read_bytes()
@@ -153,4 +155,8 @@ def load_grid(path) -> GridMap:
             grid.set_layer((ix, iy), Layer(name, frame, step, masses.copy()))
     if rd.remaining():
         raise SnapshotError(f"{rd.remaining()} bytes after the last patch")
+    try:
+        grid.check()
+    except InvariantError as exc:
+        raise SnapshotError(f"invalid snapshot map: {exc}") from None
     return grid

@@ -104,6 +104,12 @@ def occupancy_sorted(cloud, params, profile, config):
     if len(pts) == 0:
         return grid
     hit_mask, ends = _clip_to_horizon(origin, pts, vehicle, demand.horizon_m)
+    if demand.fov_half_angle_rad is not None:
+        rel = ends - vehicle
+        ang = np.arctan2(rel[:, 1], rel[:, 0]) - profile.vehicle_pose[2]
+        ang = (ang + np.pi) % (2.0 * np.pi) - np.pi
+        view = np.abs(ang) <= demand.fov_half_angle_rad
+        hit_mask, ends = hit_mask[view], ends[view]
     if len(ends) == 0:
         return grid
 

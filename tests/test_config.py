@@ -250,17 +250,6 @@ def test_diagnostics_name_only_what_the_file_holds(tmp_path):
     ]
 
 
-def test_cli_run_reports_negative_seed(tmp_path, capsys):
-    path = tmp_path / "ok.ini"
-    path.write_text(
-        "[mode.parking]\n[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:parking\n",
-        encoding="utf-8",
-    )
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert cli_main(argv + ["--seed", "-1"]) == 2
-    assert "seed must be a nonnegative integer" in capsys.readouterr().err
-
-
 def test_cli_validate_reports_unknown_keys(tmp_path, capsys):
     path = tmp_path / "typos.ini"
     path.write_text(

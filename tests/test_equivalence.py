@@ -271,7 +271,10 @@ def scans(draw):
     edge = draw(st.sampled_from([12.8, 16.0]))
     cell = draw(st.sampled_from([0.1, 0.2, 0.5]))
     horizon = draw(st.sampled_from([3.0, 8.0, 20.0]))
-    profile = RequirementProfile({"occupancy": TypeRequirement(True, horizon, cell)})
+    fov = draw(st.sampled_from([None, math.radians(30.0)]))
+    profile = RequirementProfile(
+        {"occupancy": TypeRequirement(True, horizon, cell, fov)}
+    )
     config = GridConfig(edge_length=edge)
     step = max(0, math.ceil(math.log2(edge / cell)))
     width = edge / (1 << step)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from apgm import fusion
+from apgm import kernels
 from apgm import (
     DatumMismatchError,
     EdgeMismatchError,
@@ -336,7 +336,7 @@ def test_grid_fold_shares_bounded_slices_across_patches(monkeypatch):
         rows.append(len(a))
         return combine_masses(a, b, out, conflict)
 
-    monkeypatch.setattr(fusion, "combine_masses", spy)
+    monkeypatch.setattr(kernels, "combine_masses", spy)
     fused = fuse_grids(grids, {})
     assert max(rows) <= 8192
     assert sorted(rows) == [4096] * 3 + [8192] * 3

@@ -401,6 +401,22 @@ def test_snapshot_non_finite_mass_raises(tmp_path):
             load_grid(path)
 
 
+@pytest.mark.parametrize(
+    "cell, match",
+    [
+        ((1.5, -0.5), "outside \\[0, 1\\]"),  # sums to 1, but no mass
+        ((0.75, 0.5), "singleton masses summing to"),
+    ],
+    ids=["mass_outside_0_1", "sum_over_1"],
+)
+def test_snapshot_of_an_invalid_map_raises(tmp_path, cell, match):
+    grid = _small_grid([(0, 0, "occupancy", 1, 0)])
+    grid.layer_at((0, 0), "occupancy").masses[1, 0] = cell
+    path = save_grid(grid, tmp_path / "bad.apgm")
+    with pytest.raises(SnapshotError, match=match):
+        load_grid(path)
+
+
 # -- invariant pass -------------------------------------------------------------
 
 

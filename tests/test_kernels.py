@@ -26,12 +26,16 @@ import apgm.kernels
 import apgm.sensors
 from apgm import Frame, GridConfig, make_bba, run_scenario
 from apgm.errors import CellOutOfBoundsError, NonFiniteInputError
+from apgm.evidence import combine_mass_arrays
 from apgm.kernels import (
     CELL_RANGE,
+    FOLD_SLICE,
     _traverse_rays_impl,
     box_cells,
     combine_masses,
+    fold_masses,
     ray_cell_cap,
+    total_conflict,
     traverse_rays,
 )
 from apgm.scenario import default_scenario
@@ -247,6 +251,38 @@ def test_combine_kernel_total_conflict_row():
     assert conflict[0] == pytest.approx(1.0)
     assert np.all(out[0] == 0.0)
     assert conflict[1] < 1.0 and out[1].sum() > 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_fold_masses_equals_a_left_fold_bit_for_bit(depth, k, dtype):
+    # FOLD_SLICE + 1 rows, so the fold crosses a slice boundary. Rows 5 and
+    # FOLD_SLICE meet total conflict at the second block; they are reset
+    # to vacuous, counted and folded on. Every seventh row holds -0.0.
+    rng = np.random.default_rng(10 * depth + k)
+    n = FOLD_SLICE + 1
+    stack = random_mass_rows(rng, depth * n, k).reshape(depth, n, k).astype(dtype)
+    stack[:, ::7, 0] = -0.0
+    dead_rows = (5, FOLD_SLICE) if depth > 1 else ()
+    for row in dead_rows:
+        stack[:2, row] = 0.0
+        stack[0, row, 0] = stack[1, row, 1] = 1.0
+    want = stack[0]
+    dead = 0
+    for x in stack[1:]:
+        want, conflict = combine_mass_arrays(want, x)
+        dead += int(np.count_nonzero(total_conflict(conflict)))
+    want = want.astype(dtype)
+    assert dead == len(dead_rows)
+    assert fold_masses(stack) == dead
+    bits = np.uint64 if dtype == np.float64 else np.uint32
+    assert np.array_equal(stack[0].view(bits), want.view(bits))
+    for row in dead_rows:
+        rest = np.zeros(k)
+        for x in stack[2:, row]:
+            rest, _ = combine_mass_arrays(rest, x)
+        assert np.array_equal(stack[0, row], rest.astype(dtype))
 
 
 def test_combine_kernel_keeps_masses_nonnegative_for_a_row_over_one():

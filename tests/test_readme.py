@@ -1,10 +1,12 @@
 """The README's code examples run against the library as documented."""
 
+import argparse
 import configparser
 import re
 from pathlib import Path
 
 from apgm import GridConfig
+from apgm.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DEFAULT_INI = README.with_name("configs") / "default.ini"
@@ -51,3 +53,16 @@ def test_config_table_lists_the_default_file_keys():
             keys = {re.sub(rf"^({types})_", "<type>_", key) for key in keys}
         spelled.setdefault(section, set()).update(keys)
     assert _documented_keys() == spelled
+
+
+def test_cli_synopsis_lists_the_run_options():
+    # The `apgm run` usage runs until the next `apgm` line of the CLI block.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    usage = block.split("apgm run", 1)[1].split("\napgm ", 1)[0]
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {o for a in subparsers.choices["run"]._actions for o in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options - {"-h", "--help"}

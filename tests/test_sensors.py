@@ -162,6 +162,23 @@ def test_no_cells_beyond_horizon(config):
     assert g.layer_at((0, 0), "occupancy").masses[40, 0, 1] > 0.0
 
 
+def test_occupancy_rays_count_only_inside_the_view(config):
+    # A 30-degree view ahead: the rays ending behind and beside the vehicle
+    # leave no evidence, and the far return ahead is clipped to the horizon
+    # disc, where it lies inside the view.
+    ahead = [(5.05, 0.45), (25.05, 0.05)]
+    cloud = PointCloud((0.05, 0.05), ahead + [(-5.0, 0.05), (0.05, 5.0)])
+    view = RequirementProfile(
+        {"occupancy": TypeRequirement(True, 20.0, 0.1, math.radians(30.0))}
+    )
+    disc = RequirementProfile({"occupancy": TypeRequirement(True, 20.0, 0.1)})
+    got = measurement_grid_occupancy(cloud, PARAMS, view, config)
+    want = measurement_grid_occupancy(PointCloud((0.05, 0.05), ahead), PARAMS, disc, config)
+    assert sorted(got.patches) == sorted(want.patches) == [(0, 0), (1, 0)]
+    for index, layer in want.iter_layers():
+        assert np.array_equal(got.layer_at(index, "occupancy").masses, layer.masses)
+
+
 def test_out_of_range_returns_dropped(config, occ_profile):
     cloud = PointCloud((0.0, 0.0), [(150.0, 0.0)])
     g = measurement_grid_occupancy(cloud, PARAMS, occ_profile, config)
