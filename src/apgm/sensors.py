@@ -12,15 +12,17 @@ frustum; each point is a simple support assignment (its confidence on the
 label, the rest on the frame) and points in one cell are folded with
 Dempster's rule.
 
-Both builders write masses into one patch-aligned window bounding the scan
-and cut it into one layer per touched patch. Occupancy counts ray
+Both builders number the scan's cells patch by patch in a patch-aligned
+window bounding the scan and give each touched patch a fresh layer, so
+memory follows the touched patches, not the window. Occupancy counts ray
 crossings with ``np.bincount`` over the cell box in which
 ``kernels.traverse_rays`` numbers them, reads each cell's free mass from a
-table indexed by crossing count and writes the box into the window with
-one slice; the few cells holding returns take their occupied mass from a
-table indexed by hit count. Semantics encodes the kept points' labels to
-frame indices with a dict and groups points with ``np.unique`` over
-window numbers.
+table indexed by crossing count and copies each touched patch's part of
+the box with one slice; the few cells holding returns take their
+occupied mass from a table indexed by hit count. Semantics encodes the
+kept points' labels to frame indices with a dict, groups points with
+``np.unique`` over cell numbers and folds with Dempster's rule only the
+cells where two or more labels hold mass.
 
 Builders are pure producers: every call returns a private grid map, so
 multiple sensor grids can be built concurrently.
@@ -136,41 +138,46 @@ def occupancy_evidence(k, params: SensorModelParams):
 
 
 class _Window:
-    """Patch-aligned block of cells, numbered x-major, covering the
-    inclusive cell bounds ``lo`` to ``hi``."""
+    """Patch-aligned block of patches covering the inclusive cell bounds
+    ``lo`` to ``hi``; patches are numbered x-major."""
 
     def __init__(self, lo, hi, step: int):
         lo, hi = [int(v) for v in lo], [int(v) for v in hi]
-        if min(lo) < -CELL_RANGE or max(hi) >= CELL_RANGE:
-            raise CellOutOfBoundsError(
-                f"cells span {lo} to {hi}, outside the +-2^31 cell range"
-            )
         self.step = step
         self.m = 1 << step
         self.px, self.py = (v >> step for v in lo)
         self.nx, self.ny = ((h >> step) - (v >> step) + 1 for v, h in zip(lo, hi))
-        self.size = self.nx * self.ny * self.m * self.m
+        # Cell numbers are int64; a larger window would wrap them.
+        cells = self.nx * self.ny << 2 * step
+        if min(lo) < -CELL_RANGE or max(hi) >= CELL_RANGE or cells >> 62:
+            raise CellOutOfBoundsError(
+                f"cells span {lo} to {hi}, outside the +-2^31 cell range "
+                f"or over 2^62 cells"
+            )
 
-    def flat(self, xs, ys):
-        return (xs - self.px * self.m) * (self.ny * self.m) + (ys - self.py * self.m)
+    def number(self, xs, ys):
+        """Patch-major cell numbers: the patch number times m * m plus the
+        x-major cell index inside the patch, so sorting groups by patch."""
+        s, low = self.step, self.m - 1
+        patch = ((xs >> s) - self.px) * self.ny + ((ys >> s) - self.py)
+        return (((patch << s) + (xs & low)) << s) + (ys & low)
 
-    def over_box(self, values, box):
-        """The (nx, ny, ...) view of window-flat ``values`` over a
-        traversal box (see :func:`~apgm.kernels.traverse_rays`)."""
-        x0, y0, nx, ny = (int(v) for v in box)
-        i, j = x0 - self.px * self.m, y0 - self.py * self.m
-        grid = values.reshape(self.nx * self.m, self.ny * self.m, *values.shape[1:])
-        return grid[i : i + nx, j : j + ny]
-
-    def to_layers(self, grid, type_name, touched, masses) -> None:
-        """One layer per patch holding a touched cell; masses per flat cell."""
-        m = self.m
-        blocks = masses.reshape(self.nx, m, self.ny, m, -1)
+    def to_patches(self, grid, type_name, patches, cells, rows) -> list:
+        """Set a fresh layer into ``grid`` at each patch number in
+        ``patches`` (ascending), holding ``rows`` at its ``cells``
+        (ascending :meth:`number`); returns the layers' masses."""
         frame = grid.config.frame_of(type_name)
-        hit = touched.reshape(self.nx, m, self.ny, m).any(axis=(1, 3))
-        for i, j in zip(*np.nonzero(hit)):
-            layer = Layer(type_name, frame, self.step, blocks[i, :, j].copy())
-            grid.set_layer((self.px + int(i), self.py + int(j)), layer)
+        area = self.m * self.m
+        lo = np.searchsorted(cells, patches * area).tolist()
+        hi = np.searchsorted(cells, (patches + 1) * area).tolist()
+        local = cells & (area - 1)
+        out = []
+        for p, a, b in zip(patches.tolist(), lo, hi):
+            layer = Layer(type_name, frame, self.step)
+            layer.masses.reshape(area, -1)[local[a:b]] = rows[a:b]
+            grid.set_layer((self.px + p // self.ny, self.py + p % self.ny), layer)
+            out.append(layer.masses)
+        return out
 
 
 def _clip_to_horizon(origin, points, vehicle, horizon):
@@ -237,25 +244,35 @@ def measurement_grid_occupancy(
 
     # A cell's mass depends only on its counts, so it is read from tables
     # indexed by count. Crossings are counted over the traversal box and
-    # their free masses written into the window with one slice; the few
-    # cells holding returns then get their occupied mass and no free mass.
-    # The box holds every ray's end cell (eu, ev), so every hit cell too.
-    # Spent arrays are freed early: this builder's peak sets the process peak.
-    window = _Window(box[:2], box[:2] + box[2:] - 1, step)
-    crossings = np.bincount(crossed, minlength=box[2] * box[3]).reshape(box[2:])
+    # their free masses read for the whole box at once; cells holding
+    # returns get their occupied mass and no free mass, in the box too, so
+    # each patch's part of the box may be copied after its returns. The
+    # box holds every ray's end cell (eu, ev), so every hit cell too. Spent
+    # arrays are freed early: this builder's peak sets the process peak.
+    x0, y0, nx, ny = (int(v) for v in box)
+    window = _Window((x0, y0), (x0 + nx - 1, y0 + ny - 1), step)
+    m = window.m
+    crossings = np.bincount(crossed, minlength=nx * ny).reshape(nx, ny)
     del crossed
     free_mass = 1.0 - (1.0 - params.mu_free) ** np.arange(len(ends) + 1)
-    masses = np.zeros((window.size, 2), dtype=np.float32)
-    window.over_box(masses, box)[..., 1] = free_mass.astype(np.float32)[crossings]
-    touched = np.zeros(window.size, dtype=bool)
-    window.over_box(touched, box)[...] = crossings > 0
+    free = free_mass.astype(np.float32)[crossings]
+    hx, hy = hit_cells.T
+    free[hx - x0, hy - y0] = 0.0
+    # A patch is touched where a box cell holds a crossing or a return.
+    bx, by = x0 - window.px * m, y0 - window.py * m
+    touched = np.zeros((window.nx * m, window.ny * m), dtype=bool)
+    touched[bx : bx + nx, by : by + ny] = crossings > 0
     del crossings
-    occupied, hits = np.unique(window.flat(*hit_cells.T), return_counts=True)
-    occ_mass = occupancy_evidence(np.arange(len(hit_cells) + 1), params)
-    masses[occupied, 0] = occ_mass.astype(np.float32)[hits]
-    masses[occupied, 1] = 0.0
-    touched[occupied] = True
-    window.to_layers(grid, "occupancy", touched, masses)
+    touched[hx - window.px * m, hy - window.py * m] = True
+    patches = np.flatnonzero(touched.reshape(window.nx, m, window.ny, m).any(axis=(1, 3)))
+    occupied, hits = np.unique(window.number(hx, hy), return_counts=True)
+    rows = np.zeros((len(occupied), 2), dtype=np.float32)
+    rows[:, 0] = occupancy_evidence(np.arange(len(hit_cells) + 1), params)[hits]
+    layers = window.to_patches(grid, "occupancy", patches, occupied, rows)
+    for p, masses in zip(patches.tolist(), layers):
+        x, y = p // window.ny * m - bx, p % window.ny * m - by
+        part = free[max(x, 0) : x + m, max(y, 0) : y + m]
+        masses[max(-x, 0) :, max(-y, 0) :][: part.shape[0], : part.shape[1], 1] = part
     return grid
 
 
@@ -282,9 +299,10 @@ def measurement_grid_semantic(
         return grid
     code = {name: j for j, name in enumerate(frame.hypotheses)}
     try:
-        label_idx = np.array(
-            [code[name] for name in compress(obs.labels, keep.tolist())],
+        label_idx = np.fromiter(
+            map(code.__getitem__, compress(obs.labels, keep.tolist())),
             dtype=np.int64,
+            count=len(pts),
         )
     except KeyError as exc:
         raise UnknownHypothesisError(
@@ -295,32 +313,32 @@ def measurement_grid_semantic(
     cells = global_cells_of(pts, config.datum, width)
     # Per column: numpy reduces (N, 2) along axis 0 as N two-element loops.
     window = _Window([c.min() for c in cells.T], [c.max() for c in cells.T], step)
-    uniq, inverse = np.unique(window.flat(*cells.T), return_inverse=True)
+    uniq, inverse = np.unique(window.number(*cells.T), return_inverse=True)
 
     # Same-label evidence in a cell folds to 1 - prod(1 - c); accumulate in
-    # log space, then fold the per-label aggregates (block j holds label j
-    # in column j) with Dempster's rule. The fold starts from the first
-    # label's masses: combining them with a vacuous start returns them bit
-    # for bit and meets no conflict.
+    # log space (np.bincount adds in input order from +0.0, as a loop would).
+    k = len(frame)
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-conf)
-    agg = np.zeros((len(uniq), len(frame)))
-    np.add.at(agg, (inverse, label_idx), log_miss)
-    label_mass = 1.0 - np.exp(agg)
+    agg = np.bincount(inverse * k + label_idx, weights=log_miss, minlength=len(uniq) * k)
+    label_mass = 1.0 - np.exp(agg.reshape(-1, k))
 
-    k = len(frame)
-    singles = np.zeros((k, len(uniq), k))
-    for j in range(k):
-        singles[j, :, j] = label_mass[:, j]
-    dead = fold_masses(singles)
-    if counter is not None:
-        counter.add(dead)
+    # Only cells where two or more labels hold mass are folded with
+    # Dempster's rule (block j holds label j in column j). Any other row
+    # sums to at most 1 and holds no -0.0, so the fold would return it bit
+    # for bit at conflict 0 (see kernels.combine_masses).
+    mixed = np.flatnonzero(np.count_nonzero(label_mass, axis=1) > 1)
+    if len(mixed):
+        singles = np.zeros((k, len(mixed), k))
+        for j in range(k):
+            singles[j, :, j] = label_mass[mixed, j]
+        dead = fold_masses(singles)
+        label_mass[mixed] = singles[0]
+        if counter is not None:
+            counter.add(dead)
 
-    masses = np.zeros((window.size, k), dtype=np.float32)
-    masses[uniq] = singles[0]
-    touched = np.zeros(window.size, dtype=bool)
-    touched[uniq] = True
-    window.to_layers(grid, "semantic", touched, masses)
+    patches = np.unique(uniq >> (2 * step))
+    window.to_patches(grid, "semantic", patches, uniq, label_mass.astype(np.float32))
     return grid
 
 

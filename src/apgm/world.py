@@ -48,16 +48,22 @@ class Rect:
 
 @dataclass(frozen=True)
 class SemanticRegion:
+    """A labelled polygon. ``polygon`` is a read-only copy, so its
+    bounding cut (:func:`_bounding_cut`), computed once, cannot go stale."""
+
     polygon: np.ndarray  # (P, 2) vertices
     label: str
+    cut: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        polygon = np.asarray(self.polygon, dtype=np.float64)
+        polygon = np.array(self.polygon, dtype=np.float64)
         if polygon.ndim != 2 or polygon.shape[1] != 2 or len(polygon) < 3:
             raise ValueError("a region polygon is a (P, 2) array, P >= 3")
         if not np.isfinite(polygon).all():
             raise NonFiniteInputError("a region polygon holds a NaN or inf vertex")
+        polygon.flags.writeable = False
         object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "cut", _bounding_cut(polygon))
 
 
 @dataclass
@@ -79,7 +85,7 @@ class WorldModel:
         """Semantic label per point; first matching region wins.
 
         Each region is tested only against the still undecided points in
-        its half-open bounding box (:func:`_bounding_cut`), outside which
+        its half-open bounding box (``region.cut``), outside which
         :func:`points_in_polygon` finds no point inside it; a box that
         misses the points' own bounds is skipped without touching them.
         The labels are gathered from one array of region codes.
@@ -95,7 +101,7 @@ class WorldModel:
         for r, region in enumerate(self.regions):
             if len(undecided) == 0:
                 break
-            x0, y0, x1, y1 = _bounding_cut(region.polygon)
+            x0, y0, x1, y1 = region.cut
             if hi_y < y0 or lo_y >= y1 or hi_x < x0 or lo_x >= x1:
                 continue
             x, y = px[undecided], py[undecided]

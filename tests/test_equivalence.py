@@ -29,7 +29,7 @@ from apgm import (
 )
 from apgm.evidence import ConflictCounter
 from apgm.grid import MASS_SUM_TOL, OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
-from apgm.kernels import combine_masses
+from apgm.kernels import combine_masses, fold_masses
 from apgm.requirements import _rect_min_distance
 from apgm.resample import occ_block_merge
 from apgm.scenario import CameraConfig, simulate_camera, uniform_patched_cell_count
@@ -54,7 +54,9 @@ def assert_same_grid(got, want):
         for name, layer in patch.layers.items():
             assert other[name].step == layer.step
             assert other[name].masses.dtype == np.float32
-            assert np.array_equal(other[name].masses, layer.masses), (index, name)
+            # Bit patterns, so a -0.0 in place of +0.0 fails too.
+            got_bits = other[name].masses.view(np.uint32)
+            assert np.array_equal(got_bits, layer.masses.view(np.uint32)), (index, name)
 
 
 # -- combine kernel -------------------------------------------------------------
@@ -377,6 +379,38 @@ def test_semantic_equals_sort_based_builder(observation):
     want = semantic_sorted(obs, profile, config, want_counter)
     assert_same_grid(got, want)
     assert got_counter.cells == want_counter.cells
+
+
+def test_semantic_builder_folds_only_cells_holding_two_labels(monkeypatch):
+    import apgm.sensors
+
+    stacks = []
+
+    def spy(masses):
+        stacks.append(masses.shape)
+        return fold_masses(masses)
+
+    monkeypatch.setattr(apgm.sensors, "fold_masses", spy)
+    profile = RequirementProfile({"semantic": TypeRequirement(True, 40.0, 0.2)})
+    single = (
+        [(5.0, 0.05), (5.1, 0.06), (7.0, 1.0), (-3.0, 2.0)],
+        ["road", "road", "marking", "blocked"],
+        [0.5, 0.7, 1.0, 0.3],
+    )
+    mixed = (
+        [(5.0, 0.05), (5.1, 0.06), (7.0, 1.0)],
+        ["road", "blocked", "marking"],
+        [1.0, 1.0, 0.4],
+    )
+    for (points, labels, confs), calls in ((single, []), (mixed, [(4, 1, 4)])):
+        stacks.clear()
+        obs = SemanticObservation(points, labels, confs)
+        got_counter, want_counter = ConflictCounter(), ConflictCounter()
+        got = measurement_grid_semantic(obs, profile, GridConfig(), got_counter)
+        assert stacks == calls
+        want = semantic_sorted(obs, profile, GridConfig(), want_counter)
+        assert_same_grid(got, want)
+        assert got_counter.cells == want_counter.cells == len(calls)
 
 
 # -- region labelling --------------------------------------------------------------

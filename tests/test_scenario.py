@@ -216,6 +216,15 @@ def test_semantic_region_rejects_bad_polygon(polygon, error):
         SemanticRegion(np.array(polygon), "road")
 
 
+def test_semantic_region_polygon_is_read_only():
+    vertices = Rect(0.0, 0.0, 2.0, 1.0).as_polygon()
+    region = SemanticRegion(vertices, "road")
+    with pytest.raises(ValueError, match="read-only"):
+        region.polygon[0, 0] = -5.0
+    vertices[0, 0] = -5.0  # the caller's array is copied, not frozen
+    assert region.cut == (0.0, 0.0, 2.0, 1.0)
+
+
 # -- reference layouts -----------------------------------------------------------------
 
 

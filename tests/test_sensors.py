@@ -1,6 +1,7 @@
 """Measurement grids: evidence model, ray policy, sparsity, loaders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,45 @@ def test_cells_beyond_key_range_raise(config, occ_profile):
     cloud = PointCloud((0.0, far), [(5.0, far)])
     with pytest.raises(CellOutOfBoundsError):
         measurement_grid_occupancy(cloud, PARAMS, profile, config)
+
+
+def test_semantic_window_over_2_to_the_62_cells_raises(config):
+    profile = RequirementProfile({"semantic": TypeRequirement(True, 1e9, 0.1)})
+    obs = SemanticObservation([(-2e8, -2e8), (2e8, 2e8)], ["road", "road"], [0.5, 0.5])
+    with pytest.raises(CellOutOfBoundsError, match="2\\^62"):
+        measurement_grid_semantic(obs, profile, config)
+
+
+def test_semantic_memory_follows_touched_patches(config):
+    # Two cells 566 m apart: the patch-aligned window around them holds
+    # 17M cells, the two touched patches 33k.
+    profile = RequirementProfile({"semantic": TypeRequirement(True, 300.0, 0.1)})
+    obs = SemanticObservation([(-200.0, -200.0), (200.0, 200.0)], ["road", "blocked"], [0.8, 0.6])
+    tracemalloc.start()
+    try:
+        g = measurement_grid_semantic(obs, profile, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.layer_count() == 2
+    assert peak < 8 * 2**20
+
+
+def _assert_no_shared_layers(grid):
+    masses = [layer.masses for _, layer in grid.iter_layers()]
+    assert len(masses) > 1
+    for i, a in enumerate(masses):
+        assert not any(np.shares_memory(a, b) for b in masses[i + 1 :])
+
+
+def test_builder_layers_share_no_memory(config, occ_profile, sem_profile):
+    rng = np.random.default_rng(11)
+    points = np.c_[rng.uniform(-15.0, 15.0, 300), rng.uniform(-15.0, 15.0, 300)]
+    cloud = PointCloud((0.3, -0.2), points)
+    _assert_no_shared_layers(measurement_grid_occupancy(cloud, PARAMS, occ_profile, config))
+    labels = list(rng.choice(["road", "marking", "blocked", "unknown"], 300))
+    obs = SemanticObservation(np.abs(points) + (0.0, -15.0), labels, rng.uniform(0, 1, 300))
+    _assert_no_shared_layers(measurement_grid_semantic(obs, sem_profile, config))
 
 
 def test_semantic_empty(config, sem_profile):
