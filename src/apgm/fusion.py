@@ -32,7 +32,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DatumMismatchError, EdgeMismatchError, TotalConflictError
+from .errors import (
+    DatumMismatchError,
+    EdgeMismatchError,
+    FrameMismatchError,
+    TotalConflictError,
+)
 from .evidence import BBA, ConflictCounter, combine_dst, vacuous
 from .grid import GridMap, Layer, Patch
 from .kernels import FOLD_SLICE, fold_masses
@@ -60,6 +65,8 @@ def fuse_layers(
 ) -> Layer:
     """Fuse same-type layers of one patch footprint at step min(r_req, max r).
 
+    Layers that differ in type or frame raise :class:`FrameMismatchError`.
+
     The result and the total-conflict count equal the left fold of
     Dempster's rule over every cell, bit for bit. This is :func:`fuse_grids`
     for one layer: only the rows that at least two inputs hold, or that
@@ -82,9 +89,18 @@ def _or_layers(layers, r_req: int, fold: _HeldRowFold) -> Layer:
     layers = list(layers)
     if not layers:
         raise ValueError("need at least one layer to fuse")
+    first = layers[0]
+    for l in layers[1:]:
+        # Identity first: the layers of one fusion share their frames.
+        if l.type_name != first.type_name or (
+            l.frame is not first.frame and l.frame != first.frame
+        ):
+            raise FrameMismatchError(
+                f"{l.type_name} over {l.frame.hypotheses} vs "
+                f"{first.type_name} over {first.frame.hypotheses}"
+            )
     r_fused = min(r_req, max(l.step for l in layers))
     resampled = [resample_layer(l, r_fused) for l in layers]
-    first = layers[0]
     if len(resampled) == 1:
         return Layer(
             first.type_name, first.frame, r_fused, resampled[0].masses.copy()
@@ -103,9 +119,7 @@ def _or_layers(layers, r_req: int, fold: _HeldRowFold) -> Layer:
     # A sign bit marks a -0.0 (or a negative mass): the rule would turn a
     # -0.0 into +0.0 where the row sums to at most 1, so such rows fold too.
     both |= _row_any(fused & _SIGN_BITS[fused.dtype.type])
-    rows = np.flatnonzero(both)
-    if len(rows):
-        fold.add(words, fused, rows, shape[-1])
+    fold.add(words, fused, np.flatnonzero(both), shape[-1])
     return Layer(
         first.type_name, first.frame, r_fused, fused.view(np.float32).reshape(shape)
     )
@@ -225,7 +239,8 @@ def fuse_grids(
     r_req: dict[str, int],
     counter: ConflictCounter | None = None,
 ) -> GridMap:
-    """Fuse grid maps sharing datum and edge length; indices take the union.
+    """Fuse grid maps sharing datum, edge length and type table; indices
+    take the union.
 
     ``r_req`` caps each type's fused step as in :func:`fuse_patches`.
 
@@ -245,6 +260,9 @@ def fuse_grids(
             raise EdgeMismatchError(
                 f"{g.config.edge_length} vs {base.edge_length}"
             )
+        types = g.config.types
+        if types is not base.types and dict(types) != dict(base.types):
+            raise FrameMismatchError(f"type tables {dict(types)} vs {dict(base.types)}")
     out = GridMap(base)
     fold = _HeldRowFold(counter)
     indices = sorted({i for g in grids for i in g.patches})

@@ -179,14 +179,10 @@ class GridMap:
         if not 0 <= step <= MAX_STEP:
             raise ValueError(f"step {step} outside [0, {MAX_STEP}]")
         frame = self.config.frame_of(type_name)
-        patch = self.patches.get(index)
-        if patch is None:
-            patch = Patch(index)
-            self.patches[index] = patch
-        layer = patch.layers.get(type_name)
+        layer = self.layer_at(index, type_name)
         if layer is None:
             layer = Layer(type_name, frame, step)
-            patch.layers[type_name] = layer
+            self.set_layer(index, layer)
         elif layer.step != step:
             raise ResolutionConflictError(
                 f"{type_name} layer at {index} has step {layer.step}, "

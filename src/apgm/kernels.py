@@ -433,8 +433,7 @@ def combine_masses(a, b, out, conflict):
     for j, f in enumerate(fused):
         np.divide(f, scale, out=out[:, j])
     out[dead] = 0.0
-    if out.min(initial=0.0) < 0.0:
-        out[out < 0.0] = 0.0
+    out[out < 0.0] = 0.0
     return out, conflict
 
 

@@ -14,11 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InputShapeError, NonFiniteInputError
 from .grid import GridMap, Layer
 from .kernels import fold_masses
 from .resample import block_view, resample_layer
 
 UNKNOWN_GREY = 127
+# Largest canvas render_betp allocates (64 MiB of uint8). `apgm run
+# --dump-rasters` exports a square twice the demand's horizon wide at the
+# demanded cell size, which validate_scenario's bound of 2^24 cells in the
+# horizon disc keeps under (4 / pi) * 2^24 pixels.
+MAX_RASTER_PIXELS = 1 << 26
 
 
 def _layer_betp(layer: Layer) -> np.ndarray:
@@ -27,10 +33,16 @@ def _layer_betp(layer: Layer) -> np.ndarray:
 
 def render_betp(grid: GridMap, type_name: str, region) -> np.ndarray:
     """Sample BetP of the type's first hypothesis (occupied, for occupancy)
-    over the world region (x0, y0, x1, y1) into a uint8 image."""
+    over the world region (x0, y0, x1, y1) into a uint8 image.
+
+    A NaN or infinite bound raises :class:`NonFiniteInputError`, and a
+    canvas over ``MAX_RASTER_PIXELS`` raises :class:`InputShapeError`
+    before it is allocated."""
     grid.config.frame_of(type_name)  # refuses an unknown type
     e = grid.config.edge_length
     x0, y0, x1, y1 = map(float, region)
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise NonFiniteInputError(f"region {region} holds a NaN or inf bound")
     if x1 <= x0 or y1 <= y0:
         raise ValueError("region must have positive extent")
 
@@ -47,8 +59,16 @@ def render_betp(grid: GridMap, type_name: str, region) -> np.ndarray:
     ]
     r_max = max((layer.step for _, layer in in_region), default=0)
     px = e / (1 << r_max)
-    n_cols = max(1, int(round((x1 - x0) / px)))
-    n_rows = max(1, int(round((y1 - y0) / px)))
+    # An extent may overflow to inf; clamped, it still reads over the bound.
+    n_cols, n_rows = (
+        max(1, round(min(extent / px, MAX_RASTER_PIXELS + 1.0)))
+        for extent in (x1 - x0, y1 - y0)
+    )
+    if n_cols * n_rows > MAX_RASTER_PIXELS:
+        raise InputShapeError(
+            f"region {region} at {px!r} m per pixel asks for over "
+            f"{MAX_RASTER_PIXELS} pixels"
+        )
     canvas = np.full((n_rows, n_cols), UNKNOWN_GREY, dtype=np.uint8)
 
     col_x = x0 + (np.arange(n_cols) + 0.5) * px

@@ -12,15 +12,17 @@ Free-space mass is merged by median and split by value copy, clipped
 against the occupancy mass so cells stay normalized; occupancy wins the
 clip because it is the safety-critical quantity.
 
-A 2x2 block (every one-step merge) is merged without ``np.prod`` or
-``np.median`` and reproduces both bit for bit. The product of misses is
-the left-to-right chain ``((m0 * m1) * m2) * m3``, the order ``np.prod``
-multiplies in. The two middle values of four are
-``max(min(a, b), min(c, d))`` and ``min(max(a, b), max(c, d))``, and
-their sum starts from ``0.0`` as ``np.mean``'s does inside ``np.median``,
-so two zero middles give +0.0 and never -0.0; NaN propagates through
-``np.minimum``/``np.maximum`` as ``np.median`` returns it. Larger blocks,
-which only multi-step merges make, use ``np.prod`` and ``np.median``.
+:func:`resample_layer` merges a 2x2 block (every one-step merge) over
+strided views of the layer without ``np.prod`` or ``np.median``, and
+reproduces both bit for bit. The product of misses is the left-to-right
+chain ``((m0 * m1) * m2) * m3``, the order ``np.prod`` multiplies in. The
+two middle values of four are ``max(min(a, b), min(c, d))`` and
+``min(max(a, b), max(c, d))``, and their sum starts from ``0.0`` as
+``np.mean``'s does inside ``np.median``, so two zero middles give +0.0 and
+never -0.0; NaN propagates through ``np.minimum``/``np.maximum`` as
+``np.median`` returns it. Larger blocks, which only multi-step merges
+make, and the cell-level :func:`merge_occ` go through
+:func:`occ_block_merge`, which uses ``np.prod`` and ``np.median``.
 
 Semantic layers use a pragmatic mean/copy pair; a principled operator for
 arbitrary hypothesis counts is an open problem.
@@ -47,8 +49,6 @@ from .grid import MAX_STEP, Layer
 
 def occ_block_merge(children: np.ndarray) -> np.ndarray:
     children = np.asarray(children, dtype=np.float64)
-    if children.shape[-2] == 4:
-        return _occ_merge_2x2(*(children[..., j, :] for j in range(4)))
     occ = 1.0 - np.prod(1.0 - children[..., 0], axis=-1)
     free = np.median(children[..., 1], axis=-1)
     free = np.minimum(free, 1.0 - occ)
@@ -57,7 +57,8 @@ def occ_block_merge(children: np.ndarray) -> np.ndarray:
 
 def _occ_merge_2x2(c0, c1, c2, c3) -> np.ndarray:
     """``occ_block_merge`` of four (..., 2) float64 children given in
-    row-major order, without ``np.prod``, ``np.median`` or a stacked copy."""
+    row-major order, bit for bit, without ``np.prod``, ``np.median`` or a
+    stacked copy."""
     out = np.empty(c0.shape, dtype=np.float64)
     occ, free = out[..., 0], out[..., 1]
     miss = 1.0 - c0[..., 0]
@@ -85,10 +86,8 @@ def sem_block_merge(children: np.ndarray) -> np.ndarray:
     children = np.asarray(children, dtype=np.float64)
     mean = children.mean(axis=-2)
     total = mean.sum(axis=-1)
-    over = total > 1.0
-    if np.any(over):
-        # Only over-full blocks are divided: a vacuous block's total is 0.
-        np.divide(mean, total[..., None], out=mean, where=over[..., None])
+    # Only over-full blocks are divided: a vacuous block's total is 0.
+    np.divide(mean, total[..., None], out=mean, where=(total > 1.0)[..., None])
     return mean
 
 

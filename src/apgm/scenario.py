@@ -167,8 +167,6 @@ def simulate_lidar(
     rel = segs[:, :2] - origin  # A - o, (M, 2)
     vec = segs[:, 2:] - segs[:, :2]  # B - A, (M, 2)
     keep = _segments_in_range(rel, vec, config.max_range)
-    if not keep.any():
-        return PointCloud(origin, np.empty((0, 2)))
     rel, vec = rel[keep], vec[keep]
     # (segment, beam) arrays: the least range per beam then reduces over
     # rows, which numpy runs as whole-row minima.
@@ -190,7 +188,7 @@ def simulate_lidar(
         ranges = ranges[hit] + noise[hit]
         points = origin + dirs[hit] * ranges[:, None]
     keep = (ranges > 0.0) & np.isfinite(points).all(axis=1)
-    return PointCloud(origin, points if keep.all() else points[keep])
+    return PointCloud(origin, points[keep])
 
 
 def _segments_in_range(rel, vec, max_range) -> np.ndarray:

@@ -192,22 +192,19 @@ def _clip_to_horizon(origin, points, vehicle, horizon):
     hit = dist <= horizon
     ends = points.copy()
     far = ~hit
-    if np.any(far):
-        d = points[far] - origin
-        o_rel = origin - vehicle
-        a = (d * d).sum(axis=1)
-        b = d @ o_rel
-        c = float(o_rel @ o_rel) - horizon * horizon
-        disc = b * b - a * c
-        ok = (disc >= 0.0) & (a > 0.0) & (c <= 0.0)
-        t = np.zeros(len(d))
-        t[ok] = (-b[ok] + np.sqrt(disc[ok])) / a[ok]
-        ends[far] = origin + t[:, None] * d
-        keep = np.ones(len(points), dtype=bool)
-        keep_far = ok & (t > 0.0)
-        keep[far] = keep_far
-        return hit[keep], ends[keep]
-    return hit, ends
+    d = points[far] - origin
+    o_rel = origin - vehicle
+    a = (d * d).sum(axis=1)
+    b = d @ o_rel
+    c = float(o_rel @ o_rel) - horizon * horizon
+    disc = b * b - a * c
+    ok = (disc >= 0.0) & (a > 0.0) & (c <= 0.0)
+    t = np.zeros(len(d))
+    t[ok] = (-b[ok] + np.sqrt(disc[ok])) / a[ok]
+    ends[far] = origin + t[:, None] * d
+    keep = np.ones(len(points), dtype=bool)
+    keep[far] = ok & (t > 0.0)
+    return hit[keep], ends[keep]
 
 
 def measurement_grid_occupancy(
@@ -237,7 +234,6 @@ def measurement_grid_occupancy(
 
     # Returns inside the horizon carry occupancy evidence; every ray marks
     # the cells between its origin cell and endpoint cell.
-    hit_cells = global_cells_of(ends[hit_mask], config.datum, width)
     su, sv = (np.full(len(ends), c) for c in cell_units(origin, config.datum, width))
     eu, ev = cell_units(ends, config.datum, width)
     crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
@@ -246,9 +242,11 @@ def measurement_grid_occupancy(
     # indexed by count. Crossings are counted over the traversal box and
     # their free masses read for the whole box at once; cells holding
     # returns get their occupied mass and no free mass, in the box too, so
-    # each patch's part of the box may be copied after its returns. The
-    # box holds every ray's end cell (eu, ev), so every hit cell too. Spent
-    # arrays are freed early: this builder's peak sets the process peak.
+    # each patch's part of the box may be copied after its returns. Hit
+    # cells are binned from the ray-end units (eu, ev) the walk took, so
+    # the box holds every one of them by construction. Spent arrays are
+    # freed early: this builder's peak sets the process peak.
+    hx, hy = (np.floor(w[hit_mask]).astype(np.int64) for w in (eu, ev))
     x0, y0, nx, ny = (int(v) for v in box)
     window = _Window((x0, y0), (x0 + nx - 1, y0 + ny - 1), step)
     m = window.m
@@ -256,7 +254,6 @@ def measurement_grid_occupancy(
     del crossed
     free_mass = 1.0 - (1.0 - params.mu_free) ** np.arange(len(ends) + 1)
     free = free_mass.astype(np.float32)[crossings]
-    hx, hy = hit_cells.T
     free[hx - x0, hy - y0] = 0.0
     # A patch is touched where a box cell holds a crossing or a return.
     bx, by = x0 - window.px * m, y0 - window.py * m
@@ -267,7 +264,7 @@ def measurement_grid_occupancy(
     patches = np.flatnonzero(touched.reshape(window.nx, m, window.ny, m).any(axis=(1, 3)))
     occupied, hits = np.unique(window.number(hx, hy), return_counts=True)
     rows = np.zeros((len(occupied), 2), dtype=np.float32)
-    rows[:, 0] = occupancy_evidence(np.arange(len(hit_cells) + 1), params)[hits]
+    rows[:, 0] = occupancy_evidence(np.arange(len(hx) + 1), params)[hits]
     layers = window.to_patches(grid, "occupancy", patches, occupied, rows)
     for p, masses in zip(patches.tolist(), layers):
         x, y = p // window.ny * m - bx, p % window.ny * m - by
@@ -365,7 +362,9 @@ def load_point_file(path, origin=(0.0, 0.0)):
 
     Lines with two fields load as a :class:`PointCloud`; lines with four
     fields load as a :class:`SemanticObservation`. Blank lines and lines
-    starting with '#' are skipped.
+    starting with '#' are skipped. A line of another field count, a field
+    that is not a number where one is due, or labeled and unlabeled lines
+    in one file raise :class:`InputShapeError`.
     """
     pts: list[tuple[float, float]] = []
     labels: list[str] = []
@@ -375,16 +374,18 @@ def load_point_file(path, origin=(0.0, 0.0)):
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) == 2:
-            pts.append((float(fields[0]), float(fields[1])))
-        elif len(fields) == 4:
-            pts.append((float(fields[0]), float(fields[1])))
+        if len(fields) not in (2, 4):
+            raise InputShapeError(f"malformed point line: {raw!r}")
+        try:
+            values = [float(v) for v in fields[:2] + fields[3:]]
+        except ValueError:
+            raise InputShapeError(f"unparseable point line: {raw!r}") from None
+        pts.append((values[0], values[1]))
+        if len(fields) == 4:
             labels.append(fields[2])
-            confs.append(float(fields[3]))
-        else:
-            raise ValueError(f"malformed point line: {raw!r}")
+            confs.append(values[2])
     if labels and len(labels) != len(pts):
-        raise ValueError("mixed labeled and unlabeled point lines")
+        raise InputShapeError("mixed labeled and unlabeled point lines")
     if labels:
         return SemanticObservation(np.array(pts), labels, np.array(confs))
     return PointCloud(np.asarray(origin, dtype=np.float64), np.array(pts))

@@ -99,8 +99,6 @@ class WorldModel:
         code = np.full(len(points), len(self.regions))
         undecided = np.arange(len(points))
         for r, region in enumerate(self.regions):
-            if len(undecided) == 0:
-                break
             x0, y0, x1, y1 = region.cut
             if hi_y < y0 or lo_y >= y1 or hi_x < x0 or lo_x >= x1:
                 continue

@@ -31,7 +31,7 @@ from apgm.evidence import ConflictCounter
 from apgm.grid import MASS_SUM_TOL, OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer
 from apgm.kernels import combine_masses, fold_masses
 from apgm.requirements import _rect_min_distance
-from apgm.resample import occ_block_merge
+from apgm.resample import _occ_merge_2x2, occ_block_merge
 from apgm.scenario import CameraConfig, simulate_camera, uniform_patched_cell_count
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 from sort_oracles import (
@@ -565,6 +565,7 @@ def test_occ_merge_equals_median_on_every_four_tuple():
     want = occ_block_merge_median(children)
     assert not np.signbit(want[..., 1]).any()
     assert _same_bits(occ_block_merge(children), want)
+    assert _same_bits(_occ_merge_2x2(*(children[..., j, :] for j in range(4))), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -578,7 +579,9 @@ def test_occ_block_merge_equals_median_merge(seed, lead, kinds):
     n = math.prod(lead)
     children = _occ_rows(rng, sorted(kinds), 4 * n, np.float64)
     children = children.reshape(*lead, 4, 2)
-    assert _same_bits(occ_block_merge(children), occ_block_merge_median(children))
+    want = occ_block_merge_median(children)
+    assert _same_bits(occ_block_merge(children), want)
+    assert _same_bits(_occ_merge_2x2(*(children[..., j, :] for j in range(4))), want)
 
 
 @settings(max_examples=200, deadline=None)

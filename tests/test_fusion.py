@@ -8,6 +8,7 @@ from apgm import (
     DatumMismatchError,
     EdgeMismatchError,
     Frame,
+    FrameMismatchError,
     GridConfig,
     GridMap,
     discount_grid,
@@ -359,6 +360,65 @@ def test_grid_edge_mismatch():
     b = GridMap(GridConfig(edge_length=6.4))
     with pytest.raises(EdgeMismatchError):
         fuse_grids([a, b], {})
+
+
+FREE_FIRST_FRAME = Frame(("free", "occupied"))
+THREE_LABEL_FRAME = Frame(("occupied", "free", "moving"))
+
+
+def one_cell(frame, row, type_name="occupancy"):
+    layer = Layer(type_name, frame, 0)
+    layer.masses[0, 0] = row
+    return layer
+
+
+# 0.9 free over (free, occupied) read as occupancy once fused to 0.95
+# occupied; a 3-label frame failed in numpy's broadcasting instead.
+OTHER_FRAMES = pytest.mark.parametrize(
+    "other", [one_cell(FREE_FIRST_FRAME, [0.9, 0.0]), one_cell(THREE_LABEL_FRAME, [0.0, 0.9, 0.0])]
+)
+
+
+@OTHER_FRAMES
+def test_fuse_layers_refuses_another_frame(other):
+    with pytest.raises(FrameMismatchError):
+        fuse_layers([one_cell(OCCUPANCY_FRAME, [0.5, 0.0]), other], 0)
+
+
+def test_fuse_layers_refuses_another_type():
+    semantic = one_cell(OCCUPANCY_FRAME, [0.9, 0.0], type_name="semantic")
+    with pytest.raises(FrameMismatchError):
+        fuse_layers([one_cell(OCCUPANCY_FRAME, [0.5, 0.0]), semantic], 0)
+
+
+def test_fuse_layers_accepts_an_equal_frame():
+    equal = one_cell(Frame(OCCUPANCY_FRAME.hypotheses), [0.5, 0.0])
+    fused = fuse_layers([one_cell(OCCUPANCY_FRAME, [0.5, 0.0]), equal], 0)
+    assert fused.masses[0, 0, 0] == pytest.approx(0.75)
+
+
+@OTHER_FRAMES
+def test_fuse_patches_refuses_another_frame(other):
+    ours = Patch((0, 0), {"occupancy": one_cell(OCCUPANCY_FRAME, [0.5, 0.0])})
+    theirs = Patch((0, 0), {"occupancy": other})
+    with pytest.raises(FrameMismatchError):
+        fuse_patches([ours, theirs], {})
+
+
+@OTHER_FRAMES
+def test_grid_type_table_mismatch(other):
+    a = GridMap(GridConfig())
+    a.set_layer((0, 0), one_cell(OCCUPANCY_FRAME, [0.5, 0.0]))
+    b = GridMap(GridConfig(types={"occupancy": other.frame, "semantic": SEMANTIC_FRAME}))
+    # A patch only b holds: no layer stack compares the two frames.
+    b.set_layer((1, 0), other)
+    with pytest.raises(FrameMismatchError):
+        fuse_grids([a, b], {})
+    # Equal tables held in distinct objects fuse.
+    c = GridMap(GridConfig())
+    c.set_layer((0, 0), one_cell(OCCUPANCY_FRAME, [0.5, 0.0]))
+    fused = fuse_grids([a, c], {}).patches[(0, 0)].layers["occupancy"]
+    assert fused.masses[0, 0, 0] == pytest.approx(0.75)
 
 
 # -- temporal accumulation -------------------------------------------------------

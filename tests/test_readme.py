@@ -2,6 +2,8 @@
 
 import argparse
 import configparser
+import functools
+import importlib
 import re
 from pathlib import Path
 
@@ -66,3 +68,16 @@ def test_cli_synopsis_lists_the_run_options():
     )
     options = {o for a in subparsers.choices["run"]._actions for o in a.option_strings}
     assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options - {"-h", "--help"}
+
+
+def test_fast_path_table_names_live_code():
+    # A deleted fast path cannot stay listed: each row's first cell names
+    # the function or class that takes it as `module.name`.
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Fast paths\n", 1)[1].split("\n## ", 1)[0]
+    rows = [r for r in table.splitlines() if r.startswith("| `")]
+    assert rows
+    for row in rows:
+        module, *attrs = re.match(r"\| `([\w.]+)`", row).group(1).split(".")
+        assert attrs, row
+        functools.reduce(getattr, attrs, importlib.import_module(f"apgm.{module}"))

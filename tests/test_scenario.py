@@ -21,7 +21,12 @@ from apgm import (
     write_metrics,
 )
 from apgm.cli import main as cli_main
-from apgm.raster import compare_resampling_demo, export_raster, render_betp
+from apgm.raster import (
+    MAX_RASTER_PIXELS,
+    compare_resampling_demo,
+    export_raster,
+    render_betp,
+)
 from apgm.scenario import (
     MAX_CAMERA_SAMPLES,
     MAX_LIDAR_BEAMS,
@@ -33,7 +38,7 @@ from apgm.scenario import (
     uniform_patched_cell_count,
     uniform_reference_cells,
 )
-from apgm.errors import NonFiniteInputError
+from apgm.errors import InputShapeError, NonFiniteInputError
 from apgm.requirements import patch_in_horizon
 from apgm.world import Rect, SemanticRegion, WorldModel, default_world
 from sort_oracles import simulate_lidar_all_segments
@@ -553,6 +558,33 @@ def test_export_raster_writes_pgm(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P5\n4 4\n255\n")
     assert len(data) == len(b"P5\n4 4\n255\n") + 16
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+def test_raster_refuses_a_non_finite_region(tmp_path, bound):
+    grid = GridMap(GridConfig())
+    for region in [(bound, 0.0, 12.8, 12.8), (0.0, 0.0, 12.8, bound)]:
+        with pytest.raises(NonFiniteInputError):
+            export_raster(grid, "occupancy", region, tmp_path / "o.pgm")
+    assert not (tmp_path / "o.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "region", [(0.0, 0.0, 1e7, 1e7), (-1e308, 0.0, 1e308, 12.8), (0.0, 0.0, 1e9, 12.8)]
+)
+def test_raster_refuses_a_canvas_over_the_pixel_bound(region):
+    # (0, 0, 1e7, 1e7) on an empty map asked for a 568 GiB canvas.
+    with pytest.raises(InputShapeError):
+        render_betp(GridMap(GridConfig()), "occupancy", region)
+
+
+def test_raster_at_the_pixel_bound_is_allocated():
+    # An empty map renders at step 0: one 12.8 m pixel per patch.
+    side = 12.8 * 2**13
+    image = render_betp(GridMap(GridConfig()), "occupancy", (0.0, 0.0, side, side))
+    assert image.size == MAX_RASTER_PIXELS
+    with pytest.raises(InputShapeError):
+        render_betp(GridMap(GridConfig()), "occupancy", (0.0, 0.0, side, side + 12.8))
 
 
 def test_resampling_demo_contrast():

@@ -527,6 +527,16 @@ def test_load_malformed_line(tmp_path):
         load_point_file(path)
 
 
+@pytest.mark.parametrize(
+    "text", ["1.0 2.0 road\n", "1.0 2.0\n3.0 0.0 road 0.4\n", "1.0 north\n", "1.0 2.0 road high\n"]
+)
+def test_load_bad_point_file_raises_a_typed_error(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GridMapError):
+        load_point_file(path)
+
+
 def test_load_mixed_lines(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text("1.0 2.0\n3.0 0.0 road 0.4\n")
