@@ -19,7 +19,6 @@ from .errors import (
     MassOverflowError,
     NegativeMassError,
     NonFiniteInputError,
-    PointOutsidePatchError,
     ResolutionConflictError,
     SnapshotError,
     TotalConflictError,
@@ -56,7 +55,6 @@ from .grid import (
     GridMap,
     Layer,
     Patch,
-    cell_index_of,
 )
 from .requirements import (
     MutationReport,

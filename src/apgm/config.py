@@ -180,25 +180,20 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
     if not modes:
         reader.problems.append("no [mode.*] sections defined")
 
-    keyframes = _parse_items(
-        reader.get("timeline", "keyframes", str, ""),
-        (float,) * 4,
-        "t:x:y:heading",
-        reader.problems,
-    )
-    mode_times = _parse_items(
-        reader.get("timeline", "modes", str, ""),
-        (float, str),
-        "time:label",
-        reader.problems,
-    )
+    timeline = {}  # a key left out keeps default_script()'s value
+    for key, field, casts, form in (
+        ("keyframes", "keyframes", (float,) * 4, "t:x:y:heading"),
+        ("modes", "mode_times", (float, str), "time:label"),
+    ):
+        raw = reader.get("timeline", key, str, None)
+        if raw is not None:
+            timeline[field] = _parse_items(raw, casts, form, reader.problems)
     script = reader.fields(
         "run",
         default_script(),
         ("duration_s", "cycle_s"),
         where="",  # its problems name their keys, from [run] and [timeline]
-        keyframes=keyframes,
-        mode_times=mode_times,
+        **timeline,
     )
     config = reader.fields(
         "run",

@@ -33,10 +33,6 @@ class CellOutOfBoundsError(GridMapError):
     """Cell index outside the layer lattice."""
 
 
-class PointOutsidePatchError(GridMapError):
-    """A point does not lie within the patch square it was resolved against."""
-
-
 class ResolutionConflictError(GridMapError):
     """A layer of the requested type exists with a different resolution step.
 
@@ -61,7 +57,8 @@ class NonFiniteInputError(GridMapError, ValueError):
 
 
 class InputShapeError(GridMapError, ValueError):
-    """A sensor input's arrays have the wrong shape or do not align."""
+    """An input's arrays have the wrong shape or do not align, or a raster
+    region has no extent."""
 
 
 class InvariantError(GridMapError):

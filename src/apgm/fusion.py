@@ -32,32 +32,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DatumMismatchError,
-    EdgeMismatchError,
-    FrameMismatchError,
-    TotalConflictError,
-)
-from .evidence import BBA, ConflictCounter, combine_dst, vacuous
+from .errors import DatumMismatchError, EdgeMismatchError, FrameMismatchError
+from .evidence import BBA, ConflictCounter
 from .grid import GridMap, Layer, Patch
 from .kernels import FOLD_SLICE, fold_masses
 from .resample import resample_layer
 
 
 def fuse_cells(cells, counter: ConflictCounter | None = None) -> BBA:
-    """Left fold of Dempster combination over co-located cells."""
+    """Left fold of Dempster combination over co-located cells, through
+    :func:`~apgm.kernels.fold_masses`; a total conflict resets the fold to
+    vacuous and is counted. Cells over different frames raise
+    :class:`FrameMismatchError`."""
     cells = list(cells)
     if not cells:
         raise ValueError("need at least one cell to fuse")
-    acc = cells[0]
-    for nxt in cells[1:]:
-        try:
-            acc, _ = combine_dst(acc, nxt)
-        except TotalConflictError:
-            if counter is not None:
-                counter.add(1)
-            acc = vacuous(acc.frame)
-    return acc
+    frame = cells[0].frame
+    for cell in cells:
+        if cell.frame != frame:
+            raise FrameMismatchError(f"{frame} vs {cell.frame}")
+    if len(cells) == 1:
+        return cells[0]
+    stack = np.array([cell.masses for cell in cells], dtype=np.float64)[:, None, :]
+    dead = fold_masses(stack)
+    if counter is not None:
+        counter.add(dead)
+    masses = stack[0, 0]
+    masses.flags.writeable = False
+    return BBA(frame, masses, max(1.0 - float(masses.sum()), 0.0))
 
 
 def fuse_layers(

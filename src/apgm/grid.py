@@ -5,6 +5,18 @@ Each patch holds at most one layer per information type; a layer is a
 2^r x 2^r lattice of evidence cells, so layers of different resolution
 steps nest exactly on shared boundaries.
 
+One rule turns a world point into a patch and a cell. Cells are half-open
+and binned from the grid datum: the absolute cell at step r is
+floor((p - datum) / (edge / 2^r)) per axis (:func:`global_cells_of`), so
+an edge belongs to the upper patch and cell. Its bits above the low r are
+the patch index and the low r bits the cell index
+(:func:`split_global_cells`). Dividing by a power of two is exact, so a
+point keeps its patch at every step and its step-(r + 1) cell lies inside
+its step-r cell, unless (p - datum) / edge underflows: within
+edge * 2^-1022 of a datum line it can round to -0.0 at a coarse step and
+stay negative at a fine one. :meth:`GridMap.cell_index_of`, the
+measurement builders and the raster export all bin this way.
+
 Concurrency: a GridMap is single-writer. Distinct patches are independent
 units, so a fusion driver may fill different output patches from different
 threads as long as no patch is touched by more than one writer.
@@ -20,8 +32,8 @@ import numpy as np
 
 from .errors import (
     CellOutOfBoundsError,
+    InputShapeError,
     InvariantError,
-    PointOutsidePatchError,
     ResolutionConflictError,
     require,
 )
@@ -84,6 +96,7 @@ class Layer:
     ``masses`` has shape (m, m, k) with m = 2^r and k = len(frame); the
     first axis is the x cell index, the second the y cell index. Cells
     store singleton masses as float32; the frame mass is the remainder.
+    Masses of another shape raise :class:`InputShapeError`.
     """
 
     __slots__ = ("type_name", "frame", "step", "masses")
@@ -95,7 +108,7 @@ class Layer:
         else:
             masses = np.asarray(masses, dtype=np.float32)
             if masses.shape != (m, m, len(frame)):
-                raise ValueError(
+                raise InputShapeError(
                     f"mass array shape {masses.shape} does not match "
                     f"step {step} over a {len(frame)}-hypothesis frame"
                 )
@@ -158,13 +171,19 @@ class GridMap:
         width = self.config.cell_width(step)
         return self.patch_datum(index) + width * np.array([a, b])
 
+    def cell_index_of(
+        self, point, step: int
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(patch index, cell index) of the step-``step`` cell holding a
+        world point, binned as the measurement builders bin their points."""
+        width = self.config.cell_width(step)
+        units = cell_units(point[0], point[1], self.config.datum, width)
+        (px, cx), (py, cy) = (split_global_cells(math.floor(u), step) for u in units)
+        return (px, py), (cx, cy)
+
     def patch_index_of(self, point) -> tuple[int, int]:
         """Patch containing a world point; edges belong to the upper patch."""
-        e = self.config.edge_length
-        return (
-            math.floor((point[0] - self.config.datum[0]) / e),
-            math.floor((point[1] - self.config.datum[1]) / e),
-        )
+        return self.cell_index_of(point, 0)[0]
 
     # -- structure --------------------------------------------------------
 
@@ -273,43 +292,22 @@ class GridMap:
         )
 
 
-def cell_index_of(
-    point, patch_datum, edge_length: float, step: int
-) -> tuple[int, int]:
-    """Cell of a point inside a patch square; half-open cell extents.
-
-    The point must lie in [datum, datum + e) per axis; the result is
-    clamped to the lattice to absorb float rounding at the far edge.
-    """
-    m = 1 << step
-    out = []
-    for axis in range(2):
-        off = point[axis] - patch_datum[axis]
-        if off < 0.0 or off >= edge_length:
-            raise PointOutsidePatchError(
-                f"point {tuple(point)} outside patch at {tuple(patch_datum)}"
-            )
-        out.append(min(math.floor(off * m / edge_length), m - 1))
-    return out[0], out[1]
-
-
-def cell_units(points, datum, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of world points (..., 2) in cells of ``width`` from ``datum``."""
-    pts = np.asarray(points, dtype=np.float64)
-    return (pts[..., 0] - datum[0]) / width, (pts[..., 1] - datum[1]) / width
-
-
-def global_cells_of(points: np.ndarray, datum, width: float) -> np.ndarray:
-    """Absolute cell coordinates (floor binning) for an (N, 2) point array."""
-    pts = np.asarray(points, dtype=np.float64)
-    return np.floor((pts - np.asarray(datum, dtype=np.float64)) / width).astype(
-        np.int64
+def cell_units(xs, ys, datum, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """World x and y coordinates in cells of ``width`` from ``datum``."""
+    return (
+        (np.asarray(xs, dtype=np.float64) - datum[0]) / width,
+        (np.asarray(ys, dtype=np.float64) - datum[1]) / width,
     )
 
 
-def split_global_cells(cells: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split absolute cell coordinates into (patch index, local cell index)."""
-    m = 1 << step
-    patch = np.floor_divide(cells, m)
-    local = cells - patch * m
-    return patch, local
+def global_cells_of(points, datum, width: float) -> np.ndarray:
+    """Absolute cells of world points (..., 2): the floor of their cell units."""
+    pts = np.asarray(points, dtype=np.float64)
+    units = cell_units(pts[..., 0], pts[..., 1], datum, width)
+    return np.floor(np.stack(units, axis=-1)).astype(np.int64)
+
+
+def split_global_cells(cells, step: int):
+    """(patch index, cell index) of absolute cells at ``step``: the bits
+    above the low ``step`` and the low ``step`` bits, for ints or arrays."""
+    return cells >> step, cells & ((1 << step) - 1)

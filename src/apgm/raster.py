@@ -2,7 +2,8 @@
 
 Rasters are binary PGM (P5) images sampling the pignistic probability of
 a type's first hypothesis at the finest resolution allocated inside the
-region.
+region. Each pixel shows the cell that holds its centre, found by the
+lattice rule of :mod:`apgm.grid` that the measurement builders use.
 Unallocated area renders as 127, the maximum-uncertainty grey. Row 0 is
 the region's top edge (largest y), columns run along +x.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputShapeError, NonFiniteInputError
-from .grid import GridMap, Layer
+from .grid import GridMap, Layer, cell_units, split_global_cells
 from .kernels import fold_masses
 from .resample import block_view, resample_layer
 
@@ -35,16 +36,16 @@ def render_betp(grid: GridMap, type_name: str, region) -> np.ndarray:
     """Sample BetP of the type's first hypothesis (occupied, for occupancy)
     over the world region (x0, y0, x1, y1) into a uint8 image.
 
-    A NaN or infinite bound raises :class:`NonFiniteInputError`, and a
-    canvas over ``MAX_RASTER_PIXELS`` raises :class:`InputShapeError`
-    before it is allocated."""
+    A NaN or infinite bound raises :class:`NonFiniteInputError`; a region
+    without positive extent, or a canvas over ``MAX_RASTER_PIXELS``, raises
+    :class:`InputShapeError` before the canvas is allocated."""
     grid.config.frame_of(type_name)  # refuses an unknown type
     e = grid.config.edge_length
     x0, y0, x1, y1 = map(float, region)
     if not all(map(math.isfinite, (x0, y0, x1, y1))):
         raise NonFiniteInputError(f"region {region} holds a NaN or inf bound")
     if x1 <= x0 or y1 <= y0:
-        raise ValueError("region must have positive extent")
+        raise InputShapeError(f"region {region} must have positive extent")
 
     in_region = [
         (index, layer)
@@ -74,24 +75,19 @@ def render_betp(grid: GridMap, type_name: str, region) -> np.ndarray:
     col_x = x0 + (np.arange(n_cols) + 0.5) * px
     row_y = y1 - (np.arange(n_rows) + 0.5) * px
     for index, layer in in_region:
-        datum = grid.patch_datum(index)
-        width = e / (1 << layer.step)
-        cols = np.flatnonzero((col_x >= datum[0]) & (col_x < datum[0] + e))
-        rows = np.flatnonzero((row_y >= datum[1]) & (row_y < datum[1] + e))
+        # Pixel centres bin as the builders bin points (grid.py); a layer
+        # paints the pixels whose patch is its own.
+        width = grid.config.cell_width(layer.step)
+        (pa, a), (pb, b) = (
+            split_global_cells(np.floor(u).astype(np.int64), layer.step)
+            for u in cell_units(col_x, row_y, grid.config.datum, width)
+        )
+        cols = np.flatnonzero(pa == index[0])
+        rows = np.flatnonzero(pb == index[1])
         if len(cols) == 0 or len(rows) == 0:
             continue
-        a = np.clip(
-            ((col_x[cols] - datum[0]) / width).astype(np.int64),
-            0,
-            (1 << layer.step) - 1,
-        )
-        b = np.clip(
-            ((row_y[rows] - datum[1]) / width).astype(np.int64),
-            0,
-            (1 << layer.step) - 1,
-        )
         betp = _layer_betp(layer)
-        values = np.floor(betp[a[None, :], b[:, None]] * 255.0)
+        values = np.floor(betp[a[cols][None, :], b[rows][:, None]] * 255.0)
         canvas[np.ix_(rows, cols)] = np.clip(values, 0, 255).astype(np.uint8)
     return canvas
 

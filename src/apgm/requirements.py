@@ -133,8 +133,6 @@ def _ray_hits_rect(px, py, angle, x0, y0, x1, y1) -> bool:
 
 
 def _wedge_intersects_rect(px, py, heading, half_angle, x0, y0, x1, y1) -> bool:
-    if half_angle >= math.pi:
-        return True
     if x0 <= px <= x1 and y0 <= py <= y1:
         return True
     for cx, cy in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):

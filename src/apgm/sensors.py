@@ -234,8 +234,8 @@ def measurement_grid_occupancy(
 
     # Returns inside the horizon carry occupancy evidence; every ray marks
     # the cells between its origin cell and endpoint cell.
-    su, sv = (np.full(len(ends), c) for c in cell_units(origin, config.datum, width))
-    eu, ev = cell_units(ends, config.datum, width)
+    su, sv = (np.full(len(ends), c) for c in cell_units(*origin, config.datum, width))
+    eu, ev = cell_units(ends[:, 0], ends[:, 1], config.datum, width)
     crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
 
     # A cell's mass depends only on its counts, so it is read from tables
@@ -346,8 +346,8 @@ def ray_traverse(origin, endpoint, config: GridConfig, step: int):
     end cells are excluded, and exact corner crossings step diagonally.
     """
     width = config.cell_width(step)
-    su, sv = cell_units(np.reshape(origin, (1, 2)), config.datum, width)
-    eu, ev = cell_units(np.reshape(endpoint, (1, 2)), config.datum, width)
+    su, sv = cell_units(*np.reshape(origin, (2, 1)), config.datum, width)
+    eu, ev = cell_units(*np.reshape(endpoint, (2, 1)), config.datum, width)
     crossed, box = traverse_rays(su, sv, eu, ev, ray_cell_cap(su, sv, eu, ev))
     cells = np.stack(box_cells(crossed, box), axis=1)
     patch_idx, local = split_global_cells(cells, step)

@@ -57,6 +57,14 @@ def test_minimal_file_takes_builtin_defaults(tmp_path):
     )
 
 
+def test_missing_timeline_takes_the_default_script(tmp_path):
+    path = tmp_path / "modes_only.ini"
+    path.write_text("[mode.parking]\n\n[mode.road]\n", encoding="utf-8")
+    script, _, config = load_scenario(path)
+    assert script == default_script()
+    assert set(config.modes) == {"parking", "road"}
+
+
 def test_bad_timeline_entries_are_reported(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(
@@ -91,6 +99,9 @@ BAD_VALUES = [
     ("run", "cycle_s", "nan", "cycle_s must be finite"),
     ("run", "cycle_s", "inf", "cycle_s must be finite"),
     ("timeline", "keyframes", "0:nan:0:0 1:2:0:0", "keyframe values must be finite"),
+    ("timeline", "keyframes", "", "script has no keyframes"),
+    ("timeline", "keyframes", "0:0:0:0 0:2:0:0", "keyframe times must be strictly increasing"),
+    ("timeline", "modes", "", "script has no modes"),
     ("timeline", "modes", "0:parking nan:parking", "mode times must be"),
     ("timeline", "modes", "nan:parking", "first mode must start"),
     ("grid", "datum_x", "nan", "[grid] datum must be finite"),

@@ -11,6 +11,8 @@ from apgm import (
     FrameMismatchError,
     GridConfig,
     GridMap,
+    TotalConflictError,
+    combine_dst,
     discount_grid,
     fuse_cells,
     fuse_grids,
@@ -64,6 +66,42 @@ def test_fuse_cells_total_conflict_fallback():
     fused = fuse_cells([occ(1.0), occ(0.0, 1.0)], counter=counter)
     assert fused.omega == 1.0
     assert counter.cells == 1
+
+
+def _fold_combine_dst(cells):
+    """The left fold of combine_dst, a total conflict resetting to vacuous."""
+    acc, dead = cells[0], 0
+    for nxt in cells[1:]:
+        try:
+            acc, _ = combine_dst(acc, nxt)
+        except TotalConflictError:
+            acc, dead = vacuous(acc.frame), dead + 1
+    return acc, dead
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fuse_cells_matches_the_combine_dst_fold_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    frame = Frame(tuple("ABCD"[:k]))
+    rows = rng.dirichlet(np.ones(k + 1), size=int(rng.integers(2, 9)))[:, :k]
+    cells = [make_bba(frame, row) for row in rows]
+    # One totally conflicting pair: all mass on A, then all mass on B.
+    at = int(rng.integers(0, len(cells) + 1))
+    cells[at:at] = [make_bba(frame, np.eye(k)[0]), make_bba(frame, np.eye(k)[1])]
+    counter = ConflictCounter()
+    fused = fuse_cells(cells, counter)
+    want, dead = _fold_combine_dst(cells)
+    assert fused.masses.tobytes() == want.masses.tobytes()
+    assert np.float64(fused.omega).tobytes() == np.float64(want.omega).tobytes()
+    assert counter.cells == dead >= 1
+
+
+def test_fuse_cells_refuses_mixed_frames_and_no_cells():
+    with pytest.raises(FrameMismatchError):
+        fuse_cells([occ(0.5), make_bba(Frame(("A", "B")), [0.5, 0.0])])
+    with pytest.raises(ValueError, match="at least one cell"):
+        fuse_cells([])
 
 
 # -- layers --------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Container arithmetic, lazy allocation, accounting, snapshots."""
 
+import math
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apgm import (
@@ -14,16 +16,16 @@ from apgm import (
     GridConfig,
     GridMap,
     GridMapError,
+    InputShapeError,
     InvariantError,
     Layer,
-    PointOutsidePatchError,
     ResolutionConflictError,
     SnapshotError,
-    cell_index_of,
     load_grid,
     save_grid,
 )
-from apgm.grid import MAX_STEP
+from apgm.grid import MAX_STEP, OCCUPANCY_FRAME, global_cells_of, split_global_cells
+from apgm.snapshot import MAGIC
 
 
 @pytest.fixture
@@ -80,35 +82,83 @@ def test_patch_index_of_interior(grid):
     assert grid.patch_index_of((5.0, 5.0)) == (0, 0)
 
 
-def test_cell_index_of_at_datum():
-    assert cell_index_of((0.0, 0.0), (0.0, 0.0), 12.8, 7) == (0, 0)
+def test_cell_index_of_at_datum(grid):
+    assert grid.cell_index_of((0.0, 0.0), 7) == ((0, 0), (0, 0))
 
 
-def test_cell_index_of_offset():
-    assert cell_index_of((0.15, 0.05), (0.0, 0.0), 12.8, 7) == (1, 0)
+def test_cell_index_of_offset(grid):
+    assert grid.cell_index_of((0.15, 0.05), 7) == ((0, 0), (1, 0))
 
 
-def test_cell_index_of_top_corner():
-    assert cell_index_of((12.79, 12.79), (0.0, 0.0), 12.8, 7) == (127, 127)
+def test_cell_index_of_top_corner(grid):
+    assert grid.cell_index_of((12.79, 12.79), 7) == ((0, 0), (127, 127))
+    # The patch's far edge is the next patch's first cell.
+    assert grid.cell_index_of((12.8, 0.0), 7) == ((1, 0), (0, 0))
 
 
-def test_cell_index_of_outside():
-    with pytest.raises(PointOutsidePatchError):
-        cell_index_of((12.8, 0.0), (0.0, 0.0), 12.8, 7)
+def test_cell_index_of_one_ulp_below_a_patch_edge():
+    # -1277 * 12.8 rounds above this point, so its offset from the rounded
+    # patch datum is negative; binned from the grid datum, it stays in the
+    # patch that patch_index_of names.
+    point = (-16345.600000000002, 1.0)
+    grid = GridMap(GridConfig())
+    assert grid.patch_index_of(point) == (-1277, 0)
+    assert grid.cell_index_of(point, 7) == ((-1277, 0), (0, 10))
 
 
 def test_datum_round_trip(grid):
     rng = np.random.default_rng(0)
     for _ in range(500):
         q = rng.uniform(-100.0, 100.0, 2)
-        index = grid.patch_index_of(q)
-        datum = grid.patch_datum(index)
         r = int(rng.integers(0, 8))
-        cell = cell_index_of(q, datum, 12.8, r)
+        index, cell = grid.cell_index_of(q, r)
+        assert index == grid.patch_index_of(q)
         low = grid.cell_datum(index, r, cell)
         width = 12.8 / (1 << r)
         assert np.all(low <= q + 1e-9)
         assert np.all(q < low + width + 1e-9)
+
+
+@st.composite
+def _lattice_points(draw):
+    """(datum, edge, step, point) with each coordinate on, one ulp either
+    side of, or inside a cell edge of a random step-0..10 lattice."""
+    datum = tuple(draw(st.floats(-1e6, 1e6)) for _ in range(2))
+    edge = draw(st.floats(0.05, 200.0))
+    step = draw(st.integers(0, 10))
+    width = edge / (1 << step)
+    point = []
+    for d in datum:
+        x = d + draw(st.integers(-(1 << 20), 1 << 20)) * width
+        x = draw(
+            st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+            | st.floats(0.0, 1.0, exclude_max=True).map(lambda f, x=x: x + f * width)
+        )
+        # Nesting is exact while x - datum is 0 or (x - datum) / edge is a
+        # normal float (see apgm.grid); within edge * 2^-1022 of a datum
+        # line it is not.
+        assume(x == d or abs((x - d) / edge) >= sys.float_info.min)
+        point.append(x)
+    return datum, edge, step, tuple(point)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattice_points())
+def test_cell_index_of_bins_as_the_builders_and_nests_exactly(case):
+    datum, edge, step, point = case
+    grid = GridMap(GridConfig(datum=datum, edge_length=edge))
+    index, cell = grid.cell_index_of(point, step)
+    # The builders' binning: global cells, then the one split.
+    cells = global_cells_of(np.array([point]), datum, grid.config.cell_width(step))
+    patch, local = split_global_cells(cells[0], step)
+    assert (index, cell) == (tuple(patch.tolist()), tuple(local.tolist()))
+    assert grid.patch_index_of(point) == index
+    # The patch is the same at every step, and each cell nests in the
+    # coarser one.
+    looked_up = [grid.cell_index_of(point, r) for r in range(11)]
+    assert {p for p, _ in looked_up} == {index}
+    for (_, coarse), (_, fine) in zip(looked_up, looked_up[1:]):
+        assert (fine[0] >> 1, fine[1] >> 1) == coarse
 
 
 def test_lattice_alignment_is_exact(grid):
@@ -122,6 +172,13 @@ def test_lattice_alignment_is_exact(grid):
 
 
 # -- structure ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 3), (2, 4, 2), (8, 8, 2)])
+def test_layer_refuses_masses_of_another_shape(shape):
+    with pytest.raises(InputShapeError, match="does not match step 2"):
+        Layer("occupancy", OCCUPANCY_FRAME, 2, np.zeros(shape))
+    Layer("occupancy", OCCUPANCY_FRAME, 2, np.zeros((4, 4, 2)))
 
 
 def test_lazy_layer_is_vacuous(grid):
@@ -399,6 +456,41 @@ def test_snapshot_non_finite_mass_raises(tmp_path):
         path = save_grid(grid, tmp_path / "bad.apgm")
         with pytest.raises(SnapshotError, match="NaN or inf mass"):
             load_grid(path)
+
+
+def _raw_snapshot(edge=6.4, types=(("occupancy", ("occupied", "free")),), patches=()):
+    """Snapshot bytes over datum (0, 0), one step-0 occupancy layer per
+    patch index in ``patches``."""
+
+    def text(s):
+        return struct.pack("<I", len(s)) + s.encode()
+
+    data = MAGIC + struct.pack("<dddI", 0.0, 0.0, edge, MAX_STEP)
+    data += struct.pack("<I", len(types))
+    for name, labels in types:
+        data += text(name) + struct.pack("<I", len(labels))
+        data += b"".join(text(label) for label in labels)
+    data += struct.pack("<I", len(patches))
+    for ix, iy in patches:
+        data += struct.pack("<qqIII", ix, iy, 1, 0, 0) + struct.pack("<2f", 0.5, 0.25)
+    return data
+
+
+@pytest.mark.parametrize(
+    "snapshot, match",
+    [
+        (dict(types=(("occupancy", ("occupied", "free")),) * 2), "listed twice"),
+        (dict(edge=0.0), "edge_length must be finite and positive"),
+        (dict(types=(("occupancy", ("occupied",)),)), "at least two hypotheses"),
+        (dict(patches=[(0, 0), (-1, 2), (0, 0)]), "patch \\(0, 0\\) stored twice"),
+    ],
+    ids=["type_twice", "edge_0", "one_label_frame", "patch_twice"],
+)
+def test_snapshot_refuses_a_bad_type_table_edge_or_patch_list(snapshot, match):
+    # The helper's bytes load where the header and patch list are sound.
+    assert _load_bytes(_raw_snapshot(patches=[(0, 0)])).layer_at((0, 0), "occupancy")
+    with pytest.raises(SnapshotError, match=match):
+        _load_bytes(_raw_snapshot(**snapshot))
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,11 @@ import argparse
 import configparser
 import functools
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import apgm
 from apgm import GridConfig
 from apgm.cli import _build_parser
 
@@ -81,3 +83,26 @@ def test_fast_path_table_names_live_code():
         module, *attrs = re.match(r"\| `([\w.]+)`", row).group(1).split(".")
         assert attrs, row
         functools.reduce(getattr, attrs, importlib.import_module(f"apgm.{module}"))
+
+
+def test_readme_names_live_code():
+    # A deleted function or class cannot stay named: each backticked
+    # `x.y...` whose first part is apgm or one of its modules resolves
+    # through its first two parts. numpy, dataclasses and test names and
+    # file names are not checked.
+    modules = {m.name for m in pkgutil.iter_modules(apgm.__path__)}
+    checked = 0
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        name = re.match(r"(\w+)\.(\w+)", span)
+        if (
+            name is None
+            or span.startswith(("np.", "dataclasses.", "test_"))
+            or re.search(r"\.(py|md|ini|json|toml|csv|pgm|apgm)$", span)
+        ):
+            continue
+        head, attr = name.groups()
+        if head == "apgm" or head in modules:
+            owner = apgm if head == "apgm" else importlib.import_module(f"apgm.{head}")
+            assert hasattr(owner, attr), span
+            checked += 1
+    assert checked > 20

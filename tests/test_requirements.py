@@ -136,6 +136,31 @@ def test_frustum_wedge_through_patch_without_corners():
     assert not patch_in_horizon((3, 2), config, prof, "occupancy")
 
 
+def test_half_circle_view_keeps_every_patch_in_its_horizon():
+    # At 180 degrees every corner lies in the view, |wrap_angle| <= pi.
+    config = GridConfig(edge_length=4.0)
+    for pose in [(0.0, 0.0, 0.0), (2.0, -1.0, 2.5), (-3.0, 5.0, -math.pi)]:
+        half_circle = profile(horizon=15.0, fov=math.pi, pose=pose)
+        disc = profile(horizon=15.0, pose=pose)
+        for index in np.ndindex(12, 12):
+            index = (index[0] - 6, index[1] - 6)
+            in_disc = patch_in_horizon(index, config, disc, "occupancy")
+            assert patch_in_horizon(index, config, half_circle, "occupancy") == in_disc
+
+
+def test_wedge_with_an_axis_parallel_edge():
+    # The wedge's first edge points along +y, where its x step is below
+    # 1e-15, and the wedge misses every corner of the patches it meets.
+    half = 1e-3
+    pose = (0.0, 0.0, math.pi / 2 + half)
+    assert abs(math.cos(pose[2] - half)) < 1e-15
+    config = GridConfig(datum=(-1.0, 10.0), edge_length=2.0)
+    prof = profile(horizon=100.0, fov=half, pose=pose)
+    assert patch_in_horizon((0, 0), config, prof, "occupancy")  # x in [-1, 1]
+    assert not patch_in_horizon((1, 0), config, prof, "occupancy")  # x in [1, 3]
+    assert not patch_in_horizon((-1, 0), config, prof, "occupancy")  # x in [-3, -1]
+
+
 def test_inactive_type_never_in_horizon():
     config = GridConfig()
     prof = profile(active=False)

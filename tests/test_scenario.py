@@ -570,6 +570,40 @@ def test_raster_refuses_a_non_finite_region(tmp_path, bound):
 
 
 @pytest.mark.parametrize(
+    "region", [(0.0, 0.0, 0.0, 12.8), (0.0, 5.0, 12.8, 5.0), (12.8, 0.0, 0.0, 12.8)]
+)
+def test_raster_refuses_a_region_without_extent(region):
+    with pytest.raises(InputShapeError, match="positive extent"):
+        render_betp(GridMap(GridConfig()), "occupancy", region)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_raster_pixels_show_the_cell_that_cell_index_of_finds(seed):
+    # Patches at mixed steps on an off-grid datum, rendered with every
+    # pixel centre on or next to a cell edge: each pixel shows the cell
+    # holding its centre, or grey where no layer holds it.
+    rng = np.random.default_rng(seed)
+    datum = tuple(rng.uniform(-1e4, 1e4, 2))
+    grid = GridMap(GridConfig(datum=datum, edge_length=float(rng.uniform(0.5, 20.0))))
+    for index in {tuple(rng.integers(-2, 3, 2).tolist()) for _ in range(6)}:
+        layer = grid.get_or_create_layer(index, "occupancy", int(rng.integers(0, 4)))
+        layer.masses[..., 0] = rng.uniform(0.0, 1.0, layer.masses.shape[:2])
+    e = grid.config.edge_length
+    px = e / (1 << max(layer.step for _, layer in grid.iter_layers()))
+    x0, y1 = (d + e * k + px / 2 * s for d, k, s in zip(datum, (-3, 3), (-1, 1)))
+    region = (x0, y1 - 6 * e, x0 + 6 * e, y1)
+    image = render_betp(grid, "occupancy", region)
+    for row, col in np.ndindex(image.shape):
+        centre = (x0 + (col + 0.5) * px, y1 - (row + 0.5) * px)
+        layer = grid.layer_at(grid.patch_index_of(centre), "occupancy")
+        want = 127
+        if layer is not None:
+            _, (a, b) = grid.cell_index_of(centre, layer.step)
+            want = math.floor((layer.masses[a, b, 0] + layer.omega()[a, b] / 2) * 255.0)
+        assert image[row, col] == want
+
+
+@pytest.mark.parametrize(
     "region", [(0.0, 0.0, 1e7, 1e7), (-1e308, 0.0, 1e308, 12.8), (0.0, 0.0, 1e9, 12.8)]
 )
 def test_raster_refuses_a_canvas_over_the_pixel_bound(region):
