@@ -12,10 +12,8 @@ an edge belongs to the upper patch and cell. Its bits above the low r are
 the patch index and the low r bits the cell index
 (:func:`split_global_cells`). Dividing by a power of two is exact, so a
 point keeps its patch at every step and its step-(r + 1) cell lies inside
-its step-r cell, unless (p - datum) / edge underflows: within
-edge * 2^-1022 of a datum line it can round to -0.0 at a coarse step and
-stay negative at a fine one. :meth:`GridMap.cell_index_of`, the
-measurement builders and the raster export all bin this way.
+its step-r cell. :meth:`GridMap.cell_index_of`, the measurement builders
+and the raster export all bin this way.
 
 Concurrency: a GridMap is single-writer. Distinct patches are independent
 units, so a fusion driver may fill different output patches from different
@@ -232,13 +230,31 @@ class GridMap:
 
     # -- invariants -------------------------------------------------------
 
+    def check_types(self) -> None:
+        """Raise :class:`InvariantError` unless every layer's type is in the
+        map's type table and its frame is the table's frame for that type."""
+        for index, layer in self.iter_layers():
+            frame = self.config.types.get(layer.type_name)
+            if frame is None:
+                raise InvariantError(
+                    f"{layer.type_name} layer at {index} has a type the map's "
+                    f"table does not list ({sorted(self.config.types)})"
+                )
+            if layer.frame != frame:
+                raise InvariantError(
+                    f"{layer.type_name} layer at {index} is over frame "
+                    f"{layer.frame.hypotheses}, not the table's {frame.hypotheses}"
+                )
+
     def check(self) -> None:
         """Raise :class:`InvariantError` unless every layer is well formed.
 
-        Each layer's step lies in [0, ``MAX_STEP``], its masses have shape
-        (2^step, 2^step, len(frame)), are finite and in [0, 1], and each
-        cell's singleton masses sum to at most 1 + 1e-5.
+        Each layer passes :meth:`check_types`, its step lies in
+        [0, ``MAX_STEP``], its masses have shape (2^step, 2^step,
+        len(frame)), are finite and in [0, 1], and each cell's singleton
+        masses sum to at most 1 + 1e-5.
         """
+        self.check_types()
         for index, layer in self.iter_layers():
             where = f"{layer.type_name} layer at {index}"
             if not 0 <= layer.step <= MAX_STEP:
@@ -293,11 +309,19 @@ class GridMap:
 
 
 def cell_units(xs, ys, datum, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """World x and y coordinates in cells of ``width`` from ``datum``."""
-    return (
-        (np.asarray(xs, dtype=np.float64) - datum[0]) / width,
-        (np.asarray(ys, dtype=np.float64) - datum[1]) / width,
-    )
+    """World x and y coordinates in cells of ``width`` from ``datum``.
+
+    A negative offset whose quotient underflows to zero comes back as the
+    negative float nearest zero, so its floor is -1 at every step."""
+    units = []
+    for p, d in zip((xs, ys), datum):
+        offset = np.asarray(p, dtype=np.float64) - d
+        u = offset / width
+        zero = u == 0.0
+        if zero.any():  # rare; keeps the common case to one extra pass
+            u = np.where(zero & (offset < 0.0), -math.ulp(0.0), u)
+        units.append(u)
+    return units[0], units[1]
 
 
 def global_cells_of(points, datum, width: float) -> np.ndarray:

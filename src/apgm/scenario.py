@@ -173,7 +173,8 @@ def simulate_lidar(
     dx, dy = dirs[:, 0], dirs[:, 1]
     denom = dx * vec[:, 1, None]
     denom -= dy * vec[:, 0, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A near-parallel beam's quotients may overflow; the mask drops them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (rel[:, 0] * vec[:, 1] - rel[:, 1] * vec[:, 0])[:, None] / denom
         s = rel[:, 0, None] * dy
         s -= rel[:, 1, None] * dx

@@ -325,14 +325,13 @@ def measurement_grid_semantic(
     # sums to at most 1 and holds no -0.0, so the fold would return it bit
     # for bit at conflict 0 (see kernels.combine_masses).
     mixed = np.flatnonzero(np.count_nonzero(label_mass, axis=1) > 1)
-    if len(mixed):
-        singles = np.zeros((k, len(mixed), k))
-        for j in range(k):
-            singles[j, :, j] = label_mass[mixed, j]
-        dead = fold_masses(singles)
-        label_mass[mixed] = singles[0]
-        if counter is not None:
-            counter.add(dead)
+    singles = np.zeros((k, len(mixed), k))
+    for j in range(k):
+        singles[j, :, j] = label_mass[mixed, j]
+    dead = fold_masses(singles)
+    label_mass[mixed] = singles[0]
+    if counter is not None:
+        counter.add(dead)
 
     patches = np.unique(uniq >> (2 * step))
     window.to_patches(grid, "semantic", patches, uniq, label_mass.astype(np.float32))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvariantError, SnapshotError
 from .evidence import Frame
-from .grid import MAX_STEP, GridConfig, GridMap, Layer
+from .grid import MAX_STEP, GridConfig, GridMap, Layer, Patch
 
 MAGIC = b"APGM\x01"
 
@@ -63,7 +63,16 @@ class _Reader:
 
 
 def save_grid(grid: GridMap, path) -> Path:
+    """Write ``grid`` to ``path`` in the format above.
+
+    Raises :class:`SnapshotError`, before the file is opened, for a layer
+    whose type or frame is not its type table's
+    (:meth:`GridMap.check_types`)."""
     path = Path(path)
+    try:
+        grid.check_types()
+    except InvariantError as exc:
+        raise SnapshotError(f"cannot save this map: {exc}") from None
     cfg = grid.config
     type_names = list(cfg.types)
     type_ids = {name: i for i, name in enumerate(type_names)}
@@ -132,6 +141,7 @@ def load_grid(path) -> GridMap:
         ix, iy, n_layers = rd.unpack("<qqI")
         if (ix, iy) in grid.patches:
             raise SnapshotError(f"patch {(ix, iy)} stored twice")
+        grid.patches[(ix, iy)] = Patch((ix, iy))
         for _ in range(n_layers):
             type_id, step = rd.unpack("<II")
             if type_id >= len(type_names):

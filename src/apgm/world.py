@@ -86,27 +86,20 @@ class WorldModel:
 
         Each region is tested only against the still undecided points in
         its half-open bounding box (``region.cut``), outside which
-        :func:`points_in_polygon` finds no point inside it; a box that
-        misses the points' own bounds is skipped without touching them.
-        The labels are gathered from one array of region codes.
+        :func:`points_in_polygon` finds no point inside it. The labels are
+        gathered from one array of region codes.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if len(points) == 0:
             return []
         px, py = points[:, 0], points[:, 1]
-        # A NaN coordinate makes these NaN, and then no region is skipped.
-        lo_x, hi_x, lo_y, hi_y = px.min(), px.max(), py.min(), py.max()
         code = np.full(len(points), len(self.regions))
         undecided = np.arange(len(points))
         for r, region in enumerate(self.regions):
             x0, y0, x1, y1 = region.cut
-            if hi_y < y0 or lo_y >= y1 or hi_x < x0 or lo_x >= x1:
-                continue
             x, y = px[undecided], py[undecided]
             near = (y >= y0) & (y < y1) & (x >= x0) & (x < x1)
             candidates = undecided[near]
-            if len(candidates) == 0:
-                continue
             inside = points_in_polygon(points[candidates], region.polygon)
             code[candidates[inside]] = r
             near[near] = inside

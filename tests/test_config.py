@@ -257,7 +257,7 @@ def test_diagnostics_name_only_what_the_file_holds(tmp_path):
     assert validate_file(path) == [
         "[camera] max_range must be finite and positive",
         "[camera] range_step must be finite and positive",
-        "keyframe values must be finite",
+        "[timeline] keyframe values must be finite",
     ]
 
 
@@ -367,9 +367,11 @@ FLOAT_VALUES = st.one_of(
 INT_VALUES = st.one_of(
     st.sampled_from([-1, 0, 1, 1 << 14, (1 << 14) + 1, 1 << 64]), st.integers()
 )
+# A [timeline] keyframes case draws the first keyframe's pose (x, y, heading).
+KEYFRAMES = ("timeline", "keyframes")
 GATE_CASES = st.sampled_from(GATE_KEYS).flatmap(
     lambda key: st.tuples(st.just(key), INT_VALUES if key[1] in INT_KEYS else FLOAT_VALUES)
-)
+) | st.tuples(st.just(KEYFRAMES), st.tuples(FLOAT_VALUES, FLOAT_VALUES, FLOAT_VALUES))
 # The gate drives one parking and one road cycle, so both modes' demands
 # and the camera run. A run of an accepted file stays under these. The
 # costliest accepted values known, 0.025 m parking cells (step 9: 7.3M
@@ -399,10 +401,17 @@ _NAMED = re.compile(r"(\[[\w.]+\] |mode '\w+': type '\w+': )")
 @example((("run", "seed"), -1))
 @example((("run", "temporal_alpha"), 1.5))
 @example((("camera", "max_range"), 5e-324))
+@example((KEYFRAMES, (math.nan, 0.0, 0.0)))
+@example((KEYFRAMES, (0.0, 0.0, 1.1125369292536007e-308)))  # quotients overflow
 def test_accepted_files_run_in_bounded_time_and_memory(case):
     (section, name), value = case
+    if (section, name) == KEYFRAMES:
+        value = "0:" + ":".join(map(repr, value)) + " 15:30:0:0"
+    else:
+        value = repr(value)
     with tempfile.TemporaryDirectory() as tmp:
-        changes = {"timeline": GATE_TIMELINE, section: {name: repr(value)}}
+        changes = {"timeline": dict(GATE_TIMELINE)}
+        changes.setdefault(section, {})[name] = value
         path = _default_with(Path(tmp) / "gate.ini", changes)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -402,15 +402,16 @@ def test_semantic_builder_folds_only_cells_holding_two_labels(monkeypatch):
         ["road", "blocked", "marking"],
         [1.0, 1.0, 0.4],
     )
-    for (points, labels, confs), calls in ((single, []), (mixed, [(4, 1, 4)])):
+    # The single-label frame folds an empty stack: no row is combined.
+    for (points, labels, confs), stack in ((single, (4, 0, 4)), (mixed, (4, 1, 4))):
         stacks.clear()
         obs = SemanticObservation(points, labels, confs)
         got_counter, want_counter = ConflictCounter(), ConflictCounter()
         got = measurement_grid_semantic(obs, profile, GridConfig(), got_counter)
-        assert stacks == calls
+        assert stacks == [stack]
         want = semantic_sorted(obs, profile, GridConfig(), want_counter)
         assert_same_grid(got, want)
-        assert got_counter.cells == want_counter.cells == len(calls)
+        assert got_counter.cells == want_counter.cells == stack[1]
 
 
 # -- region labelling --------------------------------------------------------------

@@ -2,13 +2,12 @@
 
 import math
 import struct
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apgm import (
@@ -24,7 +23,14 @@ from apgm import (
     load_grid,
     save_grid,
 )
-from apgm.grid import MAX_STEP, OCCUPANCY_FRAME, global_cells_of, split_global_cells
+from apgm.grid import (
+    MAX_STEP,
+    OCCUPANCY_FRAME,
+    SEMANTIC_FRAME,
+    Patch,
+    global_cells_of,
+    split_global_cells,
+)
 from apgm.snapshot import MAGIC
 
 
@@ -134,16 +140,20 @@ def _lattice_points(draw):
             st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
             | st.floats(0.0, 1.0, exclude_max=True).map(lambda f, x=x: x + f * width)
         )
-        # Nesting is exact while x - datum is 0 or (x - datum) / edge is a
-        # normal float (see apgm.grid); within edge * 2^-1022 of a datum
-        # line it is not.
-        assume(x == d or abs((x - d) / edge) >= sys.float_info.min)
         point.append(x)
     return datum, edge, step, tuple(point)
 
 
+# One ulp either side of a datum line, where (p - datum) / edge underflows.
+_TINY = math.ulp(0.0)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_lattice_points())
+@example(((0.0, 0.0), 12.8, 7, (-_TINY, 1.0)))
+@example(((0.0, 0.0), 12.8, 0, (_TINY, -_TINY)))
+@example(((0.0, 0.0), 200.0, 10, (-_TINY, -_TINY)))
+@example(((0.0, 0.0), 0.05, 3, (1.0, _TINY)))
 def test_cell_index_of_bins_as_the_builders_and_nests_exactly(case):
     datum, edge, step, point = case
     grid = GridMap(GridConfig(datum=datum, edge_length=edge))
@@ -491,6 +501,43 @@ def test_snapshot_refuses_a_bad_type_table_edge_or_patch_list(snapshot, match):
     assert _load_bytes(_raw_snapshot(patches=[(0, 0)])).layer_at((0, 0), "occupancy")
     with pytest.raises(SnapshotError, match=match):
         _load_bytes(_raw_snapshot(**snapshot))
+
+
+def test_snapshot_refuses_a_patch_listed_twice_without_layers():
+    head = _raw_snapshot()[:-4]  # without the patch count
+    entry = _raw_snapshot(patches=[(0, 0)])[len(head) + 4 :]
+    empty = struct.pack("<qqI", 0, 0, 0)
+    with pytest.raises(SnapshotError, match="patch \\(0, 0\\) stored twice"):
+        _load_bytes(head + struct.pack("<I", 3) + empty + empty + entry)
+
+
+def test_snapshot_round_trips_an_empty_patch():
+    grid = _small_grid([(0, 0, "occupancy", 1, 0)])
+    grid.patches[(2, -1)] = Patch((2, -1))
+    data = _snapshot_bytes(grid)
+    loaded = _load_bytes(data)
+    assert set(loaded.patches) == {(0, 0), (2, -1)}
+    assert loaded.patches[(2, -1)].layers == {}
+    assert _snapshot_bytes(loaded) == data
+
+
+@pytest.mark.parametrize(
+    "layer, match",
+    [
+        (Layer("lidar", OCCUPANCY_FRAME, 1), "type the map's table does not list"),
+        (Layer("occupancy", SEMANTIC_FRAME, 1), "not the table's"),
+    ],
+    ids=["unknown_type", "foreign_frame"],
+)
+def test_a_map_holds_only_layers_its_type_table_describes(tmp_path, layer, match):
+    grid = _small_grid([(1, 0, "semantic", 1, 0)])
+    grid.set_layer((0, 0), layer)
+    with pytest.raises(InvariantError, match=match):
+        grid.check()
+    path = tmp_path / "map.apgm"
+    with pytest.raises(SnapshotError, match=match):
+        save_grid(grid, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

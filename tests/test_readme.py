@@ -4,8 +4,10 @@ import argparse
 import configparser
 import functools
 import importlib
+import inspect
 import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import apgm
@@ -83,6 +85,25 @@ def test_fast_path_table_names_live_code():
         module, *attrs = re.match(r"\| `([\w.]+)`", row).group(1).split(".")
         assert attrs, row
         functools.reduce(getattr, attrs, importlib.import_module(f"apgm.{module}"))
+
+
+def test_fast_path_tool_matches_the_source_and_the_table(monkeypatch):
+    # Each branch the replay tool removes occurs once in the source of its
+    # function, and the table's `--path` column lists exactly the tool's
+    # paths, so an edit to a listed branch fails here, not in the tool.
+    monkeypatch.syspath_prepend(str(README.with_name("tools")))
+    tool = importlib.import_module("time_fast_paths")
+    for path in tool.PATHS:
+        source = textwrap.dedent(inspect.getsource(getattr(path.owner, path.attr)))
+        assert source.count(path.old) == 1, path.name
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Fast paths\n", 1)[1].split("\n## ", 1)[0]
+    listed = [
+        re.fullmatch(r" `([\w-]+)` ", row.split("|")[2]).group(1)
+        for row in table.splitlines()
+        if row.startswith("| `")
+    ]
+    assert listed == [path.name for path in tool.PATHS]
 
 
 def test_readme_names_live_code():

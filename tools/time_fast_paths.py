@@ -14,6 +14,13 @@ process, call by call in turn, over several rounds:
 Per path and workload it prints the median over the rounds of the process
 CPU ms per call with and without the branch, and in how many rounds the
 branch was the faster side. Run it from the repository root.
+
+A replay locates a cost and checks bits; it does not decide whether a
+branch stays. It runs one layer's captured calls back to back, so it misses
+what the rest of the cycle does to the caches and the heap: folding each
+``fuse_grids`` call once, without the 8,192-row flush, replays 5-10 %
+faster, yet it slows the ``switching`` cycle by about 10 %. Alternating
+perfbench pairs with and without the branch decide (README, Fast paths).
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import numpy as np
 
 from apgm import fusion, kernels, requirements, resample, run_scenario, scenario, sensors
 from apgm.evidence import ConflictCounter
-from apgm.world import WorldModel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -127,36 +133,11 @@ PATHS = [
         "resample_layer",
     ),
     FastPath(
-        "region-box-skip",
-        WorldModel,
-        "label_points",
-        "        if hi_y < y0 or lo_y >= y1 or hi_x < x0 or lo_x >= x1:\n"
-        "            continue\n",
-        "",
-        "label_points",
-    ),
-    FastPath(
-        "no-candidates-skip",
-        WorldModel,
-        "label_points",
-        "        if len(candidates) == 0:\n            continue\n",
-        "",
-        "label_points",
-    ),
-    FastPath(
         "multi-label-fold",
         sensors,
         "measurement_grid_semantic",
         "mixed = np.flatnonzero(np.count_nonzero(label_mass, axis=1) > 1)",
         "mixed = np.arange(len(label_mass))",
-        "measurement_grid_semantic",
-    ),
-    FastPath(
-        "no-mixed-skip",
-        sensors,
-        "measurement_grid_semantic",
-        "if len(mixed):",
-        "if True:",
         "measurement_grid_semantic",
     ),
 ]
@@ -189,11 +170,6 @@ LAYERS = {
         [(fusion, "resample_layer"), (requirements, "resample_layer")],
         lambda a: (copy.deepcopy(a[0]), a[1]) if a[0].step != a[1] else None,
         lambda a: resample.resample_layer(*a),
-    ),
-    "label_points": (
-        [(WorldModel, "label_points")],
-        lambda a: (a[0], np.array(a[1], copy=True)),
-        lambda a: a[0].label_points(a[1]),
     ),
     "measurement_grid_semantic": (
         [(scenario, "measurement_grid_semantic")],
