@@ -68,8 +68,7 @@ class _Reader:
     def fields(self, section, d, keys, where=None, **values):
         """Dataclass ``d`` with each field in ``keys`` read from the key of
         the same name, cast like its default, and with ``values`` set;
-        problems are labelled ``where``, by default the section (see
-        :meth:`replace`)."""
+        problems are labelled ``where``, by default the section."""
         for key in keys:
             default = getattr(d, key)
             values[key] = self.get(section, key, type(default), default)
@@ -77,13 +76,11 @@ class _Reader:
 
     def replace(self, where, d, **values):
         """``d`` with ``values`` set, or ``d`` and its problems, each
-        prefixed with ``where`` (a string, or a function of the problem),
-        if it refuses them."""
+        prefixed with ``where``, if it refuses them."""
         try:
             return dataclasses.replace(d, **values)
         except ConfigError as exc:
-            label = where if callable(where) else lambda _: where
-            self.problems += [f"{label(p)}{p}" for p in exc.problems]
+            self.problems += [f"{where}{p}" for p in exc.problems]
             return d
 
 
@@ -94,12 +91,6 @@ def _as_bool(raw: str) -> bool:
     if value in {"0", "false", "no", "off"}:
         return False
     raise ValueError(raw)
-
-
-def _script_section(problem: str) -> str:
-    """The label of a :class:`ScenarioScript` problem: ``[run]`` holds the
-    cycle and the duration, ``[timeline]`` the keyframes and modes."""
-    return "[run] " if problem.startswith(("cycle_s", "duration_s")) else "[timeline] "
 
 
 def _parse_items(raw: str, casts, form: str, problems: list[str]) -> list[tuple]:
@@ -201,7 +192,7 @@ def load_scenario(path) -> tuple[ScenarioScript, WorldModel, ScenarioConfig]:
         "run",
         default_script(),
         ("duration_s", "cycle_s"),
-        where=_script_section,
+        where="",  # ScenarioScript labels its problems [run] or [timeline]
         **timeline,
     )
     config = reader.fields(

@@ -230,33 +230,27 @@ class GridMap:
 
     # -- invariants -------------------------------------------------------
 
-    def check_types(self) -> None:
-        """Raise :class:`InvariantError` unless every layer's type is in the
-        map's type table and its frame is the table's frame for that type."""
-        for index, layer in self.iter_layers():
-            frame = self.config.types.get(layer.type_name)
-            if frame is None:
-                raise InvariantError(
-                    f"{layer.type_name} layer at {index} has a type the map's "
-                    f"table does not list ({sorted(self.config.types)})"
-                )
-            if layer.frame != frame:
-                raise InvariantError(
-                    f"{layer.type_name} layer at {index} is over frame "
-                    f"{layer.frame.hypotheses}, not the table's {frame.hypotheses}"
-                )
-
     def check(self) -> None:
         """Raise :class:`InvariantError` unless every layer is well formed.
 
-        Each layer passes :meth:`check_types`, its step lies in
-        [0, ``MAX_STEP``], its masses have shape (2^step, 2^step,
-        len(frame)), are finite and in [0, 1], and each cell's singleton
-        masses sum to at most 1 + 1e-5.
+        Each layer's type is in the map's type table and its frame is the
+        table's frame for that type, its step lies in [0, ``MAX_STEP``], its
+        masses have shape (2^step, 2^step, len(frame)), are finite and in
+        [0, 1], and each cell's singleton masses sum to at most 1 + 1e-5.
         """
-        self.check_types()
         for index, layer in self.iter_layers():
             where = f"{layer.type_name} layer at {index}"
+            frame = self.config.types.get(layer.type_name)
+            if frame is None:
+                raise InvariantError(
+                    f"{where} has a type the map's table does not list "
+                    f"({sorted(self.config.types)})"
+                )
+            if layer.frame != frame:
+                raise InvariantError(
+                    f"{where} is over frame {layer.frame.hypotheses}, "
+                    f"not the table's {frame.hypotheses}"
+                )
             if not 0 <= layer.step <= MAX_STEP:
                 raise InvariantError(f"{where} has step {layer.step} outside [0, {MAX_STEP}]")
             m = 1 << layer.step
@@ -317,10 +311,7 @@ def cell_units(xs, ys, datum, width: float) -> tuple[np.ndarray, np.ndarray]:
     for p, d in zip((xs, ys), datum):
         offset = np.asarray(p, dtype=np.float64) - d
         u = offset / width
-        zero = u == 0.0
-        if zero.any():  # rare; keeps the common case to one extra pass
-            u = np.where(zero & (offset < 0.0), -math.ulp(0.0), u)
-        units.append(u)
+        units.append(np.where((u == 0.0) & (offset < 0.0), -math.ulp(0.0), u))
     return units[0], units[1]
 
 

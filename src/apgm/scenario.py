@@ -252,7 +252,11 @@ def simulate_camera(
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """Pose keyframes plus a mode step function covering the whole run."""
+    """Pose keyframes plus a mode step function covering the whole run.
+
+    Its problems name the config section that holds the field:
+    ``[timeline]`` the keyframes and modes, ``[run]`` the cycle and the
+    duration."""
 
     keyframes: tuple[tuple[float, float, float, float], ...]  # t, x, y, heading
     mode_times: tuple[tuple[float, str], ...]  # switch time, mode label
@@ -265,23 +269,23 @@ class ScenarioScript:
         problems = []
         times = [k[0] for k in self.keyframes]
         if not times:
-            problems.append("script has no keyframes")
+            problems.append("[timeline] script has no keyframes")
         elif not all(math.isfinite(v) for k in self.keyframes for v in k):
-            problems.append("keyframe values must be finite")
+            problems.append("[timeline] keyframe values must be finite")
         elif any(b <= a for a, b in zip(times, times[1:])):
-            problems.append("keyframe times must be strictly increasing")
+            problems.append("[timeline] keyframe times must be strictly increasing")
         mtimes = [m[0] for m in self.mode_times]
         if not mtimes:
-            problems.append("script has no modes")
+            problems.append("[timeline] script has no modes")
         else:
             if not mtimes[0] <= 0.0:
-                problems.append("first mode must start at or before t=0")
+                problems.append("[timeline] first mode must start at or before t=0")
             if not all(a < b for a, b in zip(mtimes, mtimes[1:])):
-                problems.append("mode times must be strictly increasing, not NaN")
+                problems.append("[timeline] mode times must be strictly increasing, not NaN")
         if not 0.0 < self.cycle_s < math.inf:
-            problems.append("cycle_s must be finite and positive")
+            problems.append("[run] cycle_s must be finite and positive")
         elif not 0.0 <= self.duration_s / self.cycle_s < 2**53:  # exact float indices
-            problems.append("duration_s must be finite, >= 0 and < 2**53 cycles")
+            problems.append("[run] duration_s must be finite, >= 0 and < 2**53 cycles")
         if problems:
             raise ConfigError(*problems)
 

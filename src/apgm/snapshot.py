@@ -65,12 +65,11 @@ class _Reader:
 def save_grid(grid: GridMap, path) -> Path:
     """Write ``grid`` to ``path`` in the format above.
 
-    Raises :class:`SnapshotError`, before the file is opened, for a layer
-    whose type or frame is not its type table's
-    (:meth:`GridMap.check_types`)."""
+    Raises :class:`SnapshotError`, before the file is opened, for a map
+    that :meth:`GridMap.check` refuses, so a saved map always loads."""
     path = Path(path)
     try:
-        grid.check_types()
+        grid.check()
     except InvariantError as exc:
         raise SnapshotError(f"cannot save this map: {exc}") from None
     cfg = grid.config

@@ -459,11 +459,31 @@ def test_snapshot_trailing_bytes_raise():
         _load_bytes(bytes(data) + b"\x00")
 
 
+def _saved_then_changed(grid, index, type_name, cell, value, path):
+    """``grid`` saved to ``path``, and then one layer's masses at ``cell``
+    set to ``value`` both in the map and in the file's bytes. save_grid
+    refuses the changed map and leaves no file; the bytes show that
+    load_grid refuses such a file on its own."""
+    save_grid(grid, path)
+    masses = grid.layer_at(index, type_name).masses
+    good = masses.astype("<f4").tobytes()
+    masses[cell] = value
+    refused = path.with_name("refused.apgm")
+    with pytest.raises(SnapshotError, match="cannot save this map"):
+        save_grid(grid, refused)
+    assert not refused.exists()
+    data = path.read_bytes()
+    assert data.count(good) == 1
+    path.write_bytes(data.replace(good, masses.astype("<f4").tobytes()))
+    return path
+
+
 def test_snapshot_non_finite_mass_raises(tmp_path):
     for bad in (np.nan, np.inf):
         grid = _small_grid([(0, 0, "occupancy", 1, 0), (1, 0, "semantic", 2, 1)])
-        grid.layer_at((1, 0), "semantic").masses[3, 2, 1] = bad
-        path = save_grid(grid, tmp_path / "bad.apgm")
+        path = _saved_then_changed(
+            grid, (1, 0), "semantic", (3, 2, 1), bad, tmp_path / "bad.apgm"
+        )
         with pytest.raises(SnapshotError, match="NaN or inf mass"):
             load_grid(path)
 
@@ -550,8 +570,7 @@ def test_a_map_holds_only_layers_its_type_table_describes(tmp_path, layer, match
 )
 def test_snapshot_of_an_invalid_map_raises(tmp_path, cell, match):
     grid = _small_grid([(0, 0, "occupancy", 1, 0)])
-    grid.layer_at((0, 0), "occupancy").masses[1, 0] = cell
-    path = save_grid(grid, tmp_path / "bad.apgm")
+    path = _saved_then_changed(grid, (0, 0), "occupancy", (1, 0), cell, tmp_path / "bad.apgm")
     with pytest.raises(SnapshotError, match=match):
         load_grid(path)
 
