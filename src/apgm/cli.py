@@ -66,11 +66,13 @@ def _cmd_run(args) -> int:
         print(f"total-conflict fallbacks: {result.conflicts.cells} cells")
     print(summarize(result.records))
 
-    if args.dump_rasters:
+    if args.dump_rasters and result.records:
+        # Frame the last cycle: the pose and mode that shaped the final map.
+        last = result.records[-1]
         raster_dir = out / "rasters"
         raster_dir.mkdir(exist_ok=True)
-        pose = script.pose_at(script.duration_s)
-        mode = script.mode_at(script.duration_s)
+        pose = script.pose_at(last.time_s)
+        mode = last.mode
         for type_name in config.modes[mode].active_types():
             demand = config.modes[mode].demands[type_name]
             h = demand.horizon_m

@@ -276,7 +276,12 @@ def fuse_grids(
 
 
 def discount_grid(grid: GridMap, alpha: float) -> GridMap:
-    """Cell-wise reliability discount of a whole map (fresh value)."""
+    """Cell-wise reliability discount of a whole map (fresh value).
+
+    ``alpha`` must lie in [0, 1], as for :func:`~apgm.evidence.discount`.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"reliability factor must be in [0, 1], got {alpha}")
     scale = np.float32(alpha)
     out = GridMap(grid.config)
     for index, patch in grid.patches.items():
@@ -306,9 +311,10 @@ def temporal_update(
     is folded first, then the grids in their order. With ``alpha_age`` 0
     the history is fully vacuous and is dropped entirely, so the result
     equals the current measurement fusion. At least one grid must remain
-    to fold; the result is not culled.
+    to fold; the result is not culled. Any other ``alpha_age`` goes through
+    :func:`discount_grid`, which refuses one outside [0, 1].
     """
     grids = list(current)
-    if alpha_age > 0.0:
+    if alpha_age != 0.0:
         grids.insert(0, discount_grid(previous, alpha_age))
     return fuse_grids(grids, r_req, counter)  # perfbench reads arg 3

@@ -528,3 +528,16 @@ def test_discount_grid_scales_masses():
     np.testing.assert_array_equal(
         g.patches[(0, 0)].layers["occupancy"].masses, before
     )
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
+def test_aging_factor_outside_the_unit_interval_is_refused(alpha):
+    # As evidence.discount refuses it: 1.5 would give masses above 1, and
+    # -0.5 or NaN negative or NaN masses, or a silently dropped history.
+    config = GridConfig()
+    grid = small_grid(np.random.default_rng(15), config, [((0, 0), "occupancy", 3)])
+    refused = r"reliability factor must be in \[0, 1\]"
+    with pytest.raises(ValueError, match=refused):
+        discount_grid(grid, alpha)
+    with pytest.raises(ValueError, match=refused):
+        temporal_update(grid, [GridMap(config)], {"occupancy": 3}, alpha)

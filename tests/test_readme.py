@@ -4,10 +4,9 @@ import argparse
 import configparser
 import functools
 import importlib
-import inspect
+import json
 import pkgutil
 import re
-import textwrap
 from pathlib import Path
 
 import apgm
@@ -87,15 +86,19 @@ def test_fast_path_table_names_live_code():
         functools.reduce(getattr, attrs, importlib.import_module(f"apgm.{module}"))
 
 
-def test_fast_path_tool_matches_the_source_and_the_table(monkeypatch):
-    # Each branch the replay tool removes occurs once in the source of its
-    # function, and the table's `--path` column lists exactly the tool's
-    # paths, so an edit to a listed branch fails here, not in the tool.
+def _fast_path_tool(monkeypatch):
     monkeypatch.syspath_prepend(str(README.with_name("tools")))
-    tool = importlib.import_module("time_fast_paths")
+    return importlib.import_module("time_fast_paths")
+
+
+def test_fast_path_tool_matches_the_source_and_the_table(monkeypatch):
+    # Each branch the pairs driver removes occurs once in the file it
+    # edits, and the table's `--path` column lists exactly the tool's
+    # paths, so an edit to a listed branch fails here, not in the tool.
+    tool = _fast_path_tool(monkeypatch)
     for path in tool.PATHS:
-        source = textwrap.dedent(inspect.getsource(getattr(path.owner, path.attr)))
-        assert source.count(path.old) == 1, path.name
+        text = (README.parent / path.file).read_text(encoding="utf-8")
+        assert text.count(path.old) == 1, path.name
     text = README.read_text(encoding="utf-8")
     table = text.split("\n## Fast paths\n", 1)[1].split("\n## ", 1)[0]
     listed = [
@@ -104,6 +107,34 @@ def test_fast_path_tool_matches_the_source_and_the_table(monkeypatch):
         if row.startswith("| `")
     ]
     assert listed == [path.name for path in tool.PATHS]
+
+
+def test_fast_path_statistics_reproduce_the_recorded_pairs(monkeypatch):
+    # The driver's summary of a metric's runs gives every figure that
+    # BENCH_25.json's rows record from the same runs, the rule's verdict
+    # included.
+    tool = _fast_path_tool(monkeypatch)
+    bench = json.loads(README.with_name("BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    rows = json.loads(README.with_name("BENCH_25.json").read_text(encoding="utf-8"))["rows"]
+    keys = (
+        "parent_median",
+        "parent_quartiles",
+        "parent_iqr",
+        "median_change_pct",
+        "without_worse_pairs",
+        "resolved",
+    )
+    checked = 0
+    for row in rows.values():
+        for entry in row.get("workloads", {}).values():
+            for name, want in entry["metrics"].items():
+                got = tool.compare(want["parent"], want["without"], better[name])
+                for key in keys:
+                    if key in want:
+                        assert got[key] == want[key], (name, key)
+                checked += 1
+    assert checked == 49
 
 
 def test_readme_names_live_code():

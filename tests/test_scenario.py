@@ -718,3 +718,27 @@ def test_cli_run_round_trip(tmp_path):
 
     loaded = load_grid(out / "final.apgm")
     assert loaded.cell_count() > 0
+
+
+def test_cli_rasters_frame_the_last_cycle(tmp_path):
+    # The run stops where `road` would start, so its last cycle (0.4 s) ran
+    # `parking`: one occupancy raster of +-20 m at 0.1 m, no semantic one.
+    text = (
+        "[run]\nduration_s = 0.5\ncycle_s = 0.1\nseed = 3\ntiming = false\n"
+        "[lidar.front]\nbeams = 180\n[lidar.rear]\nbeams = 180\n"
+        "[mode.parking]\noccupancy_horizon_m = 20\noccupancy_cell_size_m = 0.1\n"
+        "[mode.road]\noccupancy_horizon_m = 100\noccupancy_cell_size_m = 0.2\n"
+        "semantic_active = true\nsemantic_horizon_m = 40\nsemantic_cell_size_m = 0.2\n"
+        "[timeline]\nkeyframes = 0:0:0:0 1:2:0:0\nmodes = 0:parking 0.5:road\n"
+    )
+    cfg = tmp_path / "switch.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--dump-rasters"]) == 0
+    assert [p.name for p in (out / "rasters").iterdir()] == ["occupancy.pgm"]
+    assert (out / "rasters" / "occupancy.pgm").read_bytes().startswith(b"P5\n400 400\n")
+    # A run without cycles has no last cycle to frame.
+    cfg.write_text(text.replace("duration_s = 0.5", "duration_s = 0"))
+    empty = tmp_path / "empty"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(empty), "--dump-rasters"]) == 0
+    assert not (empty / "rasters").exists()

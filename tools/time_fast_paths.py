@@ -1,88 +1,66 @@
-"""Time each fast path of the scenario cycle against its general path.
+"""Pair end-to-end perfbench runs with and without fast paths.
 
-A fast path is a branch whose general path returns the same bits. For each
-one listed in README's fast-path table this script captures the inputs of
-the layer that takes the branch over one episode of each perfbench
-workload, builds that layer a second time with the branch removed (by
-editing its source text in memory; no file changes), checks that both
-builds return the same bits on every captured call and times them in one
-process, call by call in turn, over several rounds:
+A fast path is a branch whose general path returns the same bits. README's
+Fast paths rule keeps one only where alternating end-to-end pairs with and
+without it resolve, and this script runs those pairs. It copies the
+checkout's ``src/``, ``perfbench/``, ``tests/`` and ``pyproject.toml``
+twice into a temporary directory and, in one copy, replaces the text of
+each given branch with its general path. That copy must pass
+``tests/test_golden.py`` before any run is timed, so an edit that changes
+an output bit stops the script. Then, for ``--pairs`` consecutive seeds
+from ``--seed``, it runs ``BENCHMARK.json``'s command once in each copy,
+one run at a time; the copy with the branches goes first on even pairs:
 
-    PYTHONPATH=src python3 tools/time_fast_paths.py [--seed 7] [--rounds 10]
-        [--workload parking] [--path kernels.traverse_rays]
+    python3 tools/time_fast_paths.py --workload parking --path ray-prefilter
+        [--path segment-cull ...] [--pairs 5] [--seed 7]
 
-Per path and workload it prints the median over the rounds of the process
-CPU ms per call with and without the branch, and in how many rounds the
-branch was the faster side. Run it from the repository root.
-
-A replay locates a cost and checks bits; it does not decide whether a
-branch stays. It runs one layer's captured calls back to back, so it misses
-what the rest of the cycle does to the caches and the heap: folding each
-``fuse_grids`` call once, without the 8,192-row flush, replays 5-10 %
-faster, yet it slows the ``switching`` cycle by about 10 %. Alternating
-perfbench pairs with and without the branch decide (README, Fast paths).
+The ``--path``s given are removed together, as a change that deletes
+several branches is paired. For each end-to-end metric the script prints
+both sides' runs, their medians and numpy linear quartiles, the parent's
+IQR (the distance between its quartiles), the change of the median and
+the pairs in which the side without the branches was worse, then the
+rule's verdict on ``cycle_ms_p50`` and ``cycle_ms_tail``. The last line is
+one JSON object in the layout of a ``BENCH_25.json``
+``rows[*].workloads[*]`` entry. Any run that fails, is not correct or
+reports failed cycles stops the script with that run's stderr.
 """
 
 from __future__ import annotations
 
-import __future__
 import argparse
-import copy
-import inspect
-import statistics
+import json
+import os
+import shutil
+import subprocess
 import sys
-import textwrap
-import time
-from contextlib import contextmanager, nullcontext
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from apgm import fusion, kernels, requirements, resample, run_scenario, scenario, sensors
-from apgm.evidence import ConflictCounter
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "perfbench", "tests", "pyproject.toml")
+# The rule reads the cycle times. perfbench's peak_rss_mb is listed but not
+# counted: a run keeps every episode's final map, so it grows with the
+# episodes a side fits into the run (ROADMAP item 3).
+TIMES = ("cycle_ms_p50", "cycle_ms_tail")
+UNCOUNTED = ("peak_rss_mb",)
+WORSE_SHARE = 0.8
 
 
 @dataclass(frozen=True)
 class FastPath:
     name: str  # as README's fast-path table gives it
-    owner: object  # module or class holding the function to rebuild
-    attr: str
-    old: str  # source text of the branch
+    file: str  # relative to the checkout root
+    old: str  # text of the branch; occurs once in the file
     new: str  # its replacement in the general path
-    layer: str  # captured layer the timing replays
-
-
-def _rebuild(owner, attr: str, old: str, new: str):
-    """``owner.attr`` compiled again with ``old`` replaced by ``new``."""
-    fn = getattr(owner, attr)
-    source = textwrap.dedent(inspect.getsource(fn))
-    if source.count(old) != 1:
-        raise SystemExit(f"{attr}: the branch text is not in its source once")
-    namespace = dict(fn.__globals__)
-    flags = __future__.annotations.compiler_flag
-    exec(compile(source.replace(old, new), inspect.getfile(fn), "exec", flags), namespace)
-    return namespace[attr]
-
-
-@contextmanager
-def _bound(owner, attr: str, fn):
-    saved = owner.__dict__[attr]
-    setattr(owner, attr, fn)
-    try:
-        yield
-    finally:
-        setattr(owner, attr, saved)
 
 
 PATHS = [
     FastPath(
         "ray-prefilter",
-        kernels,
-        "traverse_rays",
+        "src/apgm/kernels.py",
         "        ratio = np.where(n_M < _CLEAR_CELLS, ad_M / ad_m, np.nan)\n"
         "        x = np.repeat(q_m, n_m) + k\n"
         "        x *= np.repeat(ratio, n_m)\n"
@@ -95,183 +73,191 @@ PATHS = [
         "        c += 1\n",
         "        c = np.zeros(len(k), dtype=np.int64)\n"
         "        clear = np.zeros(len(k), dtype=bool)\n",
-        "traverse_rays",
     ),
     FastPath(
         "segment-cull",
-        scenario,
-        "simulate_lidar",
+        "src/apgm/scenario.py",
         "keep = _segments_in_range(rel, vec, config.max_range)",
         "keep = np.ones(len(rel), dtype=bool)",
-        "simulate_lidar",
     ),
     FastPath(
         "single-input-copy",
-        fusion,
-        "_or_layers",
+        "src/apgm/fusion.py",
         "    if len(resampled) == 1:\n"
         "        return Layer(\n"
         "            first.type_name, first.frame, r_fused, resampled[0].masses.copy()\n"
         "        )\n",
         "",
-        "fuse_grids",
     ),
     FastPath(
         "fold-flush",
-        fusion._HeldRowFold,
-        "add",
+        "src/apgm/fusion.py",
         "if n >= FOLD_SLICE:",
         "if False:",
-        "fuse_grids",
     ),
     FastPath(
         "strided-2x2-merge",
-        resample,
-        "resample_layer",
+        "src/apgm/resample.py",
         'elif delta == -1 and layer.type_name == "occupancy":',
         "elif False:",
-        "resample_layer",
     ),
     FastPath(
         "multi-label-fold",
-        sensors,
-        "measurement_grid_semantic",
+        "src/apgm/sensors.py",
         "mixed = np.flatnonzero(np.count_nonzero(label_mass, axis=1) > 1)",
         "mixed = np.arange(len(label_mass))",
-        "measurement_grid_semantic",
     ),
 ]
 
 
-# -- capture ---------------------------------------------------------------------
-
-# Layer name: (the bindings its callers call it through, the arguments a
-# call keeps, or None to skip it, and a replay of a kept call). A replay
-# gets fresh copies of what the call consumes.
-LAYERS = {
-    "traverse_rays": (
-        [(sensors, "traverse_rays")],
-        lambda a: a,
-        lambda a: kernels.traverse_rays(*a),
-    ),
-    "simulate_lidar": (
-        [(scenario, "simulate_lidar")],
-        lambda a: (a[0], a[1], a[2], copy.deepcopy(a[3])),
-        lambda a: scenario.simulate_lidar(a[0], a[1], a[2], copy.deepcopy(a[3])),
-    ),
-    "fuse_grids": (
-        [(fusion, "fuse_grids")],
-        lambda a: a[:2],
-        lambda a: fusion.fuse_grids(a[0], a[1], ConflictCounter()),
-    ),
-    "resample_layer": (
-        # Fusion merges the aged map's layers at a switch to a coarser
-        # step; apply_requirements resamples the rest.
-        [(fusion, "resample_layer"), (requirements, "resample_layer")],
-        lambda a: (copy.deepcopy(a[0]), a[1]) if a[0].step != a[1] else None,
-        lambda a: resample.resample_layer(*a),
-    ),
-    "measurement_grid_semantic": (
-        [(scenario, "measurement_grid_semantic")],
-        lambda a: a[:3],
-        lambda a: sensors.measurement_grid_semantic(*a, ConflictCounter()),
-    ),
-}
+def compare(parent, without, better: str) -> dict:
+    """One metric's runs on both sides, summarised as README's rule reads
+    them: a side is worse in a pair when its run is worse in the metric's
+    ``better`` direction, and the metric resolves when the side without the
+    branches is worse in at least 80 % of the pairs and its median differs
+    from the parent's by more than the parent's IQR."""
+    p, w = np.asarray(parent, dtype=float), np.asarray(without, dtype=float)
+    worse = int(np.count_nonzero(w > p if better == "lower" else w < p))
+    p_median, w_median = float(np.median(p)), float(np.median(w))
+    p_q, w_q = np.percentile(p, [25, 75]), np.percentile(w, [25, 75])
+    iqr = float(p_q[1] - p_q[0])
+    return {
+        "parent": p.tolist(),
+        "without": w.tolist(),
+        "parent_median": p_median,
+        "without_median": w_median,
+        "parent_quartiles": p_q.tolist(),
+        "without_quartiles": w_q.tolist(),
+        "median_change_pct": 100 * (w_median - p_median) / p_median,
+        "without_worse_pairs": f"{worse}/{len(p)}",
+        "parent_iqr": iqr,
+        "resolved": worse >= WORSE_SHARE * len(p) and abs(w_median - p_median) > iqr,
+    }
 
 
-def capture(workload, seed: int) -> dict[str, list]:
-    """Every call's arguments, per layer, over one episode."""
-    calls = {name: [] for name in LAYERS}
-    saved = []
-    for name, (bindings, keep, _) in LAYERS.items():
-        for owner, attr in bindings:
-            fn = owner.__dict__[attr]
-
-            def recording(*args, _fn=fn, _calls=calls[name], _keep=keep):
-                kept = _keep(args)
-                if kept is not None:
-                    _calls.append(kept)
-                return _fn(*args)
-
-            saved.append((owner, attr, fn))
-            setattr(owner, attr, recording)
-    try:
-        run_scenario(*workload.scenario(seed))
-    finally:
-        for owner, attr, fn in saved:
-            setattr(owner, attr, fn)
-    return calls
+def remove(paths: list[FastPath], copy: Path) -> None:
+    """Write each path's general form over its branch in ``copy``."""
+    for path in paths:
+        file = copy / path.file
+        text = file.read_text(encoding="utf-8")
+        if text.count(path.old) != 1:
+            sys.exit(f"{path.name}: the branch text does not occur once in {path.file}")
+        file.write_text(text.replace(path.old, path.new), encoding="utf-8")
 
 
-# -- replay ----------------------------------------------------------------------
+def _run(command: list[str], copy: Path, env: dict) -> dict:
+    """The last stdout line of one perfbench run in ``copy``."""
+    done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+    result = json.loads(done.stdout.splitlines()[-1]) if done.returncode == 0 else None
+    if result is None or not result["correct"] or result["failed"]:
+        sys.exit(f"{copy.name}: {' '.join(command)} failed\n{done.stderr}")
+    return result
 
 
-def _bits(value):
-    """A comparable form of any layer's result, float bits included."""
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    if isinstance(value, (tuple, list)):
-        return tuple(_bits(v) for v in value)
-    if hasattr(value, "patches"):  # GridMap
-        return tuple(
-            (index, name, layer.step, _bits(layer.masses))
-            for index, patch in sorted(value.patches.items())
-            for name, layer in sorted(patch.layers.items())
-        )
-    if hasattr(value, "points"):  # PointCloud
-        return (_bits(value.origin), _bits(value.points))
-    if hasattr(value, "masses"):  # Layer
-        return (value.type_name, value.step, _bits(value.masses))
-    return value
-
-
-def measure(path: FastPath, calls, rounds: int):
-    """(ms per call with the branch, without it, rounds the branch won)."""
-    call = LAYERS[path.layer][2]
-    general = _rebuild(path.owner, path.attr, path.old, path.new)
-    with _bound(path.owner, path.attr, general):
-        without = [_bits(call(a)) for a in calls]
-    if without != [_bits(call(a)) for a in calls]:
-        raise SystemExit(f"{path.name}: the general path returns other bits")
-    # Sides alternate call by call, each going first on every other call,
-    # so the machine's drift and a warm cache favour neither.
-    times = {True: [], False: []}
-    for r in range(rounds):
-        spent = {True: 0.0, False: 0.0}
-        for i, args in enumerate(calls):
-            for fast in (True, False) if (r + i) % 2 == 0 else (False, True):
-                with nullcontext() if fast else _bound(path.owner, path.attr, general):
-                    t0 = time.process_time()
-                    call(args)
-                    spent[fast] += time.process_time() - t0
-        for fast, t in spent.items():
-            times[fast].append(t)
-    wins = sum(a < b for a, b in zip(times[True], times[False]))
-    per_call = [1e3 * statistics.median(times[f]) / len(calls) for f in (True, False)]
-    return per_call[0], per_call[1], wins
+def _numbers(values) -> str:
+    return " ".join(f"{v:.6g}" for v in values)
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in bench["workloads"]]
+    )
+    parser.add_argument(
+        "--path", required=True, action="append", choices=[p.name for p in PATHS]
+    )
+    parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append")
-    parser.add_argument("--path", choices=[p.name for p in PATHS], action="append")
     args = parser.parse_args(argv)
-    paths = [p for p in PATHS if args.path is None or p.name in args.path]
-    print("path | workload | calls | ms/call with | without | rounds won")
-    for name in args.workload or list(WORKLOADS):
-        calls = capture(WORKLOADS[name], args.seed)
-        for path in paths:
-            if not calls[path.layer]:
-                continue
-            fast, slow, wins = measure(path, calls[path.layer], args.rounds)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    runs = {"parent": [], "without": []}
+    first_side = []
+    with tempfile.TemporaryDirectory() as scratch:
+        copies = {side: Path(scratch, side) for side in runs}
+        for copy in copies.values():
+            for name in COPIED:
+                if (ROOT / name).is_dir():
+                    shutil.copytree(
+                        ROOT / name,
+                        copy / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"),
+                    )
+                else:
+                    shutil.copy2(ROOT / name, copy / name)
+        remove([p for p in PATHS if p.name in args.path], copies["without"])
+        # The benchmark command's interpreter runs the golden drives too.
+        done = subprocess.run(
+            [bench["command"][0], "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_golden.py"],
+            cwd=copies["without"], env=env, capture_output=True, text=True,
+        )
+        if done.returncode:
+            sys.exit(f"without {', '.join(args.path)} the golden drives differ\n{done.stdout}")
+        print(f"without {', '.join(args.path)}: tests/test_golden.py passed", flush=True)
+        for i, seed in enumerate(seeds):
+            order = ("parent", "without") if i % 2 == 0 else ("without", "parent")
+            first_side.append(order[0])
+            command = [
+                *bench["command"], "--workload", args.workload, "--seed", str(seed),
+                "--seconds", str(bench["run_seconds"]), "--trace", "0",
+            ]
+            for side in order:
+                runs[side].append(_run(command, copies[side], env))
+            p50 = {side: runs[side][-1]["metrics"]["cycle_ms_p50"]["value"] for side in runs}
             print(
-                f"{path.name} | {name} | {len(calls[path.layer])} | {fast:.3f} | "
-                f"{slow:.3f} | {wins}/{args.rounds}",
+                f"pair {i + 1}/{args.pairs} seed {seed}, {order[0]} first: cycle_ms_p50 "
+                f"{p50['parent']:.6g} with, {p50['without']:.6g} without",
                 flush=True,
             )
-        del calls
+
+    metrics = {}
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        stats = compare(
+            [r["metrics"][name]["value"] for r in runs["parent"]],
+            [r["metrics"][name]["value"] for r in runs["without"]],
+            metric["better"],
+        )
+        resolved = stats.pop("resolved")
+        if name in TIMES:
+            stats["resolved"] = resolved
+        if name in UNCOUNTED:
+            stats["counted"] = False
+        metrics[name] = {"unit": metric["unit"], **stats}
+        print(
+            f"{name} ({metric['unit']}, {metric['better']} is better)\n"
+            f"  with    {_numbers(stats['parent'])}: median {stats['parent_median']:.6g}, "
+            f"quartiles {_numbers(stats['parent_quartiles'])}, IQR {stats['parent_iqr']:.3g}\n"
+            f"  without {_numbers(stats['without'])}: median {stats['without_median']:.6g}, "
+            f"quartiles {_numbers(stats['without_quartiles'])}\n"
+            f"  median change {stats['median_change_pct']:+.2f} %, without worse in "
+            f"{stats['without_worse_pairs']} pairs"
+            + (f", resolved: {resolved}" if name in TIMES else "")
+            + (", not counted" if name in UNCOUNTED else "")
+        )
+    resolved_by = [name for name in TIMES if metrics[name]["resolved"]]
+    print(
+        f"verdict on {', '.join(TIMES)}: "
+        + (f"the branches stay (resolved by {', '.join(resolved_by)})" if resolved_by
+           else "not resolved; the branches go unless peak RSS at equal work resolves")
+    )
+    print(
+        json.dumps(
+            {
+                "seeds": seeds,
+                "first_side": first_side,
+                "attempted_cycles": {s: [r["attempted"] for r in runs[s]] for s in runs},
+                "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+                "correct": True,
+                "metrics": metrics,
+                "resolved_by": resolved_by,
+            }
+        )
+    )
     return 0
 
 
