@@ -44,7 +44,6 @@ from .fusion import (
     fuse_grids,
     fuse_layers,
     fuse_patches,
-    temporal_update,
 )
 from .grid import (
     FREE,
@@ -79,6 +78,7 @@ from .scenario import (
     ScenarioConfig,
     ScenarioScript,
     default_scenario,
+    map_step,
     run_scenario,
     simulate_camera,
     simulate_lidar,

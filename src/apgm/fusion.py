@@ -19,11 +19,12 @@ folded together by :func:`~apgm.kernels.fold_masses`, in slices of at
 most ``kernels.FOLD_SLICE`` rows; the rule treats each cell on its own,
 so the result does not depend on which cells share a slice. A cell in
 total conflict is reset to vacuous and counted; there is no other policy.
-:func:`temporal_update` folds the aged previous map and the cycle's grids
-in one grid fusion; the scenario runner fuses through it.
+:func:`discount_grid` ages a map in place; the scenario's map step ages
+the live map with it and then folds it with the cycle's grids in one grid
+fusion.
 
-Concurrency contract: all inputs are read-only; the fused grid is a fresh
-value. One call's fold writes rows of many output patches, so a driver
+Concurrency contract: fusion reads its inputs only; the fused grid is a
+fresh value. One call's fold writes rows of many output patches, so a driver
 that fuses in parallel splits the inputs into separate calls (by patch
 index, say) and gives each call its own counter.
 """
@@ -275,46 +276,15 @@ def fuse_grids(
     return out
 
 
-def discount_grid(grid: GridMap, alpha: float) -> GridMap:
-    """Cell-wise reliability discount of a whole map (fresh value).
+def discount_grid(grid: GridMap, alpha: float) -> None:
+    """Cell-wise reliability discount of a whole map, in place.
 
-    ``alpha`` must lie in [0, 1], as for :func:`~apgm.evidence.discount`.
+    Each layer's masses are scaled by ``np.float32(alpha)``, the bits of
+    ``masses * np.float32(alpha)``. ``alpha`` must lie in [0, 1], as for
+    :func:`~apgm.evidence.discount`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"reliability factor must be in [0, 1], got {alpha}")
     scale = np.float32(alpha)
-    out = GridMap(grid.config)
-    for index, patch in grid.patches.items():
-        fresh = Patch(index)
-        for type_name, layer in patch.layers.items():
-            fresh.layers[type_name] = Layer(
-                layer.type_name,
-                layer.frame,
-                layer.step,
-                layer.masses * scale,
-            )
-        out.patches[index] = fresh
-    return out
-
-
-def temporal_update(
-    previous: GridMap,
-    current,
-    r_req: dict[str, int],
-    alpha_age: float,
-    counter: ConflictCounter | None = None,
-) -> GridMap:
-    """Age the previous map and fuse in the cycle's grids.
-
-    ``current`` lists the cycle's measurement grids. The previous map,
-    discounted by ``alpha_age`` (the runner passes its ``temporal_alpha``),
-    is folded first, then the grids in their order. With ``alpha_age`` 0
-    the history is fully vacuous and is dropped entirely, so the result
-    equals the current measurement fusion. At least one grid must remain
-    to fold; the result is not culled. Any other ``alpha_age`` goes through
-    :func:`discount_grid`, which refuses one outside [0, 1].
-    """
-    grids = list(current)
-    if alpha_age != 0.0:
-        grids.insert(0, discount_grid(previous, alpha_age))
-    return fuse_grids(grids, r_req, counter)  # perfbench reads arg 3
+    for _, layer in grid.iter_layers():
+        np.multiply(layer.masses, scale, out=layer.masses)

@@ -94,17 +94,23 @@ class Layer:
     ``masses`` has shape (m, m, k) with m = 2^r and k = len(frame); the
     first axis is the x cell index, the second the y cell index. Cells
     store singleton masses as float32; the frame mass is the remainder.
-    Masses of another shape raise :class:`InputShapeError`.
+    A step that is not an int in [0, ``MAX_STEP``], or masses of another
+    shape, raise :class:`InputShapeError`. Read-only masses are copied, so
+    the layer can be aged in place.
     """
 
     __slots__ = ("type_name", "frame", "step", "masses")
 
     def __init__(self, type_name: str, frame: Frame, step: int, masses=None):
+        if not (isinstance(step, (int, np.integer)) and 0 <= step <= MAX_STEP):
+            raise InputShapeError(f"step {step!r} outside [0, {MAX_STEP}] or not an int")
         m = 1 << step
         if masses is None:
             masses = np.zeros((m, m, len(frame)), dtype=np.float32)
         else:
             masses = np.asarray(masses, dtype=np.float32)
+            if not masses.flags.writeable:
+                masses = masses.copy()
             if masses.shape != (m, m, len(frame)):
                 raise InputShapeError(
                     f"mass array shape {masses.shape} does not match "
@@ -193,8 +199,6 @@ class GridMap:
         An existing layer's step is never changed implicitly; request a
         resample instead (raises :class:`ResolutionConflictError`).
         """
-        if not 0 <= step <= MAX_STEP:
-            raise ValueError(f"step {step} outside [0, {MAX_STEP}]")
         frame = self.config.frame_of(type_name)
         layer = self.layer_at(index, type_name)
         if layer is None:

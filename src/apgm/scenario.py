@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, require
+from .errors import ConfigError, InputShapeError, require
 from .evidence import ConflictCounter
-from .fusion import temporal_update
+from .fusion import discount_grid, fuse_grids
 from .grid import BYTES_PER_MASS, OCCUPANCY_FRAME, GridConfig, GridMap
 from .kernels import CELL_RANGE
 from .requirements import (
     STEP_TOL,
+    MutationReport,
     RequirementProfile,
     TypeRequirement,
     apply_requirements,
@@ -519,6 +520,49 @@ def uniform_reference_cells(
 # -- runner -------------------------------------------------------------------
 
 
+def map_step(
+    live: GridMap,
+    clouds,
+    observation: SemanticObservation | None,
+    profile: RequirementProfile,
+    config: ScenarioConfig,
+    counter: ConflictCounter | None = None,
+) -> tuple[GridMap, list[SourceStat], float, MutationReport]:
+    """One mapping cycle: build a grid per cloud (paired with
+    ``config.lidars`` by position) and, given ``observation``, a semantic
+    grid; age ``live`` in place by ``config.temporal_alpha`` (0 drops it);
+    fold it first and the sensor grids after it, each type capped at its
+    demanded step; realize ``profile``. Returns the new live map, each
+    sensor grid's cells and bytes, the fold's ms (0 without
+    ``config.measure_timing``) and the :class:`MutationReport`.
+    """
+    gc = config.grid
+    if len(clouds) != len(config.lidars):
+        raise InputShapeError(f"{len(clouds)} clouds for {len(config.lidars)} lidars")
+    grids = [
+        measurement_grid_occupancy(cloud, lidar, profile, gc)
+        for cloud, lidar in zip(clouds, config.lidars)
+    ]
+    sources = [(lidar.name, "occupancy") for lidar in config.lidars]
+    if observation is not None:
+        grids.append(measurement_grid_semantic(observation, profile, gc, counter))
+        sources.append((config.camera.name, "semantic"))
+    stats = [
+        SourceStat(name, type_name, g.cell_count(), g.memory_bytes())
+        for (name, type_name), g in zip(sources, grids)
+    ]
+
+    # An empty map stands in when there is nothing to fold.
+    steps = required_steps(profile, gc.edge_length)
+    t0 = time.perf_counter()
+    if config.temporal_alpha != 0.0:
+        discount_grid(live, config.temporal_alpha)
+        grids.insert(0, live)
+    live = fuse_grids(grids or [GridMap(gc)], steps, counter)  # perfbench reads arg 3
+    fuse_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
+    return live, stats, fuse_ms, apply_requirements(live, profile)
+
+
 @dataclass
 class RunResult:
     records: list[MetricsRecord]
@@ -532,10 +576,13 @@ def run_scenario(
     config: ScenarioConfig,
     on_cycle=None,
 ) -> RunResult:
-    """Execute the scripted scenario cycle by cycle.
+    """Execute the scripted scenario cycle by cycle: simulate the sensors,
+    run :func:`map_step` and record.
 
     ``on_cycle(record, grid, profile)`` is invoked after every cycle with
-    the live map, letting callers check per-cycle invariants.
+    the live map, letting callers check per-cycle invariants. The next
+    cycle ages that map in place, so a caller that keeps it across cycles
+    must copy it.
     """
     problems = validate_scenario(script, config)
     if problems:
@@ -551,37 +598,14 @@ def run_scenario(
         pose = script.pose_at(t)
         mode = script.mode_at(t)
         profile = config.modes[mode].with_pose(pose)
-        steps = required_steps(profile, gc.edge_length)
-
-        stats: list[SourceStat] = []
-        grids: list[GridMap] = []
-        for si, lidar in enumerate(config.lidars):
-            rng = np.random.default_rng((config.seed, i, si))
-            cloud = simulate_lidar(world, pose, lidar, rng)
-            g = measurement_grid_occupancy(cloud, lidar, profile, gc)
-            grids.append(g)
-            stats.append(
-                SourceStat(lidar.name, "occupancy", g.cell_count(), g.memory_bytes())
-            )
-        sem = profile.demands.get("semantic")
-        if sem is not None and sem.active:
+        clouds = [
+            simulate_lidar(world, pose, lidar, np.random.default_rng((config.seed, i, si)))
+            for si, lidar in enumerate(config.lidars)
+        ]
+        obs = None
+        if "semantic" in profile.active_types():
             obs = simulate_camera(world, pose, config.camera)
-            g = measurement_grid_semantic(obs, profile, gc, counter)
-            grids.append(g)
-            stats.append(
-                SourceStat(
-                    config.camera.name, "semantic", g.cell_count(), g.memory_bytes()
-                )
-            )
-
-        # The aged map joins the sensor grids in one grid-level fold; an
-        # empty map stands in when no sensor delivered a grid.
-        t0 = time.perf_counter()
-        live = temporal_update(
-            live, grids or [GridMap(gc)], steps, config.temporal_alpha, counter
-        )
-        fuse_ms = (time.perf_counter() - t0) * 1e3 if config.measure_timing else 0.0
-        apply_requirements(live, profile)
+        live, stats, fuse_ms, _ = map_step(live, clouds, obs, profile, config, counter)
 
         for name in profile.active_types():
             cells, nbytes = live.cell_count(name), live.memory_bytes(name)

@@ -161,7 +161,7 @@ def load_grid(path) -> GridMap:
             masses = np.frombuffer(raw, dtype="<f4").reshape(m, m, len(frame))
             if not np.isfinite(masses).all():
                 raise SnapshotError(f"{name} layer at {(ix, iy)} holds a NaN or inf mass")
-            grid.set_layer((ix, iy), Layer(name, frame, step, masses.copy()))
+            grid.set_layer((ix, iy), Layer(name, frame, step, masses))
     if rd.remaining():
         raise SnapshotError(f"{rd.remaining()} bytes after the last patch")
     try:

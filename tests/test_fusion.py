@@ -11,6 +11,10 @@ from apgm import (
     FrameMismatchError,
     GridConfig,
     GridMap,
+    InputShapeError,
+    LidarConfig,
+    PointCloud,
+    ScenarioConfig,
     TotalConflictError,
     combine_dst,
     discount_grid,
@@ -19,9 +23,10 @@ from apgm import (
     fuse_layers,
     fuse_patches,
     make_bba,
-    temporal_update,
+    map_step,
     vacuous,
 )
+from apgm import scenario
 from apgm.evidence import ConflictCounter
 from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer, Patch
 from apgm.kernels import combine_masses
@@ -341,20 +346,29 @@ def test_fuse_layers_output_is_fresh_and_inputs_untouched(stack):
     _assert_fresh_and_inputs_intact([fused], layers, before)
 
 
-def test_temporal_update_output_is_fresh_and_inputs_untouched():
+def test_map_step_output_is_fresh_and_sensor_grids_untouched(monkeypatch):
     rng = np.random.default_rng(16)
-    config = GridConfig()
-    previous = small_grid(rng, config, [((0, 0), "occupancy", 3), ((1, 0), "occupancy", 3)])
-    lidar = GridMap(config)
-    lidar.set_layer((0, 0), _sparse_layer(rng, 3, rng.random(64) < 0.3))
-    lidar.set_layer((2, 0), random_layer(rng, "occupancy", OCCUPANCY_FRAME, 3))
-    silent = GridMap(config)
-    silent.set_layer((1, 0), Layer("occupancy", OCCUPANCY_FRAME, 3))
-    inputs = [l for g in (previous, lidar, silent) for _, l in g.iter_layers()]
-    before = [l.masses.tobytes() for l in inputs]
-    out = temporal_update(previous, [lidar, silent], {"occupancy": 3}, 0.95)
-    assert set(out.patches) == {(0, 0), (1, 0), (2, 0)}
-    _assert_fresh_and_inputs_intact([l for _, l in out.iter_layers()], inputs, before)
+    previous = small_grid(rng, GridConfig(), [((0, 0), "occupancy", 3), ((1, 0), "occupancy", 3)])
+    aged = [l for _, l in previous.iter_layers()]
+    build = scenario.measurement_grid_occupancy
+    built, before = [], []
+
+    def spy(*args):
+        grid = build(*args)
+        built.extend(l for _, l in grid.iter_layers())
+        before.extend(l.masses.tobytes() for _, l in grid.iter_layers())
+        return grid
+
+    monkeypatch.setattr(scenario, "measurement_grid_occupancy", spy)
+    hit = PointCloud((0.0, 0.0), np.array([[5.0, 0.2], [14.0, -1.0], [-3.0, 2.5]]))
+    silent = PointCloud((0.0, 0.0), np.empty((0, 2)))
+    config = step_config(0.95, [LidarConfig(name="hit"), LidarConfig(name="silent")])
+    out, stats, _, _ = map_step(previous, [hit, silent], None, OCC_STEP_3, config)
+    assert [s.src for s in stats] == ["hit", "silent"]
+    assert built and {(0, 0), (1, 0), (-1, 0)} <= set(out.patches)
+    fused = [l for _, l in out.iter_layers()]
+    _assert_fresh_and_inputs_intact(fused, built, before)
+    _assert_fresh_and_inputs_intact(fused, aged, [l.masses.tobytes() for l in aged])
 
 
 def test_grid_fold_shares_bounded_slices_across_patches(monkeypatch):
@@ -461,73 +475,100 @@ def test_grid_type_table_mismatch(other):
 
 # -- temporal accumulation -------------------------------------------------------
 
+# Occupancy within 20 m of the origin at 1.6 m cells: step 3 on 12.8 m patches.
+OCC_STEP_3 = RequirementProfile(
+    {"occupancy": TypeRequirement(True, 20.0, 1.6)}, vehicle_pose=(0.0, 0.0, 0.0)
+)
+
+
+def step_config(alpha, lidars=()):
+    return ScenarioConfig(lidars=list(lidars), temporal_alpha=alpha, measure_timing=False)
+
+
+def layer_bytes(grid):
+    return {(i, l.type_name): l.masses.tobytes() for i, l in grid.iter_layers()}
+
 
 def test_temporal_alpha_zero_equals_current():
     rng = np.random.default_rng(11)
-    config = GridConfig()
-    previous = small_grid(rng, config, [((4, 4), "occupancy", 3)])
-    current = small_grid(rng, config, [((0, 0), "occupancy", 3)])
-    out = temporal_update(previous, [current], {"occupancy": 3}, 0.0)
-    assert set(out.patches) == {(0, 0)}
-    np.testing.assert_allclose(
-        out.patches[(0, 0)].layers["occupancy"].masses,
-        current.patches[(0, 0)].layers["occupancy"].masses,
-        atol=1e-7,
-    )
+    config = step_config(0.0, [LidarConfig()])
+    previous = small_grid(rng, config.grid, [((0, 0), "occupancy", 3)])
+    cloud = PointCloud((0.0, 0.0), np.array([[5.0, 0.2], [4.0, -1.0]]))
+    out = map_step(previous, [cloud], None, OCC_STEP_3, config)[0]
+    alone = map_step(GridMap(config.grid), [cloud], None, OCC_STEP_3, config)[0]
+    assert (0, 0) in out.patches
+    assert layer_bytes(out) == layer_bytes(alone)
 
 
 def test_temporal_alpha_one_keeps_previous():
     rng = np.random.default_rng(12)
-    config = GridConfig()
-    previous = small_grid(rng, config, [((0, 0), "occupancy", 3)])
-    current = GridMap(config)
-    out = temporal_update(previous, [current], {"occupancy": 3}, 1.0)
-    np.testing.assert_allclose(
-        out.patches[(0, 0)].layers["occupancy"].masses,
-        previous.patches[(0, 0)].layers["occupancy"].masses,
-        atol=1e-7,
-    )
+    config = step_config(1.0)
+    previous = small_grid(rng, config.grid, [((0, 0), "occupancy", 3)])
+    want = layer_bytes(previous)
+    out = map_step(previous, [], None, OCC_STEP_3, config)[0]
+    assert out is not previous
+    assert layer_bytes(out) == want
 
 
 def test_temporal_decay_over_empty_cycles():
-    config = GridConfig()
-    grid = GridMap(config)
+    config = step_config(0.95)
+    grid = GridMap(config.grid)
     layer = grid.get_or_create_layer((0, 0), "occupancy", 3)
     layer.masses[2, 2, 0] = 0.9
     for _ in range(10):
-        grid = temporal_update(grid, [GridMap(config)], {"occupancy": 3}, 0.95)
+        grid = map_step(grid, [], None, OCC_STEP_3, config)[0]
     got = grid.patches[(0, 0)].layers["occupancy"].masses[2, 2, 0]
     assert got == pytest.approx(0.9 * 0.95**10, abs=1e-5)
 
 
 def test_temporal_horizon_culling():
     rng = np.random.default_rng(13)
-    config = GridConfig()
+    config = step_config(1.0)
     previous = small_grid(
-        rng, config, [((0, 0), "occupancy", 3), ((40, 40), "occupancy", 3)]
+        rng, config.grid, [((0, 0), "occupancy", 3), ((40, 40), "occupancy", 3)]
     )
-    profile = RequirementProfile(
-        {"occupancy": TypeRequirement(True, 20.0, 1.6)}, vehicle_pose=(0.0, 0.0, 0.0)
-    )
-    out = temporal_update(previous, [GridMap(config)], {"occupancy": 3}, 1.0)
-    apply_requirements(out, profile)
+    out, _, _, report = map_step(previous, [], None, OCC_STEP_3, config)
     assert set(out.patches) == {(0, 0)}
+    assert report.patches_deleted == 1
+
+
+def test_map_step_pairs_one_cloud_with_each_lidar():
+    config = step_config(0.95, [LidarConfig()])
+    with pytest.raises(InputShapeError, match="0 clouds for 1 lidars"):
+        map_step(GridMap(config.grid), [], None, OCC_STEP_3, config)
 
 
 def test_discount_grid_scales_masses():
+    # In place: the map keeps its layers and their arrays.
     rng = np.random.default_rng(14)
-    config = GridConfig()
-    g = small_grid(rng, config, [((0, 0), "occupancy", 3)])
-    before = g.patches[(0, 0)].layers["occupancy"].masses.copy()
-    out = discount_grid(g, 0.5)
-    np.testing.assert_allclose(
-        out.patches[(0, 0)].layers["occupancy"].masses,
-        before * np.float32(0.5),
-        atol=1e-7,
-    )
-    np.testing.assert_array_equal(
-        g.patches[(0, 0)].layers["occupancy"].masses, before
-    )
+    g = small_grid(rng, GridConfig(), [((0, 0), "occupancy", 3), ((1, 0), "semantic", 2)])
+    layers = [l for _, l in g.iter_layers()]
+    arrays = [l.masses for l in layers]
+    want = [m * np.float32(0.5) for m in arrays]
+    assert discount_grid(g, 0.5) is None
+    assert [l for _, l in g.iter_layers()] == layers
+    for layer, array, product in zip(layers, arrays, want):
+        assert layer.masses is array
+        assert array.tobytes() == product.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.95, 0.5, 1.0])
+def test_in_place_aging_has_the_bits_of_the_product(alpha):
+    tiny = np.float32(2.0**-149)  # the least float32 subnormal
+    special = [-0.0, 0.0, 1.0, tiny, 3 * tiny, np.float32(2.0**-126) - tiny, 2.0**-126, 0.5]
+    rng = np.random.default_rng(17)
+    masses = np.concatenate(
+        [
+            np.array(special, np.float32),
+            rng.random(12, dtype=np.float32),
+            rng.integers(1, 1 << 23, 12).astype(np.uint32).view(np.float32),  # subnormals
+        ]
+    ).reshape(4, 4, 2)
+    grid = GridMap(GridConfig())
+    grid.set_layer((0, 0), Layer("occupancy", OCCUPANCY_FRAME, 2, masses))
+    want = masses * np.float32(alpha)
+    discount_grid(grid, alpha)
+    np.testing.assert_array_equal(masses.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
@@ -540,4 +581,4 @@ def test_aging_factor_outside_the_unit_interval_is_refused(alpha):
     with pytest.raises(ValueError, match=refused):
         discount_grid(grid, alpha)
     with pytest.raises(ValueError, match=refused):
-        temporal_update(grid, [GridMap(config)], {"occupancy": 3}, alpha)
+        map_step(grid, [], None, OCC_STEP_3, step_config(alpha))

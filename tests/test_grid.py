@@ -20,6 +20,7 @@ from apgm import (
     Layer,
     ResolutionConflictError,
     SnapshotError,
+    discount_grid,
     load_grid,
     save_grid,
 )
@@ -189,6 +190,35 @@ def test_layer_refuses_masses_of_another_shape(shape):
     with pytest.raises(InputShapeError, match="does not match step 2"):
         Layer("occupancy", OCCUPANCY_FRAME, 2, np.zeros(shape))
     Layer("occupancy", OCCUPANCY_FRAME, 2, np.zeros((4, 4, 2)))
+
+
+# -1 failed with "negative shift count", MAX_STEP + 1 tried to allocate
+# 2^64 cells and 1.5 raised a TypeError.
+@pytest.mark.parametrize("masses", [None, np.zeros((2, 2, 2))])
+@pytest.mark.parametrize("step", [-1, MAX_STEP + 1, 1.5])
+def test_layer_refuses_a_step_outside_the_range(step, masses):
+    with pytest.raises(InputShapeError, match=r"outside \[0, 31\] or not an int"):
+        Layer("occupancy", OCCUPANCY_FRAME, step, masses)
+
+
+@pytest.mark.parametrize(
+    "read_only",
+    [
+        lambda a: np.frombuffer(a.tobytes(), np.float32).reshape(a.shape),
+        lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+    ],
+)
+def test_layer_copies_read_only_masses(read_only, grid):
+    # Aging scales a layer in place; a read-only array failed there with
+    # numpy's bare "output array is read-only".
+    source = np.linspace(0.0, 0.5, 8, dtype=np.float32).reshape(2, 2, 2)
+    masses = read_only(source)
+    layer = Layer("occupancy", OCCUPANCY_FRAME, 1, masses)
+    assert layer.masses.flags.writeable and not np.shares_memory(layer.masses, masses)
+    grid.set_layer((0, 0), layer)
+    discount_grid(grid, 0.5)
+    assert layer.masses.tobytes() == (source * np.float32(0.5)).tobytes()
+    assert masses.tobytes() == source.tobytes()
 
 
 def test_lazy_layer_is_vacuous(grid):

@@ -458,6 +458,24 @@ def test_mode_switch_swaps_profile_exactly():
     assert (0.5, "road", 100.0) in t_modes
 
 
+def test_on_cycle_gets_the_live_map_and_the_next_cycle_ages_it():
+    script, world, config = _short_config(0.3)
+    maps, kept = [], []
+
+    def on_cycle(record, grid, profile):
+        if not maps:
+            kept.extend(l.masses.copy() for _, l in grid.iter_layers())
+        elif len(maps) == 1:
+            # Cycle 1 aged the map cycle 0 handed out, in place.
+            assert any(np.any(m != 0.0) for m in kept)
+            aged = [(m * np.float32(config.temporal_alpha)).tobytes() for m in kept]
+            assert [l.masses.tobytes() for _, l in maps[0].iter_layers()] == aged
+        maps.append(grid)
+
+    result = run_scenario(script, world, config, on_cycle)
+    assert len(maps) == 3 and maps[-1] is result.grid
+
+
 # -- metrics CSV -----------------------------------------------------------------------
 
 
