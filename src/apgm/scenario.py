@@ -59,13 +59,15 @@ CSV_HEADER = "time_s,mode,horizon_m,src,type,cells,bytes,fuse_ms"
 # -- sensor suite -------------------------------------------------------------
 
 # Work bounds per sensor frame (peaks traced with tracemalloc).
-# simulate_lidar holds a few float64 (segments in range, beams) arrays:
-# 4,096 beams against all of the default world's 90 segments peak at 13 MB,
-# so the bound comes near 52 MB. Segments out of range are dropped first: a
-# scan of the default drive keeps 34-51, and 4,096 beams from the start
-# pose (47 segments) peak at 7 MB. simulate_camera holds about 85 bytes per
-# polar sample (2^18 samples peak at 22 MB), so its bound comes near 90 MB.
-# The defaults are 720 beams and 6,100 samples.
+# simulate_lidar holds a few arrays over its (segment, beam) pairs, about
+# 65 bytes a pair: 4,096 beams with every one of the default world's 90
+# segments given all beams peak at 24 MB, so the bound comes near 96 MB.
+# Segments out of range are dropped first (a scan of the default drive
+# keeps 20-51) and each kept segment gets only its window of beams, so
+# 4,096 beams from the start pose (47 segments) peak at 1.7 MB.
+# simulate_camera holds about 85 bytes per polar sample (2^18 samples peak
+# at 22 MB), so its bound comes near 90 MB. The defaults are 720 beams and
+# 6,100 samples.
 MAX_LIDAR_BEAMS = 1 << 14
 MAX_CAMERA_SAMPLES = 1 << 20
 # Work bounds per demand: the patches its horizon disc may reach, and those
@@ -152,12 +154,35 @@ def simulate_lidar(
 ) -> PointCloud:
     """Cast beams against the world geometry; noisy ranges, fixed order.
 
-    Only the segments :func:`_segments_in_range` keeps are cast against. A
-    dropped segment cannot return a range up to ``max_range``, and a
-    beam's range is the least over the segments it meets, so the cloud is
-    the one the whole world gives, bit for bit. A return whose noisy
-    range is not positive, or that noise carries to a non-finite point, is
-    dropped.
+    Only the segments :func:`_segments_in_range` keeps are cast against,
+    each only with the beams in its window (:func:`_beam_windows`), and
+    each (segment, beam) pair with the full cast's arithmetic. A beam's
+    range is the least t over its accepted pairs, taken with
+    ``np.minimum.at`` (a minimum is exact in any order), so the cloud is
+    the one every beam against the whole world gives, bit for bit. A
+    return whose noisy range is not positive, or that noise carries to a
+    non-finite point, is dropped.
+
+    A window holds every beam the cast accepts for its segment. With
+    u = 2**-53, a = 4 u |vec| / 1e-12 (the a' of :func:`_segments_in_range`)
+    and w = (u + a (|rel| / |vec| + 1)) / (1 - a), that proof (its bound
+    grows with a) puts the exact line crossing of an accepted beam on E,
+    the segment stretched by w lengths at both ends. The float t = N / D exceeds 1e-9, and D keeps
+    its sign (|D| > 1e-12, above its rounding 2.02 u |vec|), so N keeps
+    the sign of its float unless |N| is at most its rounding,
+    2.01 u |rel| |vec|. Where the float |N| exceeds 2**-50 |rel| |vec| the
+    exact t is then positive, and the beam points at a point of E. Where E
+    keeps a gap g > 2**-30 L from o (L = |rel| + (1 + 2 w) |vec|), the
+    angles of E's points fill the arc between the angles of its ends,
+    shorter than pi. The ends are computed within 8 u L and g within
+    2**-40 L, so the ends' ``arctan2`` lies within 4 pi u L / g plus a few
+    ulps of their exact angles, and each beam's ``arctan2`` of its own
+    ``dirs`` row within a few ulps of its angle. The window is the arc
+    widened by 2**-40 (1 + L / g) at both ends, a run of the beams sorted
+    by that angle, so no heading can misplace a beam. A segment with
+    a > 1/8, with |N| or g not above its bound, or whose widened arc
+    reaches pi gets all beams, as in the full cast; one no longer than
+    2**-42 gets none, since there |D| <= (1 + 5 u) |vec| < 1e-12.
     """
     origin = _mounted(pose, config.mount)
     angles = pose[2] + np.arange(config.beams) * (2.0 * np.pi / config.beams)
@@ -169,22 +194,29 @@ def simulate_lidar(
     vec = segs[:, 2:] - segs[:, :2]  # B - A, (M, 2)
     keep = _segments_in_range(rel, vec, config.max_range)
     rel, vec = rel[keep], vec[keep]
-    # (segment, beam) arrays: the least range per beam then reduces over
-    # rows, which numpy runs as whole-row minima.
-    dx, dy = dirs[:, 0], dirs[:, 1]
-    denom = dx * vec[:, 1, None]
-    denom -= dy * vec[:, 0, None]
+    # The beams sorted by the angle of their own direction: a window is a
+    # run of that order from its first beam, which may wrap past the end.
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    order = np.argsort(phi, kind="stable")
+    first, count = _beam_windows(rel, vec, phi[order])
+    seg = np.repeat(np.arange(len(rel)), count)
+    beam = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - first, count)
+    beam = order[beam % config.beams]
+    dx, dy = dirs[beam, 0], dirs[beam, 1]
+    denom = dx * vec[seg, 1]
+    denom -= dy * vec[seg, 0]
     # A near-parallel beam's quotients may overflow; the mask drops them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (rel[:, 0] * vec[:, 1] - rel[:, 1] * vec[:, 0])[:, None] / denom
-        s = rel[:, 0, None] * dy
-        s -= rel[:, 1, None] * dx
+        t = (rel[:, 0] * vec[:, 1] - rel[:, 1] * vec[:, 0])[seg] / denom
+        s = rel[seg, 0] * dy
+        s -= rel[seg, 1] * dx
         s /= denom
     valid = np.abs(denom) > _PARALLEL
     valid &= t > 1e-9
     valid &= s >= 0.0
     valid &= s <= 1.0
-    ranges = np.min(t, axis=0, where=valid, initial=np.inf)
+    ranges = np.full(config.beams, np.inf)
+    np.minimum.at(ranges, beam[valid], t[valid])
     hit = ranges <= config.max_range
     with np.errstate(over="ignore", invalid="ignore"):
         ranges = ranges[hit] + noise[hit]
@@ -225,6 +257,46 @@ def _segments_in_range(rel, vec, max_range) -> np.ndarray:
     with np.errstate(over="ignore"):
         reach = max_range + 3.0 * a * (dist + length) + 2.0**-40 * (max_range + dist + length)
     return (a > 0.125) | (dist <= reach)
+
+
+def _beam_windows(rel, vec, phi) -> tuple[np.ndarray, np.ndarray]:
+    """First beam and beam count of each segment's window (``rel`` = A - o,
+    ``vec`` = B - A), as positions in ``phi``, the beams' angles sorted;
+    a window may wrap past the last beam. See :func:`simulate_lidar` for
+    why a window holds every beam the cast accepts for its segment."""
+    beams = len(phi)
+    length = np.hypot(vec[:, 0], vec[:, 1])
+    reach = np.hypot(rel[:, 0], rel[:, 1])
+    a = (4.0 * 2.0**-53 / _PARALLEL) * length
+    # Overflow and 0/0 give inf or NaN, and the test below then gives all beams.
+    with np.errstate(all="ignore"):
+        w = (2.0**-53 + a * (reach / length + 1.0)) / (1.0 - a)
+        along = np.clip(-(rel * vec).sum(axis=1) / (vec * vec).sum(axis=1), -w, 1.0 + w)
+        near = rel + along[:, None] * vec
+        gap = np.hypot(near[:, 0], near[:, 1])
+        span = reach + (1.0 + 2.0 * w) * length
+        start = rel - w[:, None] * vec
+        stop = rel + (1.0 + w)[:, None] * vec
+        lo = np.arctan2(start[:, 1], start[:, 0])
+        hi = np.arctan2(stop[:, 1], stop[:, 0])
+        turn = np.remainder(hi - lo + np.pi, 2.0 * np.pi) - np.pi
+        margin = 2.0**-40 * (1.0 + span / gap)
+        lo = np.where(turn < 0.0, hi, lo) - margin
+        lo = np.where(lo < -np.pi, lo + 2.0 * np.pi, lo)
+        width = np.abs(turn) + 2.0 * margin
+        hi = lo + width
+        end = np.where(
+            hi > np.pi,
+            beams + np.searchsorted(phi, hi - 2.0 * np.pi, "right"),
+            np.searchsorted(phi, hi, "right"),
+        )
+        first = np.searchsorted(phi, lo)
+        side = np.abs(rel[:, 0] * vec[:, 1] - rel[:, 1] * vec[:, 0]) > 2.0**-50 * reach * length
+        every = ~((a <= 0.125) & side & (gap > 2.0**-30 * span) & (width < np.pi))
+    first = np.where(every, 0, first)
+    count = np.where(every, beams, end - first)
+    count[length <= 2.0**-42] = 0
+    return first, count
 
 
 def simulate_camera(

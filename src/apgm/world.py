@@ -2,9 +2,10 @@
 
 Obstacles are axis-aligned rectangles and bare wall segments; semantic
 ground truth is a list of labeled polygons checked in order (first match
-wins). Labelling tests each region only against the points no earlier
-region claimed that lie within the region's bounds, so the work follows
-the points a region can hold rather than regions times points. The
+wins). Labelling skips the regions whose bounds miss the frame and tests
+each other region only against the points no earlier region claimed that
+lie within its bounds, so the work follows the points a region can hold
+rather than regions times points. The
 default world is a parking lot joined by a walled road corridor to a
 second lot, sized so a full run finishes in seconds.
 """
@@ -86,16 +87,23 @@ class WorldModel:
 
         Each region is tested only against the still undecided points in
         its half-open bounding box (``region.cut``), outside which
-        :func:`points_in_polygon` finds no point inside it. The labels are
-        gathered from one array of region codes.
+        :func:`points_in_polygon` finds no point inside it. One vector test
+        of every box against the points' bounds first picks the regions
+        whose box meets the frame, and only those are looped over. A NaN
+        coordinate makes the bounds on its axis NaN, and then no box misses
+        the frame along that axis. The labels are gathered from one array
+        of region codes.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if len(points) == 0:
             return []
         px, py = points[:, 0], points[:, 1]
+        left, bottom, right, top = np.array([r.cut for r in self.regions]).reshape(-1, 4).T
+        meets = ~((px.max() < left) | (px.min() >= right) | (py.max() < bottom) | (py.min() >= top))
         code = np.full(len(points), len(self.regions))
         undecided = np.arange(len(points))
-        for r, region in enumerate(self.regions):
+        for r in np.flatnonzero(meets):
+            region = self.regions[r]
             x0, y0, x1, y1 = region.cut
             x, y = px[undecided], py[undecided]
             near = (y >= y0) & (y < y1) & (x >= x0) & (x < x1)

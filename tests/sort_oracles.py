@@ -307,7 +307,7 @@ def simulate_lidar_all_segments(world, pose, config, rng):
     rel = segs[:, :2] - origin
     vec = segs[:, 2:] - segs[:, :2]
     denom = dirs[:, 0, None] * vec[None, :, 1] - dirs[:, 1, None] * vec[None, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (rel[None, :, 0] * vec[None, :, 1] - rel[None, :, 1] * vec[None, :, 0]) / denom
         s = (rel[None, :, 0] * dirs[:, 1, None] - rel[None, :, 1] * dirs[:, 0, None]) / denom
     valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (s >= 0.0) & (s <= 1.0)
@@ -315,9 +315,10 @@ def simulate_lidar_all_segments(world, pose, config, rng):
     ranges = t.min(axis=1)
     hit = ranges <= config.max_range
     ranges = ranges[hit] + noise[hit]
-    keep = ranges > 0.0
-    points = origin + dirs[hit][keep] * ranges[keep, None]
-    return PointCloud(origin, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = origin + dirs[hit] * ranges[:, None]
+    keep = (ranges > 0.0) & np.isfinite(points).all(axis=1)
+    return PointCloud(origin, points[keep])
 
 
 def occ_block_merge_median(children):

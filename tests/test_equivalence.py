@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,8 @@ from apgm.kernels import combine_masses, fold_masses
 from apgm.requirements import _rect_min_distance
 from apgm.resample import _occ_merge_2x2, occ_block_merge
 from apgm.scenario import CameraConfig, simulate_camera, uniform_patched_cell_count
-from apgm.world import Rect, SemanticRegion, WorldModel, default_world
+from apgm import world as world_module
+from apgm.world import Rect, SemanticRegion, WorldModel, default_world, points_in_polygon
 from sort_oracles import (
     combine_masses_rows,
     fuse_layers_dense,
@@ -451,6 +453,12 @@ def labelling_cases(draw):
     points = draw(st.lists(st.tuples(_COORD, _COORD), max_size=30))
     far = st.floats(-100, 100)
     points += draw(st.lists(st.tuples(far, far), max_size=5))
+    # A NaN coordinate makes the frame's bounds on its axis NaN, so no box
+    # misses the frame along it; an infinite one stretches them.
+    odd = st.sampled_from([math.nan, math.inf, -math.inf])
+    points += draw(st.lists(
+        st.tuples(odd, _COORD) | st.tuples(_COORD, odd) | st.tuples(odd, odd), max_size=2
+    ))
     for region in regions:
         vertices = region.polygon
         x0, y0 = vertices.min(axis=0)
@@ -479,6 +487,35 @@ def test_label_points_empty_inputs():
     assert world.label_points(np.empty((0, 2))) == []
     points = np.array([[35.0, 0.0], [35.0, 4.0], [-100.0, 0.0]])
     assert WorldModel().label_points(points) == ["unknown"] * 3
+
+
+def test_label_points_tests_no_region_a_frame_misses(monkeypatch):
+    # A frame whose bounds miss every region's box comes back all unknown
+    # without one polygon test. A NaN point makes the bounds NaN, and then
+    # every region meets the frame.
+    calls = []
+
+    def counting(points, polygon):
+        calls.append(len(points))
+        return points_in_polygon(points, polygon)
+
+    monkeypatch.setattr(world_module, "points_in_polygon", counting)
+    world = default_world()
+    frame = simulate_camera(world, (-100.0, 60.0, 2.0), CameraConfig()).points
+    assert world.label_points(frame) == ["unknown"] * len(frame)
+    assert calls == []
+    frame[0] = math.nan
+    assert world.label_points(frame) == label_points_every_region(world.regions, frame)
+    assert len(calls) == len(world.regions)
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.5), (0.5, 0.0)])
+def test_label_points_frame_touching_a_box_at_its_closed_edge(point):
+    # The cut is [x0, x1) x [y0, y1): a frame whose points all lie at or
+    # before x0 (or y0) still meets it where one lies on that edge.
+    world = WorldModel(regions=[SemanticRegion(Rect(0.0, 0.0, 1.0, 1.0).as_polygon(), "road")])
+    frame = np.array([point, (point[0] - 1.0, point[1] - 1.0)])
+    assert world.label_points(frame) == ["road", "unknown"]
 
 
 def test_label_points_on_default_world_frustums():

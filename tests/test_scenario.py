@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgm import (
     CameraConfig,
@@ -27,6 +29,7 @@ from apgm.raster import (
     export_raster,
     render_betp,
 )
+from apgm import scenario
 from apgm.scenario import (
     MAX_CAMERA_SAMPLES,
     MAX_LIDAR_BEAMS,
@@ -138,6 +141,104 @@ def test_lidar_culling_matches_full_cast_near_max_range():
         world, (0.0, 0.0, 0.0), LidarConfig(beams=8, max_range=reach, noise_sigma=0.0), 0
     )
     assert [reach, 0.0] in cloud.points.tolist()
+
+
+@st.composite
+def hard_casts(draw):
+    """(world, pose, lidar) with segments through, next to and collinear
+    with the sensor, along a beam or a hair off it, zero-length and over
+    280 units long, at headings where the beam angles wrap."""
+    heading = draw(st.sampled_from([0.0, math.pi, -math.pi, 1e6, 1.1e-308]) | st.floats(-7.0, 7.0))
+    beams = draw(st.sampled_from([1, 2, 3, 7, 720, 4096]))
+    max_range = draw(st.sampled_from([1e-9, 0.5, 30.0, 1e300, math.inf]))
+    o = np.array(draw(st.sampled_from([(0.0, 0.0), (0.3, -0.7), (-41.25, 17.5)])))
+    step = 2.0 * np.pi / beams
+    walls = []
+    for kind in draw(st.lists(st.sampled_from(
+        ["through", "next", "collinear", "along", "grazing", "zero", "long", "free"]
+    ), min_size=1, max_size=8)):
+        k = draw(st.integers(0, beams - 1))
+        # The cast's own beam angle, or one between two beams.
+        beam = heading + k * step + draw(st.sampled_from([0.0, step / 2]))
+        u = np.array([np.cos(beam), np.sin(beam)])
+        n = np.array([-u[1], u[0]])
+        r0, r1 = draw(st.floats(1e-6, 60.0)), draw(st.floats(1e-6, 60.0))
+        off = draw(st.sampled_from([0.0, 1e-300, 1e-15, 1e-9, 1e-3, 0.4]))
+        if kind == "through":
+            a, b = o - r0 * u, o + r1 * u
+        elif kind == "next":
+            a, b = o - r0 * u + off * n, o + r1 * u + off * n
+        elif kind == "collinear":
+            a, b = o + r0 * u, o + (r0 + r1) * u
+        elif kind == "along":  # on a beam's line, or a hair to its side
+            a, b = o + r0 * u + off * n, o + (r0 + r1) * u - off * n
+        elif kind == "grazing":  # an end on the beam, or a few ulps to its side
+            a = o + r0 * u + draw(st.sampled_from([0.0, 1.0, -1.0, 4.0, -4.0])) * 2.0**-53 * r0 * n
+            b = a + draw(st.sampled_from([-1.0, 1.0])) * r1 * n
+        elif kind == "zero":
+            a = b = o + r0 * u
+        elif kind == "long":
+            a = o + off * n - draw(st.floats(0.0, 5e3)) * u
+            b = a + draw(st.floats(281.0, 5e3)) * draw(st.sampled_from([u, n]))
+        else:
+            a, b = (o + np.array(draw(st.tuples(st.floats(-60, 60), st.floats(-60, 60))))
+                    for _ in range(2))
+        walls.append((*a, *b))
+    noise = draw(st.sampled_from([0.0, 0.02]))
+    lidar = LidarConfig(beams=beams, max_range=max_range, noise_sigma=noise)
+    return WorldModel(walls=walls), (o[0], o[1], heading), lidar
+
+
+@settings(max_examples=300, deadline=None)
+@given(hard_casts(), st.integers(0, 3))
+def test_lidar_beam_windows_match_full_cast_on_hard_geometry(case, seed):
+    _cast_equals_full_cast(*case, seed)
+
+
+def test_lidar_beam_windows_keep_the_beams_that_graze_a_segment_end():
+    # A segment end on a beam, or an ulp or a few to its side: whether the
+    # cast accepts that beam turns on the rounding of s, which the window's
+    # widening must cover; with neither the stretch nor the angle margin,
+    # casts here differ. On segments 1e-8 long the stretch is under 1e-11
+    # rad, and at a heading near 1e6 a beam's slot taken from its index
+    # rather than its direction is off by up to about 6e-11 rad.
+    rng = np.random.default_rng(28)
+    for beams in (7, 720):
+        for _ in range(600):
+            heading = rng.choice([0.0, 1e6]) + rng.uniform(-4.0, 4.0)
+            k = rng.integers(beams)
+            beam = heading + k * (2.0 * np.pi / beams)
+            u = np.array([np.cos(beam), np.sin(beam)])
+            n = np.array([-u[1], u[0]])
+            r0 = rng.uniform(1.0, 20.0)
+            ulps = rng.choice([0.0, 1.0, 2.0, 4.0, 8.0]) * rng.choice([-1.0, 1.0])
+            a = r0 * u + ulps * 1e-16 * r0 * n
+            length = rng.choice([1e-8, 1e-5, rng.uniform(0.1, 20.0)])
+            b = a + rng.choice([-1.0, 1.0]) * length * n
+            lidar = LidarConfig(beams=beams, max_range=50.0, noise_sigma=0.0)
+            _cast_equals_full_cast(WorldModel(walls=[(*a, *b)]), (0.0, 0.0, heading), lidar, 0)
+
+
+def test_lidar_beam_windows_hold_few_pairs_on_the_default_drive(monkeypatch):
+    # At the start pose the windows hold under 10 % of the kept segments'
+    # (segment, beam) pairs, so the cast does not fall back to all beams.
+    windows = []
+
+    def spy(rel, vec, phi):
+        first, count = beam_windows(rel, vec, phi)
+        windows.append((len(rel), len(phi), int(count.sum())))
+        return first, count
+
+    beam_windows = scenario._beam_windows
+    monkeypatch.setattr(scenario, "_beam_windows", spy)
+    script, world, config = default_scenario()
+    pose = script.pose_at(0.0)
+    for i, lidar in enumerate(config.lidars):
+        _cast_equals_full_cast(world, pose, lidar, i)
+    assert len(windows) == 2
+    for kept, beams, pairs in windows:
+        assert kept > 30 and beams == 720
+        assert 0 < pairs < 0.1 * kept * beams
 
 
 def test_lidar_drops_returns_noise_pushes_onto_or_behind_the_sensor():

@@ -81,6 +81,12 @@ PATHS = [
         "keep = np.ones(len(rel), dtype=bool)",
     ),
     FastPath(
+        "beam-window",
+        "src/apgm/scenario.py",
+        "first, count = _beam_windows(rel, vec, phi[order])",
+        "first, count = np.zeros(len(rel), dtype=np.int64), np.full(len(rel), config.beams)",
+    ),
+    FastPath(
         "single-input-copy",
         "src/apgm/fusion.py",
         "    if len(resampled) == 1:\n"
@@ -106,6 +112,13 @@ PATHS = [
         "src/apgm/sensors.py",
         "mixed = np.flatnonzero(np.count_nonzero(label_mass, axis=1) > 1)",
         "mixed = np.arange(len(label_mass))",
+    ),
+    FastPath(
+        "region-select",
+        "src/apgm/world.py",
+        "meets = ~((px.max() < left) | (px.min() >= right)"
+        " | (py.max() < bottom) | (py.min() >= top))",
+        "meets = np.ones(len(self.regions), dtype=bool)",
     ),
 ]
 
