@@ -13,20 +13,25 @@ cells that two or more inputs hold (any stored bit set) go through
 Dempster's rule: a cell with one holder takes that holder's masses and a
 cell with none stays vacuous, which is what the rule returns for them, bit
 for bit (:func:`fuse_layers` states the precondition). Patch and grid
-fusion take unions over types and patch indices. The held cells of every
-patch in one call are gathered per input count and hypothesis count and
-folded together by :func:`~apgm.kernels.fold_masses`, in slices of at
-most ``kernels.FOLD_SLICE`` rows; the rule treats each cell on its own,
-so the result does not depend on which cells share a slice. A cell in
-total conflict is reset to vacuous and counted; there is no other policy.
+fusion take unions over types and patch indices. One call fuses the layers
+of every patch together: they are grouped by input count, hypothesis count
+and fused step, and each group is cut into blocks of consecutive layers of
+at most ``2 * kernels.FOLD_SLICE`` rows. Each pass over the rows (the OR,
+the holder tests, the gather and the scatter) runs once per block, and the
+held rows go through :func:`~apgm.kernels.fold_masses` in slices of at most
+``FOLD_SLICE`` rows; the rule treats each cell on its own, so the result
+does not depend on which cells share a block or a slice. A cell in total
+conflict is reset to vacuous and counted; there is no other policy.
 :func:`discount_grid` ages a map in place; the scenario's map step ages
 the live map with it and then folds it with the cycle's grids in one grid
 fusion.
 
-Concurrency contract: fusion reads its inputs only; the fused grid is a
-fresh value. One call's fold writes rows of many output patches, so a driver
-that fuses in parallel splits the inputs into separate calls (by patch
-index, say) and gives each call its own counter.
+Concurrency contract: fusion reads its inputs only, and the fused grid is a
+fresh value. Its layers of one block are disjoint views of one array that
+spans many output patches: writing one fused layer in place, or dropping
+it, leaves every other layer as it was, but one call writes rows of many
+patches. A driver that fuses in parallel splits the inputs into separate
+calls (by patch index, say) and gives each call its own counter.
 """
 
 from __future__ import annotations
@@ -79,110 +84,98 @@ def fuse_layers(
     most 2, as in every layer that :meth:`GridMap.check` accepts (see
     :func:`~apgm.kernels.combine_masses`).
     """
-    fold = _HeldRowFold(counter)
-    out = _or_layers(layers, r_req, fold)
-    fold.flush()
-    return out
+    return _fuse([(list(layers), r_req)], counter)[0]
 
 
-def _or_layers(layers, r_req: int, fold: _HeldRowFold) -> Layer:
-    """The fused layer with every row the OR of the inputs' rows; the rows
-    two inputs hold (or that carry a sign bit) are queued on ``fold``,
-    which writes their Dempster fold into the returned layer's masses."""
-    layers = list(layers)
-    if not layers:
-        raise ValueError("need at least one layer to fuse")
-    first = layers[0]
-    for l in layers[1:]:
-        # Identity first: the layers of one fusion share their frames.
-        if l.type_name != first.type_name or (
-            l.frame is not first.frame and l.frame != first.frame
-        ):
-            raise FrameMismatchError(
-                f"{l.type_name} over {l.frame.hypotheses} vs "
-                f"{first.type_name} over {first.frame.hypotheses}"
+# A block holds at most two fold slices of rows: consecutive layers of one
+# (inputs, k, step) group share its passes, and a block of 16,384 k = 2
+# rows keeps each input's words at 128 KiB.
+_BLOCK_ROWS = 2 * FOLD_SLICE
+
+
+def _fuse(stacks, counter: ConflictCounter | None) -> list[Layer]:
+    """The fused layer of each (layers, r_req) stack, in order: a stack of
+    one input is copied, and every other layer is a view of its block's
+    masses (a layer of ``_BLOCK_ROWS`` rows or more is a block of its own).
+    """
+    fused: list = [None] * len(stacks)
+    groups: dict[tuple[int, int, int], list] = {}
+    for i, (layers, r_req) in enumerate(stacks):
+        if not layers:
+            raise ValueError("need at least one layer to fuse")
+        first = layers[0]
+        for l in layers[1:]:
+            # Identity first: the layers of one fusion share their frames.
+            if l.type_name != first.type_name or (
+                l.frame is not first.frame and l.frame != first.frame
+            ):
+                raise FrameMismatchError(
+                    f"{l.type_name} over {l.frame.hypotheses} vs "
+                    f"{first.type_name} over {first.frame.hypotheses}"
+                )
+        r_fused = min(r_req, max(l.step for l in layers))
+        resampled = [resample_layer(l, r_fused) for l in layers]
+        if len(resampled) == 1:
+            fused[i] = Layer(
+                first.type_name, first.frame, r_fused, resampled[0].masses.copy()
             )
-    r_fused = min(r_req, max(l.step for l in layers))
-    resampled = [resample_layer(l, r_fused) for l in layers]
-    if len(resampled) == 1:
-        return Layer(
-            first.type_name, first.frame, r_fused, resampled[0].masses.copy()
-        )
-    masses = [np.ascontiguousarray(l.masses) for l in resampled]
-    shape = masses[0].shape
-    words = [_row_words(m) for m in masses]
-    held = _row_any(words[0])
+            continue
+        words = [_row_words(np.ascontiguousarray(l.masses)) for l in resampled]
+        key = (len(words), len(first.frame), r_fused)
+        groups.setdefault(key, []).append((i, words))
+    for (_, k, step), members in groups.items():
+        m = 1 << step
+        size = max(1, _BLOCK_ROWS // (m * m))
+        for lo in range(0, len(members), size):
+            block = members[lo : lo + size]
+            out = _fold_block([words for _, words in block], counter)
+            masses = out.view(np.float32).reshape(len(block), m, m, k)
+            for (i, _), layer_masses in zip(block, masses):
+                first = stacks[i][0][0]
+                fused[i] = Layer(first.type_name, first.frame, step, layer_masses)
+    return fused
+
+
+def _fold_block(block, counter: ConflictCounter | None):
+    """The fused row words of a block of layers, one after the other.
+
+    ``block`` holds each layer's input row words in fold order. Each row of
+    the result is the OR of the inputs' rows; the rows that two inputs hold,
+    or that carry a sign bit, are then gathered in slices of at most
+    FOLD_SLICE rows, folded by :func:`~apgm.kernels.fold_masses` and
+    scattered back. The rule treats each row on its own, so the rows a
+    slice shares cannot change a bit of the result.
+    """
+    inputs = [np.concatenate(w) for w in zip(*block)]
+    held = _row_any(inputs[0])
     both = np.zeros_like(held)  # held by two or more inputs so far
-    fused = words[0].copy()
-    for w in words[1:]:
+    out = inputs[0].copy()
+    for w in inputs[1:]:
         h = _row_any(w)
         both |= held & h
         held |= h
-        fused |= w
+        out |= w
     # A sign bit marks a -0.0 (or a negative mass): the rule would turn a
     # -0.0 into +0.0 where the row sums to at most 1, so such rows fold too.
-    both |= _row_any(fused & _SIGN_BITS[fused.dtype.type])
-    fold.add(words, fused, np.flatnonzero(both), shape[-1])
-    return Layer(
-        first.type_name, first.frame, r_fused, fused.view(np.float32).reshape(shape)
-    )
-
-
-class _HeldRowFold:
-    """Held rows of many output layers, folded together in shared slices.
-
-    A queued layer gives its inputs' row words in fold order, its output
-    row words and the rows to fold. Layers are queued per (inputs, k), and
-    a queue is folded once it holds FOLD_SLICE rows, or at :meth:`flush`.
-    The rule treats each row on its own, so the slice a row shares with
-    other layers' rows cannot change a bit of its result.
-    """
-
-    def __init__(self, counter: ConflictCounter | None):
-        self.counter = counter
-        self.queues: dict[tuple[int, int], tuple[list, int]] = {}
-
-    def add(self, words, fused, rows, k: int) -> None:
-        key = (len(words), k)
-        queued, n = self.queues.pop(key, ([], 0))
-        queued.append((words, fused, rows))
-        n += len(rows)
-        if n >= FOLD_SLICE:
-            self._fold(queued, n, k)
-        else:
-            self.queues[key] = (queued, n)
-
-    def flush(self) -> None:
-        for (_, k), (queued, n) in self.queues.items():
-            self._fold(queued, n, k)
-        self.queues.clear()
-
-    def _fold(self, queued, n: int, k: int) -> None:
-        depth = len(queued[0][0])
-        width = queued[0][1].shape[1]
-        # Row words of every input's queued rows, one (n, width) block per
-        # input; block 0 then takes the fold's result.
-        gathered = np.empty((depth, n, width), queued[0][1].dtype)
-        start = 0
-        for words, _, rows in queued:
-            stop = start + len(rows)
-            for block, w in zip(gathered, words):
-                # "raise" would buffer the output; the rows are in range
-                # by construction, so "clip" changes nothing.
-                np.take(w, rows, axis=0, out=block[start:stop], mode="clip")
-            start = stop
-        dead = fold_masses(gathered.view(np.float32).reshape(depth, n, k))
-        if self.counter is not None:
-            self.counter.add(dead)
-        # Scattered as one void element per row: a 2-D fancy assignment
-        # copies a two-word row several times slower.
-        row = np.dtype((np.void, gathered.itemsize * width))
-        result = gathered[0].view(row)[:, 0]
-        start = 0
-        for _, fused, rows in queued:
-            stop = start + len(rows)
-            fused.view(row)[rows, 0] = result[start:stop]
-            start = stop
+    both |= _row_any(out & _SIGN_BITS[out.dtype.type])
+    rows = np.flatnonzero(both)
+    depth, width = len(inputs), out.shape[1]
+    gathered = np.empty((depth, min(len(rows), FOLD_SLICE), width), out.dtype)
+    # Scattered as one void element per row: a 2-D fancy assignment copies
+    # a two-word row several times slower.
+    row = np.dtype((np.void, out.itemsize * width))
+    for lo in range(0, len(rows), FOLD_SLICE):
+        part = rows[lo : lo + FOLD_SLICE]
+        slab = gathered[:, : len(part)]
+        for slot, w in zip(slab, inputs):
+            # "raise" would buffer the output; the rows are in range by
+            # construction, so "clip" changes nothing.
+            np.take(w, part, axis=0, out=slot, mode="clip")
+        dead = fold_masses(slab.view(np.float32))
+        if counter is not None:
+            counter.add(dead)
+        out.view(row)[part, 0] = slab[0].view(row)[:, 0]
+    return out
 
 
 # Each float32 row is read as whole machine words: uint64 pairs of masses
@@ -221,19 +214,23 @@ def fuse_patches(
     index = patches[0].index
     if any(p.index != index for p in patches):
         raise ValueError("patch indices differ")
-    fold = _HeldRowFold(counter)
-    out = _or_patches(patches, r_req, fold)
-    fold.flush()
-    return out
+    return _fuse_patches([patches], r_req, counter)[0]
 
 
-def _or_patches(patches, r_req: dict[str, int], fold: _HeldRowFold) -> Patch:
-    out = Patch(patches[0].index)
-    type_names = sorted({t for p in patches for t in p.layers})
-    for type_name in type_names:
-        stack = [p.layers[type_name] for p in patches if type_name in p.layers]
-        step = r_req.get(type_name, max(l.step for l in stack))
-        out.layers[type_name] = _or_layers(stack, step, fold)
+def _fuse_patches(stacks, r_req: dict[str, int], counter) -> list[Patch]:
+    """The fused patch of each stack of same-index patches, in order; the
+    layers of every patch go through one :func:`_fuse` call."""
+    out, slots, layer_stacks = [], [], []
+    for patches in stacks:
+        patch = Patch(patches[0].index)
+        out.append(patch)
+        for type_name in sorted({t for p in patches for t in p.layers}):
+            layers = [p.layers[type_name] for p in patches if type_name in p.layers]
+            step = r_req.get(type_name, max(l.step for l in layers))
+            slots.append((patch, type_name))
+            layer_stacks.append((layers, step))
+    for (patch, type_name), layer in zip(slots, _fuse(layer_stacks, counter)):
+        patch.layers[type_name] = layer
     return out
 
 
@@ -247,8 +244,8 @@ def fuse_grids(
 
     ``r_req`` caps each type's fused step as in :func:`fuse_patches`.
 
-    Every patch's held rows share the folds of :class:`_HeldRowFold`, so
-    the rule runs over slices of up to FOLD_SLICE rows, not once per patch.
+    Every patch's layers share the blocks of one fold, so the rule runs
+    over slices of up to FOLD_SLICE rows, not once per layer.
     """
     grids = list(grids)
     if not grids:
@@ -267,12 +264,10 @@ def fuse_grids(
         if types is not base.types and dict(types) != dict(base.types):
             raise FrameMismatchError(f"type tables {dict(types)} vs {dict(base.types)}")
     out = GridMap(base)
-    fold = _HeldRowFold(counter)
     indices = sorted({i for g in grids for i in g.patches})
-    for index in indices:
-        stack = [g.patches[index] for g in grids if index in g.patches]
-        out.patches[index] = _or_patches(stack, r_req, fold)
-    fold.flush()
+    stacks = [[g.patches[i] for g in grids if i in g.patches] for i in indices]
+    for index, patch in zip(indices, _fuse_patches(stacks, r_req, counter)):
+        out.patches[index] = patch
     return out
 
 

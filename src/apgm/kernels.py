@@ -441,7 +441,8 @@ def combine_masses(a, b, out, conflict):
 # temporary of 8192 rows is 64 KiB, under glibc's default 128 KiB mmap
 # threshold (so combine_masses's temporaries reuse heap memory instead of
 # mapping fresh pages) and well inside a 4 MiB L2. Slices of 16k rows and
-# more measured slower on parking (BENCH_13.json).
+# more measured slower on parking (BENCH_13.json). Fusion's blocks of
+# layers hold at most two slices of rows (BENCH_29.json).
 FOLD_SLICE = 8192
 
 

@@ -62,9 +62,8 @@ CSV_HEADER = "time_s,mode,horizon_m,src,type,cells,bytes,fuse_ms"
 # simulate_lidar holds a few arrays over its (segment, beam) pairs, about
 # 65 bytes a pair: 4,096 beams with every one of the default world's 90
 # segments given all beams peak at 24 MB, so the bound comes near 96 MB.
-# Segments out of range are dropped first (a scan of the default drive
-# keeps 20-51) and each kept segment gets only its window of beams, so
-# 4,096 beams from the start pose (47 segments) peak at 1.7 MB.
+# Each segment gets only its window of beams, so 4,096 beams from the
+# start pose peak at 1.0 MB.
 # simulate_camera holds about 85 bytes per polar sample (2^18 samples peak
 # at 22 MB), so its bound comes near 90 MB. The defaults are 720 beams and
 # 6,100 samples.
@@ -154,20 +153,24 @@ def simulate_lidar(
 ) -> PointCloud:
     """Cast beams against the world geometry; noisy ranges, fixed order.
 
-    Only the segments :func:`_segments_in_range` keeps are cast against,
-    each only with the beams in its window (:func:`_beam_windows`), and
-    each (segment, beam) pair with the full cast's arithmetic. A beam's
-    range is the least t over its accepted pairs, taken with
-    ``np.minimum.at`` (a minimum is exact in any order), so the cloud is
-    the one every beam against the whole world gives, bit for bit. A
-    return whose noisy range is not positive, or that noise carries to a
-    non-finite point, is dropped.
+    Each segment is cast only with the beams in its window
+    (:func:`_beam_windows`), each (segment, beam) pair with the full
+    cast's arithmetic. A beam's range is the least t over its accepted
+    pairs, taken with ``np.minimum.at`` (a minimum is exact in any
+    order), so the cloud is the one every beam against the whole world
+    gives, bit for bit. A return whose noisy range is not positive, or
+    that noise carries to a non-finite point, is dropped.
 
-    A window holds every beam the cast accepts for its segment. With
-    u = 2**-53, a = 4 u |vec| / 1e-12 (the a' of :func:`_segments_in_range`)
-    and w = (u + a (|rel| / |vec| + 1)) / (1 - a), that proof (its bound
-    grows with a) puts the exact line crossing of an accepted beam on E,
-    the segment stretched by w lengths at both ends. The float t = N / D exceeds 1e-9, and D keeps
+    A window holds every beam the cast accepts for its segment. A beam
+    returns t = N / D (N = rel x vec, D = dir x vec, rel = A - o,
+    vec = B - A) only where |D| > 1e-12. With u = 2**-53, rounding moves
+    N by at most 2.01 u |rel| |vec| and D by 2.02 u |vec| (|dir| <= 1 +
+    2u). So with a = 4 u |vec| / 1e-12, at least 1.98 times D's relative
+    rounding, the cast's s lies within a (|rel| / |vec| + |s|) + u of
+    its exact value, and an accepted beam (0 <= s <= 1) meets the
+    segment's line on E, the segment stretched by
+    w = (u + a (|rel| / |vec| + 1)) / (1 - a) lengths at both ends (the
+    bound grows with a). The float t = N / D exceeds 1e-9, and D keeps
     its sign (|D| > 1e-12, above its rounding 2.02 u |vec|), so N keeps
     the sign of its float unless |N| is at most its rounding,
     2.01 u |rel| |vec|. Where the float |N| exceeds 2**-50 |rel| |vec| the
@@ -192,8 +195,6 @@ def simulate_lidar(
     segs = world.segments()
     rel = segs[:, :2] - origin  # A - o, (M, 2)
     vec = segs[:, 2:] - segs[:, :2]  # B - A, (M, 2)
-    keep = _segments_in_range(rel, vec, config.max_range)
-    rel, vec = rel[keep], vec[keep]
     # The beams sorted by the angle of their own direction: a window is a
     # run of that order from its first beam, which may wrap past the end.
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
@@ -223,40 +224,6 @@ def simulate_lidar(
         points = origin + dirs[hit] * ranges[:, None]
     keep = (ranges > 0.0) & np.isfinite(points).all(axis=1)
     return PointCloud(origin, points[keep])
-
-
-def _segments_in_range(rel, vec, max_range) -> np.ndarray:
-    """Mask of the segments (``rel`` = A - o, ``vec`` = B - A) that could
-    return a range up to ``max_range`` to some beam of :func:`simulate_lidar`.
-
-    A beam returns t = N / D (N = rel x vec, D = dir x vec) only where
-    |D| > 1e-12. With u = 2**-53, rounding moves N by at most
-    2.01 u |rel| |vec| and D by 2.02 u |vec| (|dir| <= 1 + 2u). So with
-    a = 2.02 u |vec| / 1e-12, N / D lies within a (|rel| + |tau|) of the
-    exact line crossing tau, and the cast's s within a (|rel| / |vec| + |s|)
-    + u of its exact value. A beam the cast accepts then meets the
-    segment's line within (u + a (|rel| / |vec| + 1)) / (1 - a) segment
-    lengths of the segment, at a distance of at least d - 3.01 a (d +
-    |vec|) (d the segment's distance from o; |rel| <= d + |vec|), and its
-    float t exceeds ``max_range`` where that distance does by a relative
-    3.01 u. Each segment is kept unless d passes ``max_range`` by
-    3 a' (d + |vec|), a' = 4 u |vec| / 1e-12 >= 1.98 a, plus 2**-40 of the
-    lengths for the rounding of d and of this test. A segment with
-    a' > 1/8 (over 280 units long) is always kept. A zero-length one never
-    meets a beam (D = 0).
-    """
-    length = np.hypot(vec[:, 0], vec[:, 1])
-    square = (vec * vec).sum(axis=1)
-    along = np.divide(
-        -(rel * vec).sum(axis=1), square, out=np.zeros(len(vec)), where=square > 0.0
-    )
-    near = rel + np.clip(along, 0.0, 1.0)[:, None] * vec
-    dist = np.hypot(near[:, 0], near[:, 1])
-    a = (4.0 * 2.0**-53 / _PARALLEL) * length
-    # Near the float limit the margin overflows to inf: every segment is kept.
-    with np.errstate(over="ignore"):
-        reach = max_range + 3.0 * a * (dist + length) + 2.0**-40 * (max_range + dist + length)
-    return (a > 0.125) | (dist <= reach)
 
 
 def _beam_windows(rel, vec, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -203,11 +203,12 @@ def test_fuse_layers_equals_dense_fold(stack):
 # -- grid fold ----------------------------------------------------------------------
 
 _GRIDS = 4
-# Bulk stack steps in patch order. Small patches add at most 640 rows, so
-# the first two bulk stacks (4,096 + 16,384 held rows) end in one fold of
-# at least three 8,192-row slices, one shared by both, and the third
-# (4,096 rows) goes to the fold at the end of the call.
+# Bulk stack steps in patch order. The fold cuts each (inputs, k, step)
+# group into blocks of at most 16,384 rows: the step-7 stack (16,384 rows)
+# is a block of its own, and the two step-6 stacks (4,096 rows each) share
+# blocks of four layers with the 5-9 extra step-6 stacks placed after them.
 _BULK_STEPS = (6, 7, 6)
+_EXTRA_STEP = 6
 
 
 def _place(grids, index, layers, holders):
@@ -222,7 +223,11 @@ def grid_stacks(draw):
     Each small patch index gets an occupancy stack, a semantic stack or
     both, every input in a drawn grid, so every holder pattern occurs.
     Three bulk occupancy stacks (``_BULK_STEPS``), whose rows every input
-    holds, are placed among them. The semantic step may be capped (inputs
+    holds, are placed among them, and 5-9 more of one depth at
+    ``_EXTRA_STEP`` after them, so that their group spans two or three
+    blocks. The last extra stack, in a later block, holds a row with a
+    -0.0 that only its first input holds and a row that its first two
+    inputs hold in total conflict. The semantic step may be capped (inputs
     merge); occupancy keeps its finest input step (coarser inputs split).
     """
     grids = [GridMap(GridConfig()) for _ in range(_GRIDS)]
@@ -238,6 +243,20 @@ def grid_stacks(draw):
             layer_stacks(ks=(2,), depths=st.just(depth), max_step=step, bulk=True)
         )
         _place(grids, (column, 1), layers, draw(st.permutations(range(_GRIDS))))
+    n_extra = draw(st.integers(5, 9))
+    for j in range(n_extra):
+        layers, _ = draw(
+            layer_stacks(ks=(2,), depths=st.just(depth), max_step=_EXTRA_STEP, bulk=True)
+        )
+        if j == n_extra - 1:
+            rows = [layer.masses.reshape(-1, 2) for layer in layers]
+            lone, opposed = draw(
+                st.lists(st.integers(0, len(rows[0]) - 1), min_size=2, max_size=2, unique=True)
+            )
+            for position, r in enumerate(rows):
+                r[lone] = [-0.0, 0.25] if position == 0 else 0.0
+                r[opposed] = [1.0, 0.0] if position == 0 else [0.0, 1.0]
+        _place(grids, (n_small + 3 + j, 0), layers, draw(st.permutations(range(_GRIDS))))
     r_req = draw(st.one_of(st.just({}), st.builds(lambda r: {"semantic": r}, st.integers(0, 3))))
     return grids, r_req
 
@@ -263,7 +282,8 @@ def test_fuse_grids_equals_dense_fold_per_layer(case):
             assert np.array_equal(
                 layer.masses.view(np.uint32), want.masses.view(np.uint32)
             ), (index, name)
-    assert got_counter.cells == want_counter.cells
+    # The opposed row of the last extra stack at least.
+    assert got_counter.cells == want_counter.cells >= 1
 
 
 # -- occupancy builder ------------------------------------------------------------

@@ -26,11 +26,12 @@ from apgm import (
     map_step,
     vacuous,
 )
-from apgm import scenario
+from apgm import fusion, scenario
 from apgm.evidence import ConflictCounter
 from apgm.grid import OCCUPANCY_FRAME, SEMANTIC_FRAME, Layer, Patch
-from apgm.kernels import combine_masses
+from apgm.kernels import FOLD_SLICE, combine_masses
 from apgm.requirements import RequirementProfile, TypeRequirement, apply_requirements
+from apgm.snapshot import load_grid, save_grid
 from conftest import bf_combine
 
 
@@ -371,33 +372,101 @@ def test_map_step_output_is_fresh_and_sensor_grids_untouched(monkeypatch):
     _assert_fresh_and_inputs_intact(fused, aged, [l.masses.tobytes() for l in aged])
 
 
-def test_grid_fold_shares_bounded_slices_across_patches(monkeypatch):
-    # 48 patches of 256 rows, every row held by each input: occupancy from
-    # three grids, semantic from two. Each type's queue folds once it holds
-    # 8192 rows (32 patches) and again at the end (16 patches), one
-    # combine call per fold step and slice, not one per patch and step.
+@pytest.mark.parametrize("step", [4, 5])
+def test_grid_fold_shares_bounded_blocks_across_patches(monkeypatch, step):
+    # 48 patches, every row held by each input: occupancy from three grids,
+    # semantic from two. Each type's layers fold in blocks of at most
+    # 2 * FOLD_SLICE rows (one block of 48 step-4 layers, three of 16
+    # step-5 layers), one combine call per fold step and slice, not one per
+    # patch and step.
     rng = np.random.default_rng(21)
     grids = [GridMap(GridConfig()) for _ in range(3)]
     for i in range(48):
         for g, grid in enumerate(grids):
-            grid.set_layer((i, 0), random_layer(rng, "occupancy", OCCUPANCY_FRAME, 4))
+            grid.set_layer((i, 0), random_layer(rng, "occupancy", OCCUPANCY_FRAME, step))
             if g < 2:
-                grid.set_layer((i, 0), random_layer(rng, "semantic", SEMANTIC_FRAME, 4))
-    rows = []
+                grid.set_layer((i, 0), random_layer(rng, "semantic", SEMANTIC_FRAME, step))
+    blocks, rows = [], []
 
-    def spy(a, b, out, conflict):
+    def block_spy(block, counter):
+        blocks.append(sum(len(words[0]) for words in block))
+        return fold_block(block, counter)
+
+    def combine_spy(a, b, out, conflict):
         rows.append(len(a))
         return combine_masses(a, b, out, conflict)
 
-    monkeypatch.setattr(kernels, "combine_masses", spy)
+    fold_block = fusion._fold_block
+    monkeypatch.setattr(fusion, "_fold_block", block_spy)
+    monkeypatch.setattr(kernels, "combine_masses", combine_spy)
     fused = fuse_grids(grids, {})
-    assert max(rows) <= 8192
-    assert sorted(rows) == [4096] * 3 + [8192] * 3
     monkeypatch.undo()
+    per_type = -(-48 * 4**step // (2 * FOLD_SLICE))
+    assert len(blocks) == 2 * per_type
+    assert max(blocks) <= 2 * FOLD_SLICE
+    assert max(rows) <= FOLD_SLICE
+    # Occupancy folds two steps per row, semantic one.
+    assert sum(rows) == 3 * 48 * 4**step
     for index, patch in fused.patches.items():
         alone = fuse_patches([g.patches[index] for g in grids], {})
         for name, layer in patch.layers.items():
             assert layer.masses.tobytes() == alone.layers[name].masses.tobytes()
+
+
+def _root(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _block_fused_map():
+    """A fused map of 8 step-4 occupancy patches along x, whose layers are
+    views of one block, with their bytes."""
+    rng = np.random.default_rng(5)
+    grids = [GridMap(GridConfig()) for _ in range(2)]
+    for i in range(8):
+        for grid in grids:
+            grid.set_layer((i, 0), random_layer(rng, "occupancy", OCCUPANCY_FRAME, 4))
+    fused = fuse_grids(grids, {})
+    layers = [fused.patches[(i, 0)].layers["occupancy"] for i in range(8)]
+    roots = {id(_root(l.masses)) for l in layers}
+    assert len(roots) == 1
+    return fused, layers, [l.masses.tobytes() for l in layers]
+
+
+@pytest.mark.parametrize("change", ["write", "age"])
+def test_block_views_of_a_fused_map_stay_disjoint(change):
+    fused, layers, before = _block_fused_map()
+    if change == "write":
+        layers[3].masses[:] = np.float32(0.25)
+    else:
+        one = GridMap(fused.config)
+        one.patches[(3, 0)] = fused.patches[(3, 0)]
+        discount_grid(one, 0.5)
+    assert layers[3].masses.tobytes() != before[3]
+    for i, layer in enumerate(layers):
+        if i != 3:
+            assert layer.masses.tobytes() == before[i], i
+
+
+def test_deleting_a_patch_keeps_the_rest_of_its_block():
+    # Patch 7's square lies 89.6 m from the vehicle, outside the horizon;
+    # the 0.8 m cells keep every other layer at step 4.
+    fused, layers, before = _block_fused_map()
+    profile = RequirementProfile({"occupancy": TypeRequirement(True, 80.0, 0.8, None)})
+    report = apply_requirements(fused, profile)
+    assert report.patches_deleted == 1 and report.layers_resampled == 0
+    assert sorted(fused.patches) == [(i, 0) for i in range(7)]
+    for i in range(7):
+        assert fused.patches[(i, 0)].layers["occupancy"].masses.tobytes() == before[i]
+
+
+def test_a_map_of_block_views_round_trips(tmp_path):
+    fused, _, before = _block_fused_map()
+    loaded = load_grid(save_grid(fused, tmp_path / "map.apgm"))
+    assert sorted(loaded.patches) == sorted(fused.patches)
+    for i in range(8):
+        assert loaded.patches[(i, 0)].layers["occupancy"].masses.tobytes() == before[i]
 
 
 def test_grid_datum_mismatch():

@@ -33,7 +33,6 @@ from apgm import scenario
 from apgm.scenario import (
     MAX_CAMERA_SAMPLES,
     MAX_LIDAR_BEAMS,
-    _segments_in_range,
     default_scenario,
     parking_profile,
     road_profile,
@@ -96,21 +95,16 @@ def _cast_equals_full_cast(world, pose, cfg, seed):
     return cloud
 
 
-def test_lidar_culling_matches_full_cast_in_default_world():
+def test_lidar_cast_matches_full_cast_in_default_world():
     rng = np.random.default_rng(14)
     world = default_world()
-    segs = world.segments()
     cfg = LidarConfig(beams=360)
-    dropped = 0
     for i in range(30):
         pose = (rng.uniform(-40.0, 500.0), rng.uniform(-35.0, 35.0), rng.uniform(-4.0, 4.0))
         _cast_equals_full_cast(world, pose, cfg, i)
-        rel = segs[:, :2] - np.array(pose[:2])
-        dropped += np.count_nonzero(~_segments_in_range(rel, segs[:, 2:] - segs[:, :2], 100.0))
-    assert dropped > 0
 
 
-def test_lidar_culling_matches_full_cast_near_max_range():
+def test_lidar_cast_matches_full_cast_near_max_range():
     # Segments whose nearest point lies within 2 m of max_range, tangent to
     # the range circle or pointing away from the sensor, up to 150 m long,
     # and zero-length ones; one lies exactly at max_range.
@@ -220,7 +214,7 @@ def test_lidar_beam_windows_keep_the_beams_that_graze_a_segment_end():
 
 
 def test_lidar_beam_windows_hold_few_pairs_on_the_default_drive(monkeypatch):
-    # At the start pose the windows hold under 10 % of the kept segments'
+    # At the start pose the windows hold under 10 % of the segments'
     # (segment, beam) pairs, so the cast does not fall back to all beams.
     windows = []
 
@@ -236,9 +230,9 @@ def test_lidar_beam_windows_hold_few_pairs_on_the_default_drive(monkeypatch):
     for i, lidar in enumerate(config.lidars):
         _cast_equals_full_cast(world, pose, lidar, i)
     assert len(windows) == 2
-    for kept, beams, pairs in windows:
-        assert kept > 30 and beams == 720
-        assert 0 < pairs < 0.1 * kept * beams
+    for segments, beams, pairs in windows:
+        assert segments > 30 and beams == 720
+        assert 0 < pairs < 0.1 * segments * beams
 
 
 def test_lidar_drops_returns_noise_pushes_onto_or_behind_the_sensor():

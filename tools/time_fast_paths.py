@@ -12,7 +12,7 @@ from ``--seed``, it runs ``BENCHMARK.json``'s command once in each copy,
 one run at a time; the copy with the branches goes first on even pairs:
 
     python3 tools/time_fast_paths.py --workload parking --path ray-prefilter
-        [--path segment-cull ...] [--pairs 5] [--seed 7]
+        [--path beam-window ...] [--pairs 5] [--seed 7]
 
 The ``--path``s given are removed together, as a change that deletes
 several branches is paired. For each end-to-end metric the script prints
@@ -75,12 +75,6 @@ PATHS = [
         "        clear = np.zeros(len(k), dtype=bool)\n",
     ),
     FastPath(
-        "segment-cull",
-        "src/apgm/scenario.py",
-        "keep = _segments_in_range(rel, vec, config.max_range)",
-        "keep = np.ones(len(rel), dtype=bool)",
-    ),
-    FastPath(
         "beam-window",
         "src/apgm/scenario.py",
         "first, count = _beam_windows(rel, vec, phi[order])",
@@ -89,17 +83,12 @@ PATHS = [
     FastPath(
         "single-input-copy",
         "src/apgm/fusion.py",
-        "    if len(resampled) == 1:\n"
-        "        return Layer(\n"
-        "            first.type_name, first.frame, r_fused, resampled[0].masses.copy()\n"
-        "        )\n",
+        "        if len(resampled) == 1:\n"
+        "            fused[i] = Layer(\n"
+        "                first.type_name, first.frame, r_fused, resampled[0].masses.copy()\n"
+        "            )\n"
+        "            continue\n",
         "",
-    ),
-    FastPath(
-        "fold-flush",
-        "src/apgm/fusion.py",
-        "if n >= FOLD_SLICE:",
-        "if False:",
     ),
     FastPath(
         "strided-2x2-merge",
